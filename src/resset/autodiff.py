@@ -13,7 +13,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
-from .regularizer import SINGULAR_CUTOFF
+from .regularizer import nuclear_penalty
 
 
 class Node:
@@ -172,15 +172,8 @@ def mean_abs_error(pred: Node, target: np.ndarray) -> Node:
 
 def diversity_penalty(x: Node) -> Node:
     """Negative nuclear norm of the channels x (B*H*W) unfolding of ``x``."""
-    c = x.data.shape[0]
-    mat = x.data.reshape(c, -1)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    out = Node(-np.sum(s), parents=(x,))
-    if s.size and s[0] > 0.0:
-        keep = s > SINGULAR_CUTOFF * s[0]
-        grad_mat = -(u[:, keep] @ vh[keep, :])
-    else:
-        grad_mat = np.zeros_like(mat)
+    value, grad_mat, _ = nuclear_penalty(x.data.reshape(x.data.shape[0], -1))
+    out = Node(value, parents=(x,))
 
     def _backward(g):
         x._accumulate(float(g) * grad_mat.reshape(x.data.shape))

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss, RessetError
+from .errors import ConfigError, NonFiniteLoss, NumericError, RessetError
 from .hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
 from .network import Network
 from .rank import Spectrum, audit_kernel_rank, feature_spectrum, rank_upper_bound, tail_mass
@@ -677,13 +677,10 @@ def main(argv: list[str] | None = None) -> int:
         file_pairs = read_config_file(args.config) if args.config else {}
         cfg = resolve_config(schema, file_pairs, args.overrides)
         return runner(cfg)
-    except ConfigError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonFiniteLoss as err:
+    except (NumericError, NonFiniteLoss) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as err:
+    except (RessetError, OSError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .schemes import (
     KernelScheme,
     KernelSet,
@@ -22,7 +22,7 @@ from .schemes import (
     random_kernel_set,
     valid_column_count,
 )
-from .tensor import FeatureMap, numeric_rank, svd, unfold_channels
+from .tensor import FeatureMap, numeric_rank, unfold_channels
 
 AUDIT_RANK_TOL = 1e-6
 
@@ -109,12 +109,16 @@ def audit_kernel_rank(
 def feature_spectrum(fmap: FeatureMap, source_tag: str = "") -> Spectrum:
     """Singular values of the channels x (B*H*W) matrix, scaled by the largest.
 
-    An all-zero map yields an empty spectrum rather than an error.
+    An all-zero map yields an empty spectrum rather than an error. The values
+    come from an SVD without factors, not from the Gram matrix, so the tail
+    keeps full precision.
     """
     mat = unfold_channels(fmap)
+    if not np.all(np.isfinite(mat.data)):
+        raise NumericError("cannot decompose a matrix with non-finite entries")
     if not np.any(mat.data):
         return Spectrum(values=np.empty(0), source_tag=source_tag)
-    s = svd(mat).singular_values
+    s = np.linalg.svd(mat.data, compute_uv=False)
     return Spectrum(values=s / s[0], source_tag=source_tag)
 
 

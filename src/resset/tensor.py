@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
 )
 
 TENSOR_MAGIC = b"RST1"
+TENSOR_MAX_RANK = 32  # the most dimensions every numpy release supports
 
 MATRIX_ORIGINS = ("kernel", "feature", "patches")
 
@@ -205,15 +207,27 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read an array written by :func:`write_tensor`."""
+    """Read an array written by :func:`write_tensor`.
+
+    The header and the payload length are checked against each other, so a
+    truncated file, a file with trailing bytes, or a corrupt rank or extent
+    raises :class:`ConfigError` instead of being trusted.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != TENSOR_MAGIC:
         raise ConfigError(f"{path}: bad magic bytes {raw[:4]!r}")
+    if len(raw) < 8:
+        raise ConfigError(f"{path}: truncated header ({len(raw)} bytes)")
     (ndim,) = struct.unpack_from("<I", raw, 4)
-    shape = struct.unpack_from(f"<{ndim}I", raw, 8)
+    if ndim > TENSOR_MAX_RANK:
+        raise ConfigError(f"{path}: rank {ndim} exceeds {TENSOR_MAX_RANK}")
     offset = 8 + 4 * ndim
-    count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-    data = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    if data.size != count:
-        raise ConfigError(f"{path}: truncated tensor payload")
-    return data.reshape(shape).astype(np.float64)
+    if len(raw) < offset:
+        raise ConfigError(f"{path}: truncated header for rank {ndim}")
+    shape = struct.unpack_from(f"<{ndim}I", raw, 8)
+    expected = offset + 8 * prod(shape)
+    if len(raw) != expected:
+        raise ConfigError(
+            f"{path}: payload of {len(raw) - offset} bytes, shape {shape} needs {expected - offset}"
+        )
+    return np.frombuffer(raw, dtype="<f8", offset=offset).reshape(shape).astype(np.float64)

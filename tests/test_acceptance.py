@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion plus the comparison tables. The training-based criteria (7 and 8)
-share one set of toy denoising runs built by a module fixture.
+share one set of toy denoising runs built by a module fixture; they carry the
+``slow`` marker, so ``pytest -m "not slow"`` skips them for a quick loop.
 """
 
 import time
@@ -209,6 +210,7 @@ def toy_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_7_spectral_flattening_direction(toy_runs):
     """tail_mass(head=M) with the paper's penalty weight exceeds the
     unregularized run's value in at least 2 of 3 matched seeds."""
@@ -235,6 +237,7 @@ def test_criterion_7_spectral_flattening_direction(toy_runs):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_manner_comparison(toy_runs):
     """ReS3 holds Conv3D's MPSNR within 0.3 dB on one third of the per-set
     parameters under the paper-default training configuration."""

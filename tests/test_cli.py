@@ -202,3 +202,30 @@ class TestSpectrumCommand:
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "spectrum") == 2
+
+    def test_nan_tensor_is_numeric_failure(self, tmp_path):
+        tensor_path = tmp_path / "nan.rst"
+        write_tensor(tensor_path, np.full((2, 2, 3, 3), np.nan))
+        assert run_cli(tmp_path, "spectrum", f"input={tensor_path}") == 3
+
+    def test_truncated_tensor_is_usage_error(self, tmp_path):
+        tensor_path = tmp_path / "short.rst"
+        tensor_path.write_bytes(b"RST1" + (4).to_bytes(4, "little") + b"\x02\x00")
+        assert run_cli(tmp_path, "spectrum", f"input={tensor_path}") == 2
+
+    def test_empty_extent_is_usage_error(self, tmp_path):
+        tensor_path = tmp_path / "empty.rst"
+        write_tensor(tensor_path, np.zeros((2, 0, 3, 3)))
+        assert run_cli(tmp_path, "spectrum", f"input={tensor_path}") == 2
+
+
+class TestExitCodes:
+    SMALL = ["bands=8", "width_px=12", "epochs=1", "width=4", "num_blocks=1"]
+
+    def test_grid_below_similarity_window_is_usage_error(self, tmp_path):
+        assert run_cli(tmp_path, "train", *self.SMALL, "height=8") == 2
+
+    def test_non_finite_evaluation_is_numeric_failure(self, tmp_path):
+        code = run_cli(tmp_path, "train", *self.SMALL, "height=12", "learning_rate=1e300",
+                       "lam=0")
+        assert code == 3

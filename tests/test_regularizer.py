@@ -9,6 +9,7 @@ from resset import (
     ConfigError,
     KernelScheme,
     Network,
+    NumericError,
     SchemeVariant,
     UnfoldedMatrix,
     attach_last_layer,
@@ -17,6 +18,8 @@ from resset import (
     da_reg_value,
 )
 from resset import autodiff as ad
+from resset import regularizer
+from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
 from resset.train import AdamState, TrainConfig, adam_step
 
 
@@ -27,6 +30,23 @@ def gap_separated(rng, rows, cols, min_gap=0.1):
     u = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :r]
     v = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :r]
     return (u * s) @ v.T
+
+
+def with_spectrum(rng, rows, cols, singular_values):
+    """Matrix with the given singular values and random singular vectors."""
+    s = np.asarray(singular_values, dtype=float)
+    u = np.linalg.qr(rng.standard_normal((rows, s.size)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, s.size)))[0]
+    return (u * s) @ v.T
+
+
+def svd_oracle(mat):
+    """The thin-SVD value and -U V^T gradient over singular values above the cutoff."""
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0.0, np.zeros(mat.shape)
+    keep = s > regularizer.SINGULAR_CUTOFF * s[0]
+    return -float(np.sum(s)), -(u[:, keep] @ vh[keep, :])
 
 
 def fd_gradient(mat, step=1e-5):
@@ -95,6 +115,79 @@ class TestGradient:
     def test_zero_matrix_gives_zero_subgradient(self):
         grad = da_reg_grad(UnfoldedMatrix(np.zeros((3, 5))))
         np.testing.assert_array_equal(grad.data, np.zeros((3, 5)))
+
+
+# (case, takes the Gram path, builder, gradient tolerance against the oracle)
+PENALTY_CASES = [
+    ("wide", True, lambda rng: gap_separated(rng, 6, 20), 1e-12),
+    ("square", True, lambda rng: gap_separated(rng, 5, 5), 1e-12),
+    ("wide_random", True, lambda rng: rng.standard_normal((24, 500)), 1e-12),
+    # lam_min / lam_max = 4e-8, just above GRAM_MIN_RATIO: the derived error
+    # bound eps * lam_max / lam_min is about 2e-7 here.
+    ("near_ratio", True, lambda rng: with_spectrum(rng, 3, 4000, [1.0, 0.5, 2e-4]), 1e-5),
+    ("rank_deficient", False, lambda rng: with_spectrum(rng, 4, 10, [3.0, 1.0]), 1e-12),
+    ("ill_conditioned", False, lambda rng: with_spectrum(rng, 3, 40, [1.0, 1e-3, 1e-5]), 1e-12),
+    ("zero", False, lambda rng: np.zeros((3, 5)), 0.0),
+    ("tall", False, lambda rng: gap_separated(rng, 10, 4), 1e-12),
+    ("overflowing_gram", False, lambda rng: 1e160 * gap_separated(rng, 3, 6), 1e-12),
+]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVD fallbacks the penalty takes."""
+    calls = []
+    original = regularizer.svd
+
+    def counting_svd(m):
+        calls.append(m.data.shape)
+        return original(m)
+
+    monkeypatch.setattr(regularizer, "svd", counting_svd)
+    return calls
+
+
+class TestPenaltyPaths:
+    @pytest.mark.parametrize(
+        "gram, build, tol", [c[1:] for c in PENALTY_CASES], ids=[c[0] for c in PENALTY_CASES]
+    )
+    def test_matches_svd_oracle_on_the_expected_path(self, rng, svd_calls, gram, build, tol):
+        mat = build(rng)
+        value, grad, s = regularizer.nuclear_penalty(mat)
+        assert svd_calls == ([] if gram else [mat.shape])
+        oracle_value, oracle_grad = svd_oracle(mat)
+        assert value == pytest.approx(oracle_value, rel=1e-12, abs=0.0)
+        assert grad.shape == mat.shape
+        assert np.max(np.abs(grad - oracle_grad), initial=0.0) <= tol
+        np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False), rtol=1e-6)
+
+    def test_toy_feature_matrix_takes_gram_path(self, svd_calls):
+        """The 24 x 31744 last-layer features of the toy run at seed 0."""
+        clean = synth_cube(100, 31, 32, 32)
+        noisy = add_noise(clean, NoiseSpec(kind=NoiseKind.GAUSSIAN, sigma=50.0, seed=200))
+        scheme = KernelScheme(SchemeVariant.RES3_1D, k=3, L=1)
+        net = Network(scheme, channels=1, width=8, num_blocks=2, seed=0)
+        feature = net.forward_tape(cube_to_feature(noisy).data).feature.data
+        mat = feature.reshape(feature.shape[0], -1)
+        assert mat.shape == (24, 31744)
+        _, grad, _ = regularizer.nuclear_penalty(mat)
+        assert svd_calls == []
+        np.testing.assert_allclose(grad, svd_oracle(mat)[1], rtol=0.0, atol=1e-10)
+
+    def test_non_finite_input_rejected(self):
+        mat = np.ones((2, 4))
+        mat[0, 1] = np.nan
+        with pytest.raises(NumericError):
+            regularizer.nuclear_penalty(mat)
+
+    def test_autodiff_and_regularizer_share_one_gradient(self, rng):
+        x = rng.standard_normal((6, 3, 4, 5))
+        node = ad.Node(x)
+        loss = ad.diversity_penalty(node)
+        loss.backward()
+        grad = da_reg_grad(UnfoldedMatrix(x.reshape(6, -1))).data
+        np.testing.assert_array_equal(node.grad.reshape(6, -1), grad)
+        assert float(loss.data) == da_reg_value(UnfoldedMatrix(x.reshape(6, -1)))
 
 
 class TestCombined:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resset import (
+    ConfigError,
     DegenerateKernel,
     FeatureMap,
     InvalidKernel,
@@ -44,6 +45,12 @@ def gather_oracle(x: np.ndarray, extents):
                                     out[row, col] = x[ci, sb, sh, sw]
                                 col += 1
     return out
+
+
+def rejects(path, blob):
+    path.write_bytes(blob)
+    with pytest.raises(ConfigError):
+        read_tensor(path)
 
 
 class TestShape4:
@@ -235,3 +242,34 @@ class TestTensorFile:
         assert raw[4:8] == (1).to_bytes(4, "little")
         assert raw[8:12] == (2).to_bytes(4, "little")
         assert np.frombuffer(raw[12:], dtype="<f8").tolist() == [1.0, 2.0]
+
+
+class TestTensorFileValidation:
+    """Each malformed file is rejected with ConfigError, not trusted."""
+
+    def test_bad_magic(self, tmp_path):
+        rejects(tmp_path / "t.rst", b"RST2" + (0).to_bytes(4, "little"))
+
+    def test_header_shorter_than_rank_field(self, tmp_path):
+        rejects(tmp_path / "t.rst", b"RST1\x01\x00")
+
+    def test_rank_above_bound(self, tmp_path):
+        rejects(tmp_path / "t.rst", b"RST1" + (1000).to_bytes(4, "little") + bytes(4000))
+
+    def test_extents_truncated(self, tmp_path):
+        # the 10-byte case: rank 4 announced, half an extent present
+        rejects(tmp_path / "t.rst", b"RST1" + (4).to_bytes(4, "little") + b"\x02\x00")
+
+    def test_payload_truncated(self, tmp_path):
+        path = tmp_path / "t.rst"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        rejects(path, path.read_bytes()[:-8])
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.rst"
+        write_tensor(path, np.arange(6.0).reshape(2, 3))
+        rejects(path, path.read_bytes() + bytes(8))
+
+    def test_huge_extents_do_not_allocate(self, tmp_path):
+        header = b"RST1" + (4).to_bytes(4, "little") + (2**32 - 1).to_bytes(4, "little") * 4
+        rejects(tmp_path / "t.rst", header + bytes(8))
