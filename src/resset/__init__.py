@@ -2,7 +2,6 @@
 a singular-value diversity regularizer, and a toy denoiser training loop."""
 
 from .errors import (
-    BackwardWithoutForward,
     ConfigError,
     DegenerateKernel,
     InvalidKernel,
@@ -37,10 +36,6 @@ from .rank import (
     tail_mass,
 )
 from .regularizer import (
-    DiversityHook,
-    RegResult,
-    attach_last_layer,
-    da_reg,
     da_reg_grad,
     da_reg_value,
 )
@@ -55,7 +50,6 @@ from .schemes import (
     param_count,
     parse_scheme_token,
     random_kernel_set,
-    res3_block_forward,
     save_kernel_set,
     valid_column_count,
     zero_kernel_set,
@@ -80,7 +74,6 @@ from .train import (
     TrainingData,
     TrainReport,
     adam_step,
-    loss_denoise,
     train_denoiser,
 )
 

@@ -10,10 +10,10 @@ absolute error, and the singular-value diversity penalty.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 from .regularizer import nuclear_penalty
+from .tensor import gather_patches, scatter_patches
 
 
 class Node:
@@ -56,42 +56,18 @@ class Node:
                 node._backward(node.grad)
 
 
-def _gather(x: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
-    """im2col over the branch's own window: (C*taps, B*H*W) patch matrix."""
-    c, b, h, w = x.shape
-    eb, eh, ew = extents
-    pads = ((0, 0), ((eb - 1) // 2,) * 2, ((eh - 1) // 2,) * 2, ((ew - 1) // 2,) * 2)
-    padded = np.pad(x, pads)
-    windows = sliding_window_view(padded, (eb, eh, ew), axis=(1, 2, 3))
-    return windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * eb * eh * ew, b * h * w)
-
-
-def _scatter(cols_grad: np.ndarray, extents: tuple[int, int, int], shape) -> np.ndarray:
-    """Adjoint of :func:`_gather`: scatter-add patch gradients back."""
-    c, b, h, w = shape
-    eb, eh, ew = extents
-    pb, ph, pw = (eb - 1) // 2, (eh - 1) // 2, (ew - 1) // 2
-    g = cols_grad.reshape(c, eb, eh, ew, b, h, w)
-    padded = np.zeros((c, b + 2 * pb, h + 2 * ph, w + 2 * pw))
-    for db in range(eb):
-        for dh in range(eh):
-            for dw in range(ew):
-                padded[:, db : db + b, dh : dh + h, dw : dw + w] += g[:, db, dh, dw]
-    return padded[:, pb : pb + b, ph : ph + h, pw : pw + w]
-
-
 def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     """Same-padded convolution of one branch, done as unfold + matmul."""
     c, b, h, wd = x.data.shape
     out_ch = w.data.shape[0]
-    cols = _gather(x.data, extents)
+    cols = gather_patches(x.data, extents)
     wf = w.data.reshape(out_ch, -1)
     out = Node((wf @ cols).reshape(out_ch, b, h, wd), parents=(w, x))
 
     def _backward(g):
         gf = g.reshape(out_ch, -1)
         w._accumulate((gf @ cols.T).reshape(w.data.shape))
-        x._accumulate(_scatter(wf.T @ gf, extents, x.data.shape))
+        x._accumulate(scatter_patches(wf.T @ gf, extents, x.data.shape))
 
     out._backward = _backward
     return out

@@ -19,16 +19,14 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteLoss, NumericError, RessetError
-from .hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
+from .hsdata import SSIM_WINDOW, NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
 from .network import Network
 from .rank import Spectrum, audit_kernel_rank, feature_spectrum, rank_upper_bound, tail_mass
 from .regularizer import da_reg_grad, da_reg_value
@@ -42,15 +40,12 @@ from .schemes import (
     zero_kernel_set,
 )
 from .tensor import FeatureMap, UnfoldedMatrix, read_tensor, write_tensor
-from .train import TrainConfig, TrainingData, train_denoiser
-from . import autodiff as ad
+from .train import TrainConfig, TrainingData, train_denoiser, training_loss
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-THREADS_ENV = "RESSET_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +154,6 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def worker_count(cells: int) -> int:
-    try:
-        cap = int(os.environ.get(THREADS_ENV, "1") or "1")
-    except ValueError:
-        cap = 1
-    return max(1, min(cells, cap))
-
-
 # ---------------------------------------------------------------------------
 # shared experiment plumbing
 
@@ -229,6 +216,16 @@ def build_training_data(cfg: dict, seed_shift: int = 0) -> TrainingData:
         noisy = add_noise(clean, _noise_spec(cfg, cfg["noise_seed"] + seed_shift + i))
         pairs.append((cube_to_feature(noisy), cube_to_feature(clean)))
     return TrainingData(pairs=tuple(pairs[:-1]), holdout=pairs[-1])
+
+
+def _check_grid(cfg: dict) -> None:
+    """Reject a cube grid that the holdout MSSIM window does not fit, before
+    any training time is spent on it."""
+    if min(cfg["height"], cfg["width_px"]) < SSIM_WINDOW:
+        raise ConfigError(
+            f"height and width_px must be >= the {SSIM_WINDOW}-pixel MSSIM window, "
+            f"got {cfg['height']}x{cfg['width_px']}"
+        )
 
 
 def train_config_from(cfg: dict, scheme: KernelScheme, seed: int, lam: float) -> TrainConfig:
@@ -394,10 +391,7 @@ def network_grad_max_error(
 
     def loss_graph():
         tape = net.forward_tape(x)
-        loss = ad.mean_abs_error(tape.output, target)
-        if lam > 0:
-            loss = ad.add(loss, ad.scale(ad.diversity_penalty(tape.feature), lam))
-        return loss, tape
+        return training_loss(tape.output, tape.feature, target, lam)[0], tape
 
     loss, tape = loss_graph()
     loss.backward()
@@ -507,6 +501,7 @@ def _run_single_training(cfg: dict, scheme: KernelScheme, seed: int, lam: float)
 
 def cmd_train(cfg: dict) -> int:
     scheme = parse_scheme_token(cfg["scheme"], k=cfg["k"])
+    _check_grid(cfg)
     run_dir = make_run_dir("train", cfg)
     try:
         report, net = _run_single_training(cfg, scheme, cfg["seed"], cfg["lam"])
@@ -541,26 +536,17 @@ def cmd_compare(cfg: dict) -> int:
         raise ConfigError("compare needs at least two schemes")
     if cfg["seeds"] < 1:
         raise ConfigError("compare needs at least one seed")
+    _check_grid(cfg)
     run_dir = make_run_dir("compare", cfg)
     schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
     cells = [(scheme, seed) for scheme in schemes for seed in range(cfg["seeds"])]
-
-    def run_cell(cell):
-        scheme, seed = cell
-        try:
-            report, _ = _run_single_training(cfg, scheme, seed, cfg["lam"])
-            return (scheme, seed, report, None)
-        except RessetError as err:
-            return (scheme, seed, None, err)
-
-    with ThreadPoolExecutor(max_workers=worker_count(len(cells))) as pool:
-        outcomes = list(pool.map(run_cell, cells))
-
     rows = []
     per_scheme: dict[str, list] = {s.token: [] for s in schemes}
-    for scheme, seed, report, err in outcomes:
-        if err is not None:
+    for scheme, seed in cells:
+        try:
+            report, _ = _run_single_training(cfg, scheme, seed, cfg["lam"])
+        except RessetError as err:
             rows.append(
                 [scheme.token, seed, rank_upper_bound(scheme, cfg["width"]), "", "", "", "", "",
                  f"failed:{type(err).__name__}"]

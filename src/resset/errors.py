@@ -29,10 +29,6 @@ class ConfigError(RessetError):
     """Invalid or inconsistent configuration."""
 
 
-class BackwardWithoutForward(RessetError):
-    """backward() was called with no recorded forward tape."""
-
-
 class WindowTooLarge(RessetError):
     """Image is smaller than the similarity window."""
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import BackwardWithoutForward, ConfigError, ShapeError
+from .errors import ConfigError, ShapeError
 from .schemes import (
     LEAKY_SLOPE,
     KernelScheme,
@@ -27,7 +27,7 @@ from .schemes import (
     expected_weight_shapes,
     pre_compression_channels,
 )
-from .tensor import FeatureMap, read_tensor, write_tensor
+from .tensor import read_tensor, write_tensor
 
 
 # Output-side layers start small so the residual trunk begins near the
@@ -65,8 +65,6 @@ class Network:
         self.width = width  # channel width M carried between blocks
         self.num_blocks = num_blocks
         self.global_residual = global_residual
-        self.diversity_hook = None
-        self._tape: ForwardTape | None = None
         self.params: dict[str, np.ndarray] = {}
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1F)))
         self._register("lift", self._kaiming(rng, (width, channels)))
@@ -130,28 +128,6 @@ class Network:
             out = ad.add(out, xin)
         return ForwardTape(output=out, feature=feature, params=nodes)
 
-    def forward(self, fmap: FeatureMap) -> FeatureMap:
-        """Forward pass that records the tape consumed by :meth:`backward`."""
-        tape = self.forward_tape(fmap.data)
-        self._tape = tape
-        return FeatureMap(tape.output.data)
-
-    def backward(self, loss_grad: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of <loss_grad, output> w.r.t. every parameter."""
-        if self._tape is None:
-            raise BackwardWithoutForward("forward() must run before backward()")
-        tape, self._tape = self._tape, None
-        loss_grad = np.asarray(loss_grad, dtype=np.float64)
-        if loss_grad.shape != tape.output.data.shape:
-            raise ShapeError(
-                f"upstream gradient shape {loss_grad.shape} != output {tape.output.data.shape}"
-            )
-        tape.output.backward(loss_grad)
-        return {
-            name: node.grad if node.grad is not None else np.zeros_like(node.data)
-            for name, node in tape.params.items()
-        }
-
     def block_kernel_set(self, i: int) -> KernelSet:
         """View block ``i`` as a kernel set (for audits and serialization)."""
         n_branches = len(branch_extents(self.scheme))
@@ -166,18 +142,21 @@ class Network:
             self.params[f"b{i}.aggregate"],
         )
 
+    def _manifest_header(self) -> dict[str, str]:
+        return {
+            "scheme": self.scheme.token,
+            "k": str(self.scheme.k),
+            "channels": str(self.channels),
+            "width": str(self.width),
+            "num_blocks": str(self.num_blocks),
+            "global_residual": "yes" if self.global_residual else "no",
+        }
+
     def save_checkpoint(self, directory: str | Path) -> None:
         """Write every parameter as a portable tensor plus a text manifest."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        lines = [
-            f"scheme={self.scheme.token}",
-            f"k={self.scheme.k}",
-            f"channels={self.channels}",
-            f"width={self.width}",
-            f"num_blocks={self.num_blocks}",
-            f"global_residual={'yes' if self.global_residual else 'no'}",
-        ]
+        lines = [f"{key}={value}" for key, value in self._manifest_header().items()]
         for name in self.params:
             fname = name.replace(".", "_") + ".rst"
             lines.append(f"param {name} {fname}")
@@ -185,8 +164,17 @@ class Network:
         (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
 
     def load_checkpoint(self, directory: str | Path) -> None:
+        """Replace every parameter with the checkpoint's. The manifest must
+        describe this network and name each of its parameters, else nothing
+        is loaded."""
         directory = Path(directory)
-        for line in (directory / "manifest.txt").read_text().splitlines():
+        lines = (directory / "manifest.txt").read_text().splitlines()
+        header = dict(line.split("=", 1) for line in lines if "=" in line)
+        for key, want in self._manifest_header().items():
+            if header.get(key) != want:
+                raise ConfigError(f"checkpoint has {key}={header.get(key)}, network has {want}")
+        loaded: dict[str, np.ndarray] = {}
+        for line in lines:
             if line.startswith("param "):
                 _, name, fname = line.split()
                 if name not in self.params:
@@ -196,4 +184,8 @@ class Network:
                     raise ShapeError(
                         f"checkpoint {name}: shape {value.shape} != {self.params[name].shape}"
                     )
-                self.params[name] = value
+                loaded[name] = value
+        missing = sorted(set(self.params) - set(loaded))
+        if missing:
+            raise ConfigError(f"checkpoint lacks parameters {', '.join(missing)}")
+        self.params.update(loaded)

@@ -12,12 +12,8 @@ thin SVD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError
-from .rank import Spectrum
 from .tensor import UnfoldedMatrix, svd
 
 SINGULAR_CUTOFF = 1e-12
@@ -33,30 +29,6 @@ SINGULAR_CUTOFF = 1e-12
 # matrix (lam_min / lam_max ~ 3e-6) on it. Below the ratio the SVD resolves
 # what the Gram matrix cannot.
 GRAM_MIN_RATIO = 1e-8
-
-
-@dataclass(frozen=True)
-class RegResult:
-    """Penalty value, its gradient w.r.t. the input matrix, and the spectrum."""
-
-    value: float
-    gradient: UnfoldedMatrix
-    spectrum: Spectrum
-
-
-@dataclass(frozen=True)
-class DiversityHook:
-    """Loss-term hook: weight applied to the last-layer diversity penalty."""
-
-    reg_weight: float
-
-    def __post_init__(self):
-        if self.reg_weight < 0:
-            raise ConfigError(f"regularizer weight must be >= 0, got {self.reg_weight}")
-
-    @property
-    def active(self) -> bool:
-        return self.reg_weight > 0.0
 
 
 def nuclear_penalty(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -96,32 +68,3 @@ def da_reg_value(f_mat: UnfoldedMatrix) -> float:
 def da_reg_grad(f_mat: UnfoldedMatrix) -> UnfoldedMatrix:
     """Subgradient -U V^T over the numerically nonzero singular values."""
     return UnfoldedMatrix(nuclear_penalty(f_mat.data)[1], origin=f_mat.origin)
-
-
-def da_reg(f_mat: UnfoldedMatrix) -> RegResult:
-    """Value, gradient, and normalized spectrum in one decomposition."""
-    value, grad, s = nuclear_penalty(f_mat.data)
-    if s.size == 0 or s[0] == 0.0:
-        spectrum = Spectrum(values=np.empty(0))
-    else:
-        spectrum = Spectrum(values=s / s[0])
-    return RegResult(
-        value=value,
-        gradient=UnfoldedMatrix(grad, origin=f_mat.origin),
-        spectrum=spectrum,
-    )
-
-
-def attach_last_layer(net, reg_weight: float) -> DiversityHook:
-    """Attach the diversity penalty to a network's last feature layer.
-
-    During training the hook unfolds the final pre-output feature map to
-    channels x (B*H*W), adds ``reg_weight`` times the penalty to the loss, and
-    routes the matching gradient into that layer's backward signal. A zero
-    weight leaves the training trajectory bit-identical to an unhooked run.
-    """
-    if getattr(net, "num_blocks", 0) < 1:
-        raise ConfigError("network has no feature layer to regularize")
-    hook = DiversityHook(reg_weight=reg_weight)
-    net.diversity_hook = hook
-    return hook

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NotJointlyRepresentable, NumericError, ShapeError
-from .tensor import FeatureMap, UnfoldedMatrix, read_tensor, write_tensor
+from .tensor import FeatureMap, UnfoldedMatrix, gather_patches, read_tensor, write_tensor
 
 LEAKY_SLOPE = 0.2
 
@@ -173,7 +173,7 @@ class KernelSet:
     ``weights`` holds one compact array per branch (parallel schemes) or per
     stage (sequential schemes). ``compression`` is the optional 1x1x1 map from
     the pre-compression channels back to ``out_channels``; ``aggregation`` is
-    the optional 1x1x1 map used by block forward after the nonlinearity.
+    the optional 1x1x1 map a network block applies after the nonlinearity.
     """
 
     scheme: KernelScheme
@@ -307,23 +307,6 @@ def valid_column_count(scheme: KernelScheme, c: int) -> int:
     return len(offsets) * c
 
 
-def _branch_conv(x: np.ndarray, w: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
-    """Direct same-padded convolution: loop over kernel taps, vectorized
-    over output positions via shifted slices."""
-    _, b, h, wd = x.shape
-    eb, eh, ew = extents
-    pads = ((0, 0), ((eb - 1) // 2,) * 2, ((eh - 1) // 2,) * 2, ((ew - 1) // 2,) * 2)
-    xp = np.pad(x, pads)
-    w5 = w.reshape(w.shape[0], w.shape[1], eb, eh, ew)
-    out = np.zeros((w.shape[0], b, h, wd))
-    for db in range(eb):
-        for dh in range(eh):
-            for dw in range(ew):
-                seg = xp[:, db : db + b, dh : dh + h, dw : dw + wd]
-                out += np.tensordot(w5[:, :, db, dh, dw], seg, axes=(1, 0))
-    return out
-
-
 def conv_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:
     """Apply the scheme's convolution; compress to M channels when configured.
 
@@ -335,34 +318,21 @@ def conv_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:
         raise ShapeError(
             f"input has {fmap.channels} channels, kernel set expects {ks.in_channels}"
         )
+
+    def branch(x: np.ndarray, w: np.ndarray, e: tuple[int, int, int]) -> np.ndarray:
+        return (w.reshape(w.shape[0], -1) @ gather_patches(x, e)).reshape(-1, *x.shape[1:])
+
     extents = branch_extents(ks.scheme)
     if ks.scheme.is_parallel or ks.scheme.variant is SchemeVariant.CONV3D:
-        parts = [_branch_conv(fmap.data, w, e) for w, e in zip(ks.weights, extents)]
+        parts = [branch(fmap.data, w, e) for w, e in zip(ks.weights, extents)]
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
     else:
         out = fmap.data
         for w, e in zip(ks.weights, extents):
-            out = _branch_conv(out, w, e)
+            out = branch(out, w, e)
     if ks.compression is not None:
         out = np.tensordot(ks.compression, out, axes=(1, 0))
     return FeatureMap(out)
-
-
-def res3_block_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:
-    """One residual block: branch concat -> 1x1x1 compression -> leaky
-    rectifier -> 1x1x1 aggregation -> residual add with the block input."""
-    if not ks.scheme.is_res3:
-        raise ConfigError(f"block forward is defined for res3 variants, got {ks.scheme.token}")
-    if ks.compression is None:
-        raise ConfigError("block forward requires compression weights")
-    if ks.aggregation is None:
-        raise ConfigError("block forward requires aggregation weights")
-    if ks.out_channels != ks.in_channels:
-        raise ShapeError("block is residual, so M must equal C")
-    compressed = conv_forward(ks, fmap).data
-    activated = np.where(compressed >= 0, compressed, LEAKY_SLOPE * compressed)
-    aggregated = np.tensordot(ks.aggregation, activated, axes=(1, 0))
-    return FeatureMap(aggregated + fmap.data)
 
 
 def save_kernel_set(ks: KernelSet, directory: str | Path) -> None:

@@ -126,30 +126,53 @@ def _check_extent(extent: int, dim: int, axis: str) -> None:
         )
 
 
+def gather_patches(x: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
+    """im2col over a same-padded window: the (C*kB*kH*kW, B*H*W) patch matrix.
+
+    Rows are ordered channel-major, then band, row, and column offsets; columns
+    follow row-major traversal of the output positions. A branch convolution
+    is ``w.reshape(out, -1) @ gather_patches(x, extents)``.
+    """
+    c, b, h, w = x.shape
+    kb, kh, kw = extents
+    pads = ((0, 0), ((kb - 1) // 2,) * 2, ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2)
+    windows = sliding_window_view(np.pad(x, pads), (kb, kh, kw), axis=(1, 2, 3))
+    return windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * kb * kh * kw, b * h * w)
+
+
+def scatter_patches(cols: np.ndarray, extents: tuple[int, int, int], shape) -> np.ndarray:
+    """Adjoint of :func:`gather_patches`: scatter-add a patch matrix back onto
+    a (C, B, H, W) volume."""
+    c, b, h, w = shape
+    kb, kh, kw = extents
+    pb, ph, pw = (kb - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
+    g = cols.reshape(c, kb, kh, kw, b, h, w)
+    padded = np.zeros((c, b + 2 * pb, h + 2 * ph, w + 2 * pw))
+    for db in range(kb):
+        for dh in range(kh):
+            for dw in range(kw):
+                padded[:, db : db + b, dh : dh + h, dw : dw + w] += g[:, db, dh, dw]
+    return padded[:, pb : pb + b, ph : ph + h, pw : pw + w]
+
+
 def unfold_patches(
     fmap: FeatureMap,
     extents: tuple[int, int, int],
     padding: str = "same",
 ) -> UnfoldedMatrix:
-    """Gather sliding windows into a patches matrix.
+    """Validated :func:`gather_patches` of a feature map.
 
-    Rows are ordered channel-major, then band, row, and column offsets; columns
-    follow row-major traversal of the output positions. With ``same`` zero
-    padding and stride 1 the output grid equals the input grid, so the result
-    has ``kB*kH*kW*C`` rows and ``B*H*W`` columns.
+    With ``same`` zero padding and stride 1 the output grid equals the input
+    grid, so the result has ``kB*kH*kW*C`` rows and ``B*H*W`` columns.
     """
     if padding != "same":
         raise ConfigError(f"only 'same' padding is supported, got {padding!r}")
     kb, kh, kw = extents
-    c, b, h, w = fmap.data.shape
+    _, b, h, w = fmap.data.shape
     _check_extent(kb, b, "band")
     _check_extent(kh, h, "height")
     _check_extent(kw, w, "width")
-    pads = ((0, 0), ((kb - 1) // 2,) * 2, ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2)
-    padded = np.pad(fmap.data, pads)
-    windows = sliding_window_view(padded, (kb, kh, kw), axis=(1, 2, 3))
-    cols = windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * kb * kh * kw, b * h * w)
-    return UnfoldedMatrix(cols, origin="patches")
+    return UnfoldedMatrix(gather_patches(fmap.data, extents), origin="patches")
 
 
 def unfold_channels(fmap: FeatureMap) -> UnfoldedMatrix:
@@ -200,7 +223,7 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     Layout: magic ``RST1``, little-endian u32 rank, one little-endian u32 per
     extent, then the raw 64-bit little-endian floats in row-major order.
     """
-    arr = np.ascontiguousarray(array, dtype="<f8")
+    arr = np.asarray(array, dtype="<f8")  # ascontiguousarray would turn shape () into (1,)
     header = TENSOR_MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     Path(path).write_bytes(header + arr.tobytes())

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NonFiniteLoss, ShapeError
+from .errors import ConfigError, NonFiniteLoss, NumericError, ShapeError
 from .hsdata import MetricsReport, feature_to_cube, metrics_report
 from .network import Network
 from .rank import Spectrum, feature_spectrum
-from .regularizer import attach_last_layer, da_reg_value
 from .schemes import KernelScheme
-from .tensor import FeatureMap, unfold_channels
+from .tensor import FeatureMap
 
 ADAM_EPS = 1e-8
 
@@ -78,16 +77,6 @@ def adam_step(
     return params, state
 
 
-def loss_denoise(pred: FeatureMap, target: FeatureMap, feature: FeatureMap, lam: float) -> float:
-    """Mean absolute error plus ``lam`` times the diversity penalty."""
-    if pred.data.shape != target.data.shape:
-        raise ShapeError(f"shape mismatch {pred.data.shape} vs {target.data.shape}")
-    data_term = float(np.mean(np.abs(pred.data - target.data)))
-    if lam == 0.0:
-        return data_term
-    return data_term + lam * da_reg_value(unfold_channels(feature))
-
-
 @dataclass(frozen=True)
 class TrainingData:
     """Paired noisy/clean volumes plus one held-out evaluation pair."""
@@ -129,14 +118,17 @@ class TrainReport:
         return out
 
 
-def _sample_loss(net: Network, noisy: np.ndarray, clean: np.ndarray, hook):
-    """Taped forward + loss graph for one sample; returns (loss, data, reg)."""
-    tape = net.forward_tape(noisy)
-    data_term = ad.mean_abs_error(tape.output, clean)
-    if hook.active:
-        reg_term = ad.scale(ad.diversity_penalty(tape.feature), hook.reg_weight)
-        return ad.add(data_term, reg_term), float(data_term.data), float(reg_term.data), tape
-    return data_term, float(data_term.data), 0.0, tape
+def training_loss(
+    output: ad.Node, feature: ad.Node, clean: np.ndarray, lam: float
+) -> tuple[ad.Node, float, float]:
+    """Taped mean absolute error plus ``lam`` times the diversity penalty of
+    ``feature``; returns (loss, data term, penalty term). Without a positive
+    ``lam`` no penalty is built."""
+    data_term = ad.mean_abs_error(output, clean)
+    if lam > 0:
+        reg_term = ad.scale(ad.diversity_penalty(feature), lam)
+        return ad.add(data_term, reg_term), float(data_term.data), float(reg_term.data)
+    return data_term, float(data_term.data), 0.0
 
 
 def _evaluate(net: Network, data: TrainingData) -> tuple[MetricsReport, Spectrum]:
@@ -155,7 +147,6 @@ def train_denoiser(
     start = time.perf_counter()
     channels = data.pairs[0][0].channels
     net = Network(cfg.scheme, channels, cfg.width, cfg.num_blocks, seed=cfg.seed)
-    hook = attach_last_layer(net, cfg.lam)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
     state = AdamState()
     data_terms: list[float] = []
@@ -169,7 +160,13 @@ def train_denoiser(
             grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in net.params.items()}
             for idx in batch:
                 noisy, clean = data.pairs[idx]
-                loss, d_term, r_term, tape = _sample_loss(net, noisy.data, clean.data, hook)
+                tape = net.forward_tape(noisy.data)
+                try:
+                    loss, d_term, r_term = training_loss(
+                        tape.output, tape.feature, clean.data, cfg.lam
+                    )
+                except NumericError as err:  # the penalty met a non-finite feature volume
+                    raise NonFiniteLoss(epoch) from err
                 loss.backward(np.float64(1.0 / len(batch)))
                 for name, node in tape.params.items():
                     if node.grad is not None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resset import (
-    BackwardWithoutForward,
+    ConfigError,
     FeatureMap,
     KernelSet,
     Network,
@@ -112,7 +112,7 @@ class TestSingleBlockGradient:
     def test_block_gradients_match_finite_differences_of_untaped_block(self, rng):
         """Taped gradients of the scalar block-output sum vs central
         differences of the no-tape block forward, for every weight."""
-        from resset import random_kernel_set, res3_block_forward
+        from resset import random_kernel_set
 
         scheme = parse_scheme_token("res3_1d")
         ks = random_kernel_set(scheme, 3, 3, rng, with_compression=True, with_aggregation=True)
@@ -137,13 +137,14 @@ class TestSingleBlockGradient:
             return out, nodes
 
         def untaped_sum() -> float:
+            """Branch concat -> compression -> leaky rectifier -> aggregation
+            -> residual add, from the untaped scheme convolution."""
             block = KernelSet(
-                scheme, 3, 3,
-                tuple(arrays[f"w{j}"] for j in range(3)),
-                arrays["compress"],
-                arrays["aggregate"],
+                scheme, 3, 3, tuple(arrays[f"w{j}"] for j in range(3)), arrays["compress"]
             )
-            return float(res3_block_forward(block, FeatureMap(x)).data.sum())
+            y = conv_forward(block, FeatureMap(x)).data
+            y = np.where(y >= 0, y, LEAKY_SLOPE * y)
+            return float((np.tensordot(arrays["aggregate"], y, axes=(1, 0)) + x).sum())
 
         out, nodes = taped_sum()
         out.backward(np.ones_like(out.data))
@@ -183,19 +184,19 @@ class TestNetworkTape:
         net = self._net()
         for name in net.params:
             net.params[name] = np.zeros_like(net.params[name])
-        x = FeatureMap(rng.standard_normal((1, 5, 6, 6)))
-        np.testing.assert_array_equal(net.forward(x).data, x.data)
+        x = rng.standard_normal((1, 5, 6, 6))
+        np.testing.assert_array_equal(net.forward_tape(x).output.data, x)
 
     def test_shapes_preserved(self, rng):
         net = self._net()
-        out = net.forward(FeatureMap(rng.standard_normal((1, 8, 12, 12))))
+        out = net.forward_tape(rng.standard_normal((1, 8, 12, 12))).output
         assert out.data.shape == (1, 8, 12, 12)
 
     def test_forward_matches_untaped_reference(self, rng):
         """Independently coded forward from the scheme primitives."""
         net = self._net()
         x = rng.standard_normal((1, 6, 7, 7))
-        taped = net.forward(FeatureMap(x)).data
+        taped = net.forward_tape(x).output.data
 
         h = np.tensordot(net.params["lift"], x, axes=(1, 0))
         for i in range(net.num_blocks):
@@ -215,32 +216,18 @@ class TestNetworkTape:
 
     def test_forward_deterministic(self, rng):
         net = self._net()
-        x = FeatureMap(rng.standard_normal((1, 5, 6, 6)))
-        first = net.forward(x).data
-        second = net.forward(x).data
+        x = rng.standard_normal((1, 5, 6, 6))
+        first = net.forward_tape(x).output.data
+        second = net.forward_tape(x).output.data
         np.testing.assert_array_equal(first, second)
-
-    def test_backward_without_forward_raises(self):
-        net = self._net()
-        with pytest.raises(BackwardWithoutForward):
-            net.backward(np.zeros((1, 5, 6, 6)))
-
-    def test_backward_consumes_tape(self, rng):
-        net = self._net()
-        x = FeatureMap(rng.standard_normal((1, 5, 6, 6)))
-        net.forward(x)
-        net.backward(np.zeros((1, 5, 6, 6)))
-        with pytest.raises(BackwardWithoutForward):
-            net.backward(np.zeros((1, 5, 6, 6)))
 
     def test_zero_upstream_gives_zero_gradients(self, rng):
         net = self._net()
-        x = FeatureMap(rng.standard_normal((1, 5, 6, 6)))
-        net.forward(x)
-        grads = net.backward(np.zeros((1, 5, 6, 6)))
-        assert set(grads) == set(net.params)
-        for g in grads.values():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        tape = net.forward_tape(rng.standard_normal((1, 5, 6, 6)))
+        tape.output.backward(np.zeros((1, 5, 6, 6)))
+        assert set(tape.params) == set(net.params)
+        for node in tape.params.values():
+            np.testing.assert_array_equal(node.grad, np.zeros_like(node.data))
 
     def test_every_parameter_registered_once(self):
         net = self._net()
@@ -287,10 +274,41 @@ class TestNetworkTape:
         for name in other.params:
             other.params[name] = np.zeros_like(other.params[name])
         other.load_checkpoint(tmp_path / "ckpt")
-        x = FeatureMap(rng.standard_normal((1, 5, 6, 6)))
-        np.testing.assert_array_equal(net.forward(x).data, other.forward(x).data)
+        x = rng.standard_normal((1, 5, 6, 6))
+        np.testing.assert_array_equal(
+            net.forward_tape(x).output.data, other.forward_tape(x).output.data
+        )
+
+    def test_checkpoint_missing_parameter_rejected(self, tmp_path):
+        self._net().save_checkpoint(tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(l for l in lines if not l.startswith("param b1.compress")))
+        other = self._net()
+        before = {name: value.copy() for name, value in other.params.items()}
+        with pytest.raises(ConfigError, match="b1.compress"):
+            other.load_checkpoint(tmp_path / "ckpt")
+        for name, value in before.items():  # nothing was loaded
+            np.testing.assert_array_equal(other.params[name], value)
+
+    @pytest.mark.parametrize(
+        "line, other_line",
+        [
+            ("scheme=res3_1d", "scheme=res3_2d"),
+            ("width=4", "width=8"),
+            ("num_blocks=2", "num_blocks=1"),
+        ],
+    )
+    def test_checkpoint_header_mismatch_rejected(self, tmp_path, line, other_line):
+        self._net().save_checkpoint(tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        text = manifest.read_text()
+        assert line + "\n" in text
+        manifest.write_text(text.replace(line + "\n", other_line + "\n"))
+        with pytest.raises(ConfigError, match=line.split("=")[0]):
+            self._net().load_checkpoint(tmp_path / "ckpt")
 
     def test_conv3d_scheme_network(self, rng):
         net = self._net("conv3d")
-        out = net.forward(FeatureMap(rng.standard_normal((1, 5, 6, 6))))
+        out = net.forward_tape(rng.standard_normal((1, 5, 6, 6))).output
         assert out.data.shape == (1, 5, 6, 6)

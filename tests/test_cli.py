@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from resset import synth_cube, write_tensor
+from resset import cli, synth_cube, write_tensor
 from resset.cli import main
 
 
@@ -149,6 +149,12 @@ class TestTrainCommand:
         assert report["error"] == "non_finite_loss"
         assert isinstance(report["epoch"], int)
 
+    def test_non_finite_penalized_loss_writes_report(self, tmp_path):
+        code = run_cli(tmp_path, "train", *self.SMALL, "epochs=3", "learning_rate=1e300")
+        assert code == 3
+        report = json.loads((only_run_dir(tmp_path, "train") / "report.json").read_text())
+        assert report == {"error": "non_finite_loss", "epoch": 1}
+
 
 class TestCompareCommand:
     def test_row_accounting_and_schema(self, tmp_path):
@@ -178,15 +184,14 @@ class TestCompareCommand:
     def test_needs_two_schemes(self, tmp_path):
         assert run_cli(tmp_path, "compare", "schemes=conv3d") == 2
 
-    def test_parallel_workers_reproduce_serial_bytes(self, tmp_path, monkeypatch):
+    def test_rerun_reproduces_results_bytes(self, tmp_path):
         args = ["compare", "schemes=conv3d,res3_1d", "seeds=2", "bands=8", "height=12",
                 "width_px=12", "epochs=1", "width=4", "num_blocks=1"]
         assert run_cli(tmp_path, *args) == 0
         run_dir = only_run_dir(tmp_path, "compare")
-        serial = (run_dir / "results.csv").read_bytes()
-        monkeypatch.setenv("RESSET_THREADS", "4")
+        first = (run_dir / "results.csv").read_bytes()
         assert run_cli(tmp_path, *args) == 0
-        assert (run_dir / "results.csv").read_bytes() == serial
+        assert (run_dir / "results.csv").read_bytes() == first
 
 
 class TestSpectrumCommand:
@@ -222,8 +227,16 @@ class TestSpectrumCommand:
 class TestExitCodes:
     SMALL = ["bands=8", "width_px=12", "epochs=1", "width=4", "num_blocks=1"]
 
-    def test_grid_below_similarity_window_is_usage_error(self, tmp_path):
+    def test_grid_below_similarity_window_is_usage_error(self, tmp_path, monkeypatch):
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("training started on a grid the metrics cannot score")
+
+        monkeypatch.setattr(cli, "train_denoiser", no_training)
         assert run_cli(tmp_path, "train", *self.SMALL, "height=8") == 2
+        assert run_cli(tmp_path, "compare", *self.SMALL, "height=12", "width_px=10",
+                       "schemes=conv3d,res3_1d", "seeds=1") == 2
+        assert not list(Path(tmp_path).rglob("report.json"))
+        assert not list(Path(tmp_path).rglob("results.csv"))
 
     def test_non_finite_evaluation_is_numeric_failure(self, tmp_path):
         code = run_cli(tmp_path, "train", *self.SMALL, "height=12", "learning_rate=1e300",

@@ -1,4 +1,4 @@
-"""Diversity penalty: values, subgradients, and the training hook."""
+"""Diversity penalty: values, subgradients, and its place in the training loss."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,13 @@ from resset import (
     NumericError,
     SchemeVariant,
     UnfoldedMatrix,
-    attach_last_layer,
-    da_reg,
     da_reg_grad,
     da_reg_value,
 )
 from resset import autodiff as ad
 from resset import regularizer
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
-from resset.train import AdamState, TrainConfig, adam_step
+from resset.train import AdamState, TrainConfig, adam_step, training_loss
 
 
 def gap_separated(rng, rows, cols, min_gap=0.1):
@@ -192,11 +190,13 @@ class TestPenaltyPaths:
 
 class TestCombined:
     def test_da_reg_bundles_value_grad_spectrum(self, rng):
+        """One decomposition gives the value, the gradient and the spectrum."""
         mat = gap_separated(rng, 4, 6)
-        result = da_reg(UnfoldedMatrix(mat))
-        assert result.value == pytest.approx(da_reg_value(UnfoldedMatrix(mat)))
-        np.testing.assert_allclose(result.gradient.data, da_reg_grad(UnfoldedMatrix(mat)).data)
-        assert result.spectrum.values[0] == 1.0
+        value, grad, s = regularizer.nuclear_penalty(mat)
+        assert value == da_reg_value(UnfoldedMatrix(mat))
+        np.testing.assert_array_equal(grad, da_reg_grad(UnfoldedMatrix(mat)).data)
+        np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False), rtol=1e-12)
+        assert value == pytest.approx(-np.sum(s), rel=1e-12)
 
 
 class TestInvariances:
@@ -223,28 +223,39 @@ class TestInvariances:
 
 
 class TestAttachLastLayer:
-    def _net(self, num_blocks=1):
-        scheme = KernelScheme(SchemeVariant.RES3_1D, k=3, L=1)
-        return Network(scheme, channels=1, width=4, num_blocks=num_blocks, seed=0)
+    """Training puts ``lam`` times the penalty on the last block's
+    pre-compression features, the ``feature`` node of the network tape."""
+
+    SCHEME = KernelScheme(SchemeVariant.RES3_1D, k=3, L=1)
+
+    def _tape(self, rng):
+        net = Network(self.SCHEME, channels=1, width=4, num_blocks=2, seed=0)
+        return net.forward_tape(rng.standard_normal((1, 4, 5, 5)))
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
-            attach_last_layer(self._net(), -1.0)
+            TrainConfig(scheme=self.SCHEME, lam=-1.0)
 
-    def test_paper_denoising_weight_accepted(self):
-        hook = attach_last_layer(self._net(), 5e-5)
-        assert hook.reg_weight == 5e-5
-        assert hook.active
+    def test_paper_denoising_weight_accepted(self, rng):
+        lam = TrainConfig(scheme=self.SCHEME, lam=5e-5).lam
+        tape = self._tape(rng)
+        _, _, reg = training_loss(tape.output, tape.feature, np.zeros((1, 4, 5, 5)), lam)
+        feature = tape.feature.data
+        assert feature.shape == (12, 4, 5, 5)  # 3 branches x width 4, before compression
+        assert reg == 5e-5 * da_reg_value(UnfoldedMatrix(feature.reshape(12, -1)))
 
-    def test_zero_weight_is_inactive(self):
-        hook = attach_last_layer(self._net(), 0.0)
-        assert not hook.active
+    def test_zero_weight_is_inactive(self, rng, monkeypatch):
+        def never_built(_):
+            raise AssertionError("penalty built at lam=0")
+
+        monkeypatch.setattr(ad, "diversity_penalty", never_built)
+        tape = self._tape(rng)
+        _, _, reg = training_loss(tape.output, tape.feature, np.zeros((1, 4, 5, 5)), 0.0)
+        assert reg == 0.0
 
     def test_requires_feature_layer(self):
-        scheme = KernelScheme(SchemeVariant.RES3_1D, k=3, L=1)
-        bare = Network(scheme, channels=1, width=4, num_blocks=0, seed=0)
         with pytest.raises(ConfigError):
-            attach_last_layer(bare, 5e-5)
+            TrainConfig(scheme=self.SCHEME, num_blocks=0)
 
 
 class TestSingleStepEffect:

@@ -8,6 +8,7 @@ from resset import (
     FeatureMap,
     KernelScheme,
     KernelSet,
+    Network,
     NotJointlyRepresentable,
     SchemeVariant,
     ShapeError,
@@ -20,12 +21,12 @@ from resset import (
     param_count,
     parse_scheme_token,
     random_kernel_set,
-    res3_block_forward,
     save_kernel_set,
     unfold_patches,
     valid_column_count,
     zero_kernel_set,
 )
+from resset import autodiff as ad
 from resset.schemes import LEAKY_SLOPE, branch_extents
 
 ALL_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "seq1d", "seq1d2d", "par1d2d"]
@@ -52,6 +53,52 @@ def conv3d_loop_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
                                         acc += w[mi, ci, db, dh, dw] * x[ci, sb, sh, sw]
                     out[mi, bi, hi, wi] = acc
     return out
+
+
+def tap_loop_conv(x: np.ndarray, w: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
+    """Direct same-padded branch convolution, independent of the im2col
+    gather: one (out, in) tensordot per kernel tap over a shifted slice of the
+    padded input."""
+    _, b, h, wd = x.shape
+    eb, eh, ew = extents
+    pads = ((0, 0), ((eb - 1) // 2,) * 2, ((eh - 1) // 2,) * 2, ((ew - 1) // 2,) * 2)
+    xp = np.pad(x, pads)
+    w5 = w.reshape(w.shape[0], w.shape[1], eb, eh, ew)
+    out = np.zeros((w.shape[0], b, h, wd))
+    for db in range(eb):
+        for dh in range(eh):
+            for dw in range(ew):
+                seg = xp[:, db : db + b, dh : dh + h, dw : dw + wd]
+                out += np.tensordot(w5[:, :, db, dh, dw], seg, axes=(1, 0))
+    return out
+
+
+def tap_loop_forward(ks: KernelSet, x: np.ndarray) -> np.ndarray:
+    """conv_forward rebuilt on the tap loop: joint schemes concatenate their
+    branches, sequential ones chain their stages, then the compression."""
+    extents = branch_extents(ks.scheme)
+    if ks.scheme.jointly_representable:
+        out = np.concatenate([tap_loop_conv(x, w, e) for w, e in zip(ks.weights, extents)])
+    else:
+        out = x
+        for w, e in zip(ks.weights, extents):
+            out = tap_loop_conv(out, w, e)
+    if ks.compression is not None:
+        out = np.tensordot(ks.compression, out, axes=(1, 0))
+    return out
+
+
+def network_block(ks: KernelSet, x: np.ndarray) -> np.ndarray:
+    """The network's block forward on ``x``: a one-block network with identity
+    lift and projection and no global residual computes exactly its block."""
+    m = ks.out_channels
+    net = Network(ks.scheme, channels=m, width=m, num_blocks=1, global_residual=False)
+    net.params.update({f"b0.w{j}": w for j, w in enumerate(ks.weights)})
+    net.params.update(
+        {"lift": np.eye(m), "project": np.eye(m), "b0.compress": ks.compression,
+         "b0.aggregate": ks.aggregation}
+    )
+    return net.forward_tape(x).output.data
 
 
 class TestKernelScheme:
@@ -229,23 +276,39 @@ class TestConvForward:
         np.testing.assert_allclose(out_swapped, expected, atol=1e-12)
 
 
+class TestTapLoopOracle:
+    """Both im2col convolutions against the direct tap loop."""
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    def test_conv_forward_matches_tap_loop(self, rng, token):
+        scheme = parse_scheme_token(token)
+        ks = random_kernel_set(scheme, 3, 2, rng, with_compression=scheme.is_parallel)
+        x = rng.standard_normal((2, 4, 5, 6))
+        out = conv_forward(ks, FeatureMap(x)).data
+        assert np.max(np.abs(out - tap_loop_forward(ks, x))) <= 1e-12
+
+    @pytest.mark.parametrize("extents", [(3, 3, 3), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
+    def test_branch_conv_matches_tap_loop(self, rng, extents):
+        w = rng.standard_normal((4, 3) + tuple(e for e in extents if e > 1))
+        x = rng.standard_normal((3, 5, 6, 7))
+        out = ad.branch_conv(ad.Node(w), ad.Node(x), extents).data
+        assert np.max(np.abs(out - tap_loop_conv(x, w, extents))) <= 1e-12
+
+
 class TestRes3Block:
+    """The network's block: branch concat -> 1x1x1 compression -> leaky
+    rectifier -> 1x1x1 aggregation -> residual add with the block input."""
+
     def test_pure_residual_with_zero_weights(self, rng):
         ks = zero_kernel_set(parse_scheme_token("res3_1d"), 3, 3,
                              with_compression=True, with_aggregation=True)
-        x = FeatureMap(rng.standard_normal((3, 4, 5, 5)))
-        np.testing.assert_array_equal(res3_block_forward(ks, x).data, x.data)
+        x = rng.standard_normal((3, 4, 5, 5))
+        np.testing.assert_array_equal(network_block(ks, x), x)
 
     def test_shape_preserved(self, rng):
         ks = random_kernel_set(parse_scheme_token("res3_1d"), 4, 4, rng,
                                with_compression=True, with_aggregation=True)
-        x = FeatureMap(rng.standard_normal((4, 6, 8, 8)))
-        assert res3_block_forward(ks, x).data.shape == (4, 6, 8, 8)
-
-    def test_requires_compression(self, rng):
-        ks = random_kernel_set(parse_scheme_token("res3_1d"), 3, 3, rng, with_aggregation=True)
-        with pytest.raises(ConfigError):
-            res3_block_forward(ks, FeatureMap(rng.standard_normal((3, 4, 4, 4))))
+        assert network_block(ks, rng.standard_normal((4, 6, 8, 8))).shape == (4, 6, 8, 8)
 
     def test_matches_manual_composition(self, rng):
         ks = random_kernel_set(parse_scheme_token("res3_1d"), 3, 3, rng,
@@ -255,8 +318,7 @@ class TestRes3Block:
         compressed = np.tensordot(ks.compression, pre, axes=(1, 0))
         activated = np.where(compressed >= 0, compressed, LEAKY_SLOPE * compressed)
         expected = np.tensordot(ks.aggregation, activated, axes=(1, 0)) + x
-        out = res3_block_forward(ks, FeatureMap(x))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(network_block(ks, x), expected, atol=1e-12)
 
 
 class TestKernelSetSerialization:

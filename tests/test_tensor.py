@@ -228,12 +228,14 @@ class TestChannelFolding:
 
 class TestTensorFile:
     def test_roundtrip(self, tmp_path, rng):
-        arr = rng.standard_normal((2, 3, 4, 5))
-        path = tmp_path / "cube.rst"
-        write_tensor(path, arr)
-        raw = path.read_bytes()
-        assert raw[:4] == b"RST1"
-        np.testing.assert_array_equal(read_tensor(path), arr)
+        for arr in (rng.standard_normal((2, 3, 4, 5)), np.array(3.5)):
+            path = tmp_path / "cube.rst"
+            write_tensor(path, arr)
+            raw = path.read_bytes()
+            assert raw[:4] == b"RST1"
+            back = read_tensor(path)
+            assert back.shape == arr.shape
+            np.testing.assert_array_equal(back, arr)
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "vec.rst"

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from resset import (
-    FeatureMap,
     KernelScheme,
     SchemeVariant,
     ShapeError,
     TrainConfig,
     TrainingData,
     adam_step,
-    loss_denoise,
     parse_scheme_token,
     synth_cube,
     train_denoiser,
 )
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature
-from resset.train import AdamState
+from resset import autodiff as ad
+from resset.train import AdamState, training_loss
 
 RES3 = KernelScheme(SchemeVariant.RES3_1D, k=3, L=1)
 
@@ -74,32 +73,34 @@ class TestAdam:
 
 
 class TestLossDenoise:
+    """The taped training loss: mean absolute error plus lam times the penalty."""
+
     def test_exact_match_no_penalty(self, rng):
-        fmap = FeatureMap(rng.standard_normal((1, 4, 4, 4)))
-        feature = FeatureMap(rng.standard_normal((3, 4, 4, 4)))
-        assert loss_denoise(fmap, fmap, feature, 0.0) == 0.0
+        x = rng.standard_normal((1, 4, 4, 4))
+        feature = ad.Node(rng.standard_normal((3, 4, 4, 4)))
+        loss, data_term, reg_term = training_loss(ad.Node(x), feature, x.copy(), 0.0)
+        assert float(loss.data) == data_term == reg_term == 0.0
 
     def test_uniform_offset(self, rng):
-        target = FeatureMap(rng.standard_normal((1, 4, 4, 4)))
-        pred = FeatureMap(target.data + 0.5)
-        feature = FeatureMap(rng.standard_normal((2, 4, 4, 4)))
-        assert loss_denoise(pred, target, feature, 0.0) == pytest.approx(0.5)
+        target = rng.standard_normal((1, 4, 4, 4))
+        feature = ad.Node(rng.standard_normal((2, 4, 4, 4)))
+        loss, _, _ = training_loss(ad.Node(target + 0.5), feature, target, 0.0)
+        assert float(loss.data) == pytest.approx(0.5)
 
     def test_penalty_with_known_singular_values(self, rng):
-        target = FeatureMap(rng.standard_normal((1, 4, 4, 4)))
-        pred = FeatureMap(target.data + 0.5)
+        target = rng.standard_normal((1, 4, 4, 4))
         feature_mat = np.zeros((3, 64))
         feature_mat[0, 0], feature_mat[1, 1], feature_mat[2, 2] = 3.0, 2.0, 1.0
-        feature = FeatureMap(feature_mat.reshape(3, 4, 4, 4))
+        feature = ad.Node(feature_mat.reshape(3, 4, 4, 4))
         lam = 5e-5
-        expected = 0.5 - lam * 6.0
-        assert loss_denoise(pred, target, feature, lam) == pytest.approx(expected, rel=1e-12)
+        loss, _, reg_term = training_loss(ad.Node(target + 0.5), feature, target, lam)
+        assert reg_term == pytest.approx(-lam * 6.0, rel=1e-12)
+        assert float(loss.data) == pytest.approx(0.5 - lam * 6.0, rel=1e-12)
 
     def test_shape_mismatch(self, rng):
-        a = FeatureMap(rng.standard_normal((1, 4, 4, 4)))
-        b = FeatureMap(rng.standard_normal((1, 4, 4, 5)))
+        a = ad.Node(rng.standard_normal((1, 4, 4, 4)))
         with pytest.raises(ShapeError):
-            loss_denoise(a, b, a, 0.0)
+            training_loss(a, a, rng.standard_normal((1, 4, 4, 5)), 0.0)
 
 
 class TestTrainDenoiser:
@@ -168,8 +169,6 @@ class TestTrainDenoiser:
         """With lam=0 the trained parameters are bit-identical to a loop that
         never builds the penalty at all."""
         from resset import Network
-        from resset import autodiff as ad
-        from resset.train import AdamState, adam_step
 
         data = identity_task()
         cfg = small_config(epochs=4, lam=0.0)
