@@ -46,17 +46,14 @@ from .schemes import (
     build_kernel_matrix,
     compression_param_count,
     conv_forward,
-    load_kernel_set,
     param_count,
     parse_scheme_token,
     random_kernel_set,
-    save_kernel_set,
     valid_column_count,
     zero_kernel_set,
 )
 from .tensor import (
     FeatureMap,
-    Shape4,
     SVDResult,
     UnfoldedMatrix,
     fold_channels,

@@ -19,6 +19,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,9 +72,12 @@ def _parse_value(raw: str, typ: type):
     if typ is list:
         return [item.strip() for item in raw.split(",") if item.strip()]
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as err:
         raise ConfigError(f"cannot parse {raw!r} as {typ.__name__}") from err
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -190,8 +194,13 @@ _TASK = {
 
 
 def _noise_spec(cfg: dict, seed: int) -> NoiseSpec:
+    try:
+        kind = NoiseKind(cfg["noise_kind"])
+    except ValueError as err:
+        valid = ", ".join(k.value for k in NoiseKind)
+        raise ConfigError(f"unknown noise_kind {cfg['noise_kind']!r}; valid: {valid}") from err
     return NoiseSpec(
-        kind=NoiseKind(cfg["noise_kind"]),
+        kind=kind,
         sigma=cfg["sigma"],
         sigma_min=cfg["sigma_min"],
         sigma_max=cfg["sigma_max"],
@@ -420,12 +429,15 @@ def network_grad_max_error(
 
 
 def cmd_grad_check(cfg: dict) -> int:
+    for key, low in (("max_rows", 2), ("max_cols", 2), ("num_blocks", 1)):
+        if cfg[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
+    scheme = parse_scheme_token(cfg["net_scheme"])
     run_dir = make_run_dir("grad-check", cfg)
     rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0xDA)))
     penalty_err = penalty_grad_max_error(
         rng, cfg["matrices"], cfg["max_rows"], cfg["max_cols"], sabotage=cfg["sabotage"]
     )
-    scheme = parse_scheme_token(cfg["net_scheme"])
     network_err = network_grad_max_error(
         scheme,
         cfg["width"],
@@ -464,6 +476,9 @@ BENCH_SCHEMA = {
 def cmd_bench(cfg: dict) -> int:
     if not cfg["schemes"]:
         raise ConfigError("schemes list is empty")
+    for key in ("m", "c", "bands", "height", "width_px"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     run_dir = make_run_dir("bench", cfg)
     grid = cfg["bands"] * cfg["height"] * cfg["width_px"]
     rows = []
@@ -493,18 +508,14 @@ TRAIN_SCHEMA = {
 }
 
 
-def _run_single_training(cfg: dict, scheme: KernelScheme, seed: int, lam: float):
-    data = build_training_data(cfg, seed_shift=seed)
-    tcfg = train_config_from(cfg, scheme, seed, lam)
-    return train_denoiser(tcfg, data, return_network=True)
-
-
 def cmd_train(cfg: dict) -> int:
     scheme = parse_scheme_token(cfg["scheme"], k=cfg["k"])
     _check_grid(cfg)
+    tcfg = train_config_from(cfg, scheme, cfg["seed"], cfg["lam"])
+    data = build_training_data(cfg, seed_shift=cfg["seed"])
     run_dir = make_run_dir("train", cfg)
     try:
-        report, net = _run_single_training(cfg, scheme, cfg["seed"], cfg["lam"])
+        report, net = train_denoiser(tcfg, data, return_network=True)
     except NonFiniteLoss as err:
         write_json(run_dir / "report.json", {"error": "non_finite_loss", "epoch": err.epoch})
         print(f"train: non-finite loss at epoch {err.epoch}")
@@ -512,8 +523,7 @@ def cmd_train(cfg: dict) -> int:
     write_json(run_dir / "report.json", report.as_dict())
     write_csv(run_dir / "spectrum.csv", ["index", "normalized_value"], _spectrum_rows(report.spectrum))
     net.save_checkpoint(run_dir / "checkpoint")
-    holdout_noisy = build_training_data(cfg, seed_shift=cfg["seed"]).holdout[0]
-    write_tensor(run_dir / "feature.rst", net.forward_tape(holdout_noisy.data).feature.data)
+    write_tensor(run_dir / "feature.rst", net.forward_tape(data.holdout[0].data).feature.data)
     (run_dir / "timing.txt").write_text(f"wall_seconds={report.wall_seconds:.3f}\n")
     m = report.metrics
     print(
@@ -537,15 +547,17 @@ def cmd_compare(cfg: dict) -> int:
     if cfg["seeds"] < 1:
         raise ConfigError("compare needs at least one seed")
     _check_grid(cfg)
-    run_dir = make_run_dir("compare", cfg)
     schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
+    train_config_from(cfg, schemes[0], 0, cfg["lam"])  # training settings fail here, not per cell
+    data = [build_training_data(cfg, seed_shift=seed) for seed in range(cfg["seeds"])]
+    run_dir = make_run_dir("compare", cfg)
     cells = [(scheme, seed) for scheme in schemes for seed in range(cfg["seeds"])]
     rows = []
     per_scheme: dict[str, list] = {s.token: [] for s in schemes}
     for scheme, seed in cells:
         try:
-            report, _ = _run_single_training(cfg, scheme, seed, cfg["lam"])
+            report = train_denoiser(train_config_from(cfg, scheme, seed, cfg["lam"]), data[seed])
         except RessetError as err:
             rows.append(
                 [scheme.token, seed, rank_upper_bound(scheme, cfg["width"]), "", "", "", "", "",
@@ -624,7 +636,7 @@ def cmd_spectrum(cfg: dict) -> int:
     if array.ndim != 4:
         raise ConfigError(f"expected a rank-4 tensor, got rank {array.ndim}")
     run_dir = make_run_dir("spectrum", cfg)
-    spectrum = feature_spectrum(FeatureMap(array), source_tag=str(cfg["input"]))
+    spectrum = feature_spectrum(FeatureMap(array))
     write_csv(run_dir / "spectrum.csv", ["index", "normalized_value"], _spectrum_rows(spectrum))
     tm = tail_mass(spectrum, cfg["head"])
     print(f"spectrum: {spectrum.values.size} values, tail_mass(head={cfg['head']})={tm:.6f}")

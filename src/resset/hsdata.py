@@ -126,6 +126,8 @@ def synth_cube(seed: int, bands: int, height: int, width: int, num_endmembers: i
     min-max rescaled to [0, 1]. Deterministic per seed."""
     if num_endmembers < 1:
         raise ConfigError(f"need at least one endmember, got {num_endmembers}")
+    if min(bands, height, width) < 1:
+        raise ConfigError(f"cube extents must be >= 1, got {bands}x{height}x{width}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0BE)))
     spectra = np.stack([_smooth_profile(rng, bands) for _ in range(num_endmembers)])
     maps = np.stack([_smooth_map(rng, height, width) for _ in range(num_endmembers)])

@@ -22,10 +22,10 @@ from .errors import ConfigError, ShapeError
 from .schemes import (
     LEAKY_SLOPE,
     KernelScheme,
-    KernelSet,
     branch_extents,
     expected_weight_shapes,
     pre_compression_channels,
+    set_forward,
 )
 from .tensor import read_tensor, write_tensor
 
@@ -60,6 +60,8 @@ class Network:
     ):
         if num_blocks < 0:
             raise ConfigError(f"num_blocks must be >= 0, got {num_blocks}")
+        if width < 1 or channels < 1:
+            raise ConfigError(f"width and channels must be >= 1, got {width} and {channels}")
         self.scheme = scheme
         self.channels = channels
         self.width = width  # channel width M carried between blocks
@@ -95,18 +97,9 @@ class Network:
 
     def _block(self, nodes: dict[str, ad.Node], i: int, x: ad.Node) -> tuple[ad.Node, ad.Node]:
         """Returns (block output, pre-compression feature volume)."""
-        extents = branch_extents(self.scheme)
-        if self.scheme.is_parallel:
-            parts = [
-                ad.branch_conv(nodes[f"b{i}.w{j}"], x, e) for j, e in enumerate(extents)
-            ]
-            feat = parts[0] if len(parts) == 1 else ad.concat_channels(parts)
-            y = ad.channel_mix(nodes[f"b{i}.compress"], feat)
-        else:
-            y = x
-            for j, e in enumerate(extents):
-                y = ad.branch_conv(nodes[f"b{i}.w{j}"], y, e)
-            feat = y
+        weights = [nodes[f"b{i}.w{j}"] for j in range(len(branch_extents(self.scheme)))]
+        feat = set_forward(self.scheme, weights, x)
+        y = ad.channel_mix(nodes[f"b{i}.compress"], feat) if self.scheme.is_parallel else feat
         y = ad.leaky_relu(y, LEAKY_SLOPE)
         y = ad.channel_mix(nodes[f"b{i}.aggregate"], y)
         return ad.add(y, x), feat
@@ -127,20 +120,6 @@ class Network:
         if self.global_residual:
             out = ad.add(out, xin)
         return ForwardTape(output=out, feature=feature, params=nodes)
-
-    def block_kernel_set(self, i: int) -> KernelSet:
-        """View block ``i`` as a kernel set (for audits and serialization)."""
-        n_branches = len(branch_extents(self.scheme))
-        weights = tuple(self.params[f"b{i}.w{j}"] for j in range(n_branches))
-        compression = self.params.get(f"b{i}.compress")
-        return KernelSet(
-            self.scheme,
-            self.width,
-            self.width,
-            weights,
-            compression,
-            self.params[f"b{i}.aggregate"],
-        )
 
     def _manifest_header(self) -> dict[str, str]:
         return {

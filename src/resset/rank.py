@@ -46,7 +46,6 @@ class Spectrum:
     """Non-increasing singular values normalized so the largest equals 1."""
 
     values: np.ndarray
-    source_tag: str = ""
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -106,7 +105,7 @@ def audit_kernel_rank(
     )
 
 
-def feature_spectrum(fmap: FeatureMap, source_tag: str = "") -> Spectrum:
+def feature_spectrum(fmap: FeatureMap) -> Spectrum:
     """Singular values of the channels x (B*H*W) matrix, scaled by the largest.
 
     An all-zero map yields an empty spectrum rather than an error. The values
@@ -117,9 +116,9 @@ def feature_spectrum(fmap: FeatureMap, source_tag: str = "") -> Spectrum:
     if not np.all(np.isfinite(mat.data)):
         raise NumericError("cannot decompose a matrix with non-finite entries")
     if not np.any(mat.data):
-        return Spectrum(values=np.empty(0), source_tag=source_tag)
+        return Spectrum(values=np.empty(0))
     s = np.linalg.svd(mat.data, compute_uv=False)
-    return Spectrum(values=s / s[0], source_tag=source_tag)
+    return Spectrum(values=s / s[0])
 
 
 def tail_mass(spectrum: Spectrum, head: int) -> float:

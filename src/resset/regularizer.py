@@ -67,4 +67,4 @@ def da_reg_value(f_mat: UnfoldedMatrix) -> float:
 
 def da_reg_grad(f_mat: UnfoldedMatrix) -> UnfoldedMatrix:
     """Subgradient -U V^T over the numerically nonzero singular values."""
-    return UnfoldedMatrix(nuclear_penalty(f_mat.data)[1], origin=f_mat.origin)
+    return UnfoldedMatrix(nuclear_penalty(f_mat.data)[1])

@@ -3,9 +3,9 @@
 A scheme describes how one convolutional "set" is factorized over the three
 axes of a (channels, bands, height, width) volume: a dense 3-D kernel, three
 axis-symmetric low-dimensional branches run in parallel, a sequential chain of
-1-D (or 1-D then 2-D) layers, or a two-branch 1-D + 2-D split. Parallel
-branches may carry an optional 1x1x1 compression back to the nominal channel
-count, and blocks add a 1x1x1 aggregation plus a residual connection.
+1-D (or 1-D then 2-D) layers, or a two-branch 1-D + 2-D split. A network
+block (see ``network.py``) follows a parallel set with a 1x1x1 compression
+back to the nominal channel count.
 
 All convolutions use stride 1 and symmetric "same" zero padding, so spatial
 and spectral extents are preserved everywhere.
@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import prod
-from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ConfigError, NotJointlyRepresentable, NumericError, ShapeError
-from .tensor import FeatureMap, UnfoldedMatrix, gather_patches, read_tensor, write_tensor
+from .tensor import FeatureMap, UnfoldedMatrix
 
 LEAKY_SLOPE = 0.2
 
@@ -168,20 +168,13 @@ def compression_mac_count(scheme: KernelScheme, m: int, grid: int) -> int:
 
 @dataclass(frozen=True)
 class KernelSet:
-    """A scheme plus its concrete weights.
-
-    ``weights`` holds one compact array per branch (parallel schemes) or per
-    stage (sequential schemes). ``compression`` is the optional 1x1x1 map from
-    the pre-compression channels back to ``out_channels``; ``aggregation`` is
-    the optional 1x1x1 map a network block applies after the nonlinearity.
-    """
+    """A scheme plus its concrete weights: one compact array per branch
+    (parallel schemes) or per stage (sequential schemes)."""
 
     scheme: KernelScheme
     out_channels: int
     in_channels: int
     weights: tuple[np.ndarray, ...]
-    compression: np.ndarray | None = None
-    aggregation: np.ndarray | None = None
 
     def __post_init__(self):
         m, c = self.out_channels, self.in_channels
@@ -201,69 +194,17 @@ class KernelSet:
                 raise NumericError("kernel weights contain non-finite entries")
             frozen.append(arr)
         object.__setattr__(self, "weights", tuple(frozen))
-        if self.compression is not None:
-            if not self.scheme.is_parallel:
-                raise ConfigError(f"{self.scheme.token} takes no compression layer")
-            comp = np.ascontiguousarray(self.compression, dtype=np.float64)
-            want = (m, pre_compression_channels(self.scheme, m))
-            if comp.shape != want:
-                raise ShapeError(f"compression shape {comp.shape} != expected {want}")
-            object.__setattr__(self, "compression", comp)
-        if self.aggregation is not None:
-            agg = np.ascontiguousarray(self.aggregation, dtype=np.float64)
-            if agg.shape != (m, m):
-                raise ShapeError(f"aggregation shape {agg.shape} != expected {(m, m)}")
-            object.__setattr__(self, "aggregation", agg)
 
 
-def random_kernel_set(
-    scheme: KernelScheme,
-    m: int,
-    c: int,
-    rng: np.random.Generator,
-    init: str = "normal",
-    with_compression: bool = False,
-    with_aggregation: bool = False,
-) -> KernelSet:
-    """Draw a kernel set with standard-normal or fan-in-scaled weights."""
-    weights = []
-    for shape in expected_weight_shapes(scheme, m, c):
-        w = rng.standard_normal(shape)
-        if init == "kaiming":
-            fan_in = prod(shape[1:])
-            w *= np.sqrt(2.0 / fan_in)
-        elif init != "normal":
-            raise ConfigError(f"unknown init {init!r}")
-        weights.append(w)
-    compression = None
-    if with_compression:
-        if not scheme.is_parallel:
-            raise ConfigError(f"{scheme.token} takes no compression layer")
-        pre = pre_compression_channels(scheme, m)
-        compression = rng.standard_normal((m, pre))
-        if init == "kaiming":
-            compression *= np.sqrt(2.0 / pre)
-    aggregation = None
-    if with_aggregation:
-        aggregation = rng.standard_normal((m, m))
-        if init == "kaiming":
-            aggregation *= np.sqrt(2.0 / m)
-    return KernelSet(scheme, m, c, tuple(weights), compression, aggregation)
+def random_kernel_set(scheme: KernelScheme, m: int, c: int, rng: np.random.Generator) -> KernelSet:
+    """Draw a kernel set with standard-normal weights."""
+    weights = tuple(rng.standard_normal(shape) for shape in expected_weight_shapes(scheme, m, c))
+    return KernelSet(scheme, m, c, weights)
 
 
-def zero_kernel_set(
-    scheme: KernelScheme,
-    m: int,
-    c: int,
-    with_compression: bool = False,
-    with_aggregation: bool = False,
-) -> KernelSet:
+def zero_kernel_set(scheme: KernelScheme, m: int, c: int) -> KernelSet:
     weights = tuple(np.zeros(s) for s in expected_weight_shapes(scheme, m, c))
-    compression = None
-    if with_compression:
-        compression = np.zeros((m, pre_compression_channels(scheme, m)))
-    aggregation = np.zeros((m, m)) if with_aggregation else None
-    return KernelSet(scheme, m, c, weights, compression, aggregation)
+    return KernelSet(scheme, m, c, weights)
 
 
 def _tap_offsets(extents: tuple[int, int, int], k: int) -> list[tuple[int, int, int]]:
@@ -294,7 +235,7 @@ def build_kernel_matrix(ks: KernelSet) -> UnfoldedMatrix:
             col = ((np.arange(c) * k + db) * k + dh) * k + dw
             mat[row0 : row0 + out_ch, col] = flat[:, :, t]
         row0 += out_ch
-    return UnfoldedMatrix(mat, origin="kernel")
+    return UnfoldedMatrix(mat)
 
 
 def valid_column_count(scheme: KernelScheme, c: int) -> int:
@@ -307,74 +248,24 @@ def valid_column_count(scheme: KernelScheme, c: int) -> int:
     return len(offsets) * c
 
 
-def conv_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:
-    """Apply the scheme's convolution; compress to M channels when configured.
+def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.Node:
+    """Taped convolution set: joint schemes concatenate their branches along
+    the channel axis in the fixed branch order; sequential schemes chain their
+    stages without intermediate nonlinearities."""
+    extents = branch_extents(scheme)
+    if scheme.jointly_representable:
+        parts = [ad.branch_conv(w, x, e) for w, e in zip(weights, extents)]
+        return parts[0] if len(parts) == 1 else ad.concat_channels(parts)
+    for w, e in zip(weights, extents):
+        x = ad.branch_conv(w, x, e)
+    return x
 
-    Parallel branches are concatenated along the channel axis in the fixed
-    branch order; sequential stages are chained without intermediate
-    nonlinearities.
-    """
+
+def conv_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:
+    """Apply the kernel set's convolution set to a feature map."""
     if fmap.channels != ks.in_channels:
         raise ShapeError(
             f"input has {fmap.channels} channels, kernel set expects {ks.in_channels}"
         )
-
-    def branch(x: np.ndarray, w: np.ndarray, e: tuple[int, int, int]) -> np.ndarray:
-        return (w.reshape(w.shape[0], -1) @ gather_patches(x, e)).reshape(-1, *x.shape[1:])
-
-    extents = branch_extents(ks.scheme)
-    if ks.scheme.is_parallel or ks.scheme.variant is SchemeVariant.CONV3D:
-        parts = [branch(fmap.data, w, e) for w, e in zip(ks.weights, extents)]
-        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-    else:
-        out = fmap.data
-        for w, e in zip(ks.weights, extents):
-            out = branch(out, w, e)
-    if ks.compression is not None:
-        out = np.tensordot(ks.compression, out, axes=(1, 0))
-    return FeatureMap(out)
-
-
-def save_kernel_set(ks: KernelSet, directory: str | Path) -> None:
-    """Serialize a kernel set: one portable tensor per array plus a header."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"variant={ks.scheme.variant.value}",
-        f"k={ks.scheme.k}",
-        f"L={ks.scheme.L}",
-        f"M={ks.out_channels}",
-        f"C={ks.in_channels}",
-        f"branches={len(ks.weights)}",
-        f"compression={'yes' if ks.compression is not None else 'no'}",
-        f"aggregation={'yes' if ks.aggregation is not None else 'no'}",
-    ]
-    (directory / "header.txt").write_text("\n".join(lines) + "\n")
-    for i, w in enumerate(ks.weights):
-        write_tensor(directory / f"branch_{i}.rst", w)
-    if ks.compression is not None:
-        write_tensor(directory / "compression.rst", ks.compression)
-    if ks.aggregation is not None:
-        write_tensor(directory / "aggregation.rst", ks.aggregation)
-
-
-def load_kernel_set(directory: str | Path) -> KernelSet:
-    directory = Path(directory)
-    header = {}
-    for line in (directory / "header.txt").read_text().splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-    scheme = KernelScheme(
-        variant=SchemeVariant(header["variant"]), k=int(header["k"]), L=int(header["L"])
-    )
-    weights = tuple(
-        read_tensor(directory / f"branch_{i}.rst") for i in range(int(header["branches"]))
-    )
-    compression = (
-        read_tensor(directory / "compression.rst") if header["compression"] == "yes" else None
-    )
-    aggregation = (
-        read_tensor(directory / "aggregation.rst") if header["aggregation"] == "yes" else None
-    )
-    return KernelSet(scheme, int(header["M"]), int(header["C"]), weights, compression, aggregation)
+    out = set_forward(ks.scheme, [ad.Node(w) for w in ks.weights], ad.Node(fmap.data))
+    return FeatureMap(out.data)

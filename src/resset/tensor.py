@@ -25,31 +25,6 @@ from .errors import (
 TENSOR_MAGIC = b"RST1"
 TENSOR_MAX_RANK = 32  # the most dimensions every numpy release supports
 
-MATRIX_ORIGINS = ("kernel", "feature", "patches")
-
-
-@dataclass(frozen=True)
-class Shape4:
-    """Extents of a feature volume: channels, bands, height, width."""
-
-    channels: int
-    bands: int
-    height: int
-    width: int
-
-    def __post_init__(self):
-        extents = (self.channels, self.bands, self.height, self.width)
-        if any(not isinstance(e, (int, np.integer)) or e < 1 for e in extents):
-            raise ShapeError(f"all extents must be integers >= 1, got {extents}")
-
-    @property
-    def volume(self) -> int:
-        return self.channels * self.bands * self.height * self.width
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.channels, self.bands, self.height, self.width)
-
-
 @dataclass(frozen=True)
 class FeatureMap:
     """A finite (channels, bands, height, width) volume of 64-bit floats."""
@@ -70,10 +45,6 @@ class FeatureMap:
         object.__setattr__(self, "data", arr)
 
     @property
-    def shape(self) -> Shape4:
-        return Shape4(*map(int, self.data.shape))
-
-    @property
     def channels(self) -> int:
         return self.data.shape[0]
 
@@ -83,14 +54,11 @@ class UnfoldedMatrix:
     """2-D matrix view of kernels, features, or gathered patches."""
 
     data: np.ndarray
-    origin: str = "feature"
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(f"matrix must be 2-D, got ndim={arr.ndim}")
-        if self.origin not in MATRIX_ORIGINS:
-            raise ConfigError(f"unknown matrix origin {self.origin!r}")
         if arr is self.data:
             arr = arr.view()
         arr.flags.writeable = False
@@ -155,30 +123,24 @@ def scatter_patches(cols: np.ndarray, extents: tuple[int, int, int], shape) -> n
     return padded[:, pb : pb + b, ph : ph + h, pw : pw + w]
 
 
-def unfold_patches(
-    fmap: FeatureMap,
-    extents: tuple[int, int, int],
-    padding: str = "same",
-) -> UnfoldedMatrix:
+def unfold_patches(fmap: FeatureMap, extents: tuple[int, int, int]) -> UnfoldedMatrix:
     """Validated :func:`gather_patches` of a feature map.
 
-    With ``same`` zero padding and stride 1 the output grid equals the input
+    With same zero padding and stride 1 the output grid equals the input
     grid, so the result has ``kB*kH*kW*C`` rows and ``B*H*W`` columns.
     """
-    if padding != "same":
-        raise ConfigError(f"only 'same' padding is supported, got {padding!r}")
     kb, kh, kw = extents
     _, b, h, w = fmap.data.shape
     _check_extent(kb, b, "band")
     _check_extent(kh, h, "height")
     _check_extent(kw, w, "width")
-    return UnfoldedMatrix(gather_patches(fmap.data, extents), origin="patches")
+    return UnfoldedMatrix(gather_patches(fmap.data, extents))
 
 
 def unfold_channels(fmap: FeatureMap) -> UnfoldedMatrix:
     """Flatten a volume to its channels x (bands*height*width) matrix."""
     c = fmap.data.shape[0]
-    return UnfoldedMatrix(fmap.data.reshape(c, -1), origin="feature")
+    return UnfoldedMatrix(fmap.data.reshape(c, -1))
 
 
 def fold_channels(mat: UnfoldedMatrix, bands: int, height: int, width: int) -> FeatureMap:
@@ -194,7 +156,7 @@ def matmul(a: UnfoldedMatrix, b: UnfoldedMatrix) -> UnfoldedMatrix:
     """Exact 64-bit matrix product."""
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return UnfoldedMatrix(a.data @ b.data, origin="feature")
+    return UnfoldedMatrix(a.data @ b.data)
 
 
 def svd(m: UnfoldedMatrix) -> SVDResult:

@@ -45,8 +45,8 @@ class TrainConfig:
             raise ConfigError("learning rate must be positive")
         if self.lam < 0:
             raise ConfigError("lam must be >= 0")
-        if self.epochs < 0 or self.batch_size < 1 or self.num_blocks < 1:
-            raise ConfigError("epochs >= 0, batch_size >= 1, num_blocks >= 1 required")
+        if self.epochs < 0 or self.batch_size < 1 or self.num_blocks < 1 or self.width < 1:
+            raise ConfigError("epochs >= 0, batch_size >= 1, num_blocks >= 1, width >= 1 required")
 
 
 @dataclass
@@ -103,8 +103,9 @@ class TrainReport:
     spectrum: Spectrum
     wall_seconds: float
 
-    def as_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        """Everything but the wall time, which goes to timing.txt."""
+        return {
             "scheme": self.scheme_token,
             "parameter_count": self.parameter_count,
             "epochs": self.epochs,
@@ -113,9 +114,6 @@ class TrainReport:
             "metrics": self.metrics.as_dict(),
             "spectrum": self.spectrum.values.tolist(),
         }
-        if include_timing:
-            out["wall_seconds"] = self.wall_seconds
-        return out
 
 
 def training_loss(
@@ -136,7 +134,7 @@ def _evaluate(net: Network, data: TrainingData) -> tuple[MetricsReport, Spectrum
     tape = net.forward_tape(noisy.data)
     denoised = feature_to_cube(FeatureMap(tape.output.data))
     reference = feature_to_cube(clean)
-    spectrum = feature_spectrum(FeatureMap(tape.feature.data), source_tag=net.scheme.token)
+    spectrum = feature_spectrum(FeatureMap(tape.feature.data))
     return metrics_report(denoised, reference), spectrum
 
 

@@ -13,7 +13,9 @@ from resset import (
     parse_scheme_token,
 )
 from resset import autodiff as ad
-from resset.schemes import LEAKY_SLOPE, branch_extents
+from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
+
+from conv_oracles import tap_loop_set
 
 
 def central_difference(f, x, idx, step=1e-6):
@@ -112,16 +114,14 @@ class TestSingleBlockGradient:
     def test_block_gradients_match_finite_differences_of_untaped_block(self, rng):
         """Taped gradients of the scalar block-output sum vs central
         differences of the no-tape block forward, for every weight."""
-        from resset import random_kernel_set
-
         scheme = parse_scheme_token("res3_1d")
-        ks = random_kernel_set(scheme, 3, 3, rng, with_compression=True, with_aggregation=True)
-        x = rng.standard_normal((3, 4, 5, 5))
+        shapes = expected_weight_shapes(scheme, 3, 3)
         arrays = {
-            **{f"w{j}": ks.weights[j].copy() for j in range(3)},
-            "compress": ks.compression.copy(),
-            "aggregate": ks.aggregation.copy(),
+            **{f"w{j}": rng.standard_normal(shape) for j, shape in enumerate(shapes)},
+            "compress": rng.standard_normal((3, 9)),
+            "aggregate": rng.standard_normal((3, 3)),
         }
+        x = rng.standard_normal((3, 4, 5, 5))
 
         def taped_sum():
             nodes = {k: ad.Node(v) for k, v in arrays.items()}
@@ -138,11 +138,9 @@ class TestSingleBlockGradient:
 
         def untaped_sum() -> float:
             """Branch concat -> compression -> leaky rectifier -> aggregation
-            -> residual add, from the untaped scheme convolution."""
-            block = KernelSet(
-                scheme, 3, 3, tuple(arrays[f"w{j}"] for j in range(3)), arrays["compress"]
-            )
-            y = conv_forward(block, FeatureMap(x)).data
+            -> residual add, from the tap-loop convolution set."""
+            y = tap_loop_set(scheme, [arrays[f"w{j}"] for j in range(3)], x)
+            y = np.tensordot(arrays["compress"], y, axes=(1, 0))
             y = np.where(y >= 0, y, LEAKY_SLOPE * y)
             return float((np.tensordot(arrays["aggregate"], y, axes=(1, 0)) + x).sum())
 
@@ -193,26 +191,33 @@ class TestNetworkTape:
         assert out.data.shape == (1, 8, 12, 12)
 
     def test_forward_matches_untaped_reference(self, rng):
-        """Independently coded forward from the scheme primitives."""
+        """Independently coded forward on the tap-loop convolution set."""
         net = self._net()
         x = rng.standard_normal((1, 6, 7, 7))
         taped = net.forward_tape(x).output.data
 
+        n_branches = len(branch_extents(net.scheme))
         h = np.tensordot(net.params["lift"], x, axes=(1, 0))
         for i in range(net.num_blocks):
-            ks = KernelSet(
-                net.scheme,
-                net.width,
-                net.width,
-                tuple(net.params[f"b{i}.w{j}"] for j in range(len(branch_extents(net.scheme)))),
-            )
-            feat = conv_forward(ks, FeatureMap(h)).data
+            weights = [net.params[f"b{i}.w{j}"] for j in range(n_branches)]
+            feat = tap_loop_set(net.scheme, weights, h)
             y = np.tensordot(net.params[f"b{i}.compress"], feat, axes=(1, 0))
             y = np.where(y >= 0, y, LEAKY_SLOPE * y)
             y = np.tensordot(net.params[f"b{i}.aggregate"], y, axes=(1, 0))
             h = y + h
         expected = np.tensordot(net.params["project"], h, axes=(1, 0)) + x
         assert np.max(np.abs(taped - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("token", ["conv3d", "res3_1d", "res3_1d_l2", "seq1d2d", "par1d2d"])
+    def test_feature_equals_conv_forward_of_last_block(self, rng, token):
+        """The tape's feature is the one set forward that conv_forward runs."""
+        net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=1, seed=3)
+        x = rng.standard_normal((1, 5, 6, 6))
+        feature = net.forward_tape(x).feature.data
+        block_input = np.tensordot(net.params["lift"], x, axes=(1, 0))
+        n_branches = len(branch_extents(net.scheme))
+        ks = KernelSet(net.scheme, 4, 4, tuple(net.params[f"b0.w{j}"] for j in range(n_branches)))
+        np.testing.assert_array_equal(conv_forward(ks, FeatureMap(block_input)).data, feature)
 
     def test_forward_deterministic(self, rng):
         net = self._net()

@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from resset import cli, synth_cube, write_tensor
 from resset.cli import main
@@ -131,6 +132,19 @@ class TestTrainCommand:
         code = run_cli(tmp_path, "train", *self.SMALL, "lam=5e-5", "beta1=0.9", "beta2=0.999")
         assert code == 0
 
+    def test_cubes_synthesized_once(self, tmp_path, monkeypatch):
+        """One training pair plus the holdout: two cubes, and the holdout
+        that feature.rst is computed on is the one the report scored."""
+        calls = []
+
+        def counting_synth(*args):
+            calls.append(args)
+            return synth_cube(*args)
+
+        monkeypatch.setattr(cli, "synth_cube", counting_synth)
+        assert run_cli(tmp_path, "train", *self.SMALL) == 0
+        assert len(calls) == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         run_cli(tmp_path, "train", *self.SMALL)
         run_dir = only_run_dir(tmp_path, "train")
@@ -226,6 +240,8 @@ class TestSpectrumCommand:
 
 class TestExitCodes:
     SMALL = ["bands=8", "width_px=12", "epochs=1", "width=4", "num_blocks=1"]
+    # keeps a wrongly accepted value from running a full-size command
+    QUICK = {"train": [*SMALL, "height=12"], "grad-check": ["matrices=1", "samples=1"]}
 
     def test_grid_below_similarity_window_is_usage_error(self, tmp_path, monkeypatch):
         def no_training(*_args, **_kwargs):
@@ -242,3 +258,52 @@ class TestExitCodes:
         code = run_cli(tmp_path, "train", *self.SMALL, "height=12", "learning_rate=1e300",
                        "lam=0")
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("train", "noise_kind=foo"),
+            ("train", "width=0"),
+            ("train", "bands=0"),
+            ("grad-check", "width=0"),
+            ("grad-check", "max_rows=1"),
+            ("grad-check", "max_cols=1"),
+            ("grad-check", "num_blocks=0"),
+            ("bench", "m=-1"),
+            ("bench", "c=0"),
+            ("bench", "bands=0"),
+            ("bench", "height=0"),
+            ("bench", "width_px=0"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, command, bad):
+        assert run_cli(tmp_path, command, *self.QUICK.get(command, []), bad) == 2
+        assert "usage error" in capsys.readouterr().err
+        outputs = [p for p in Path(tmp_path).rglob("*") if p.is_file() and p.name != "config.txt"]
+        assert not outputs
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("train", "lam=nan"),
+            ("train", "sigma=nan"),
+            ("train", "learning_rate=inf"),
+            ("train", "sigma=1e400"),
+            ("rank-audit", "tol=-inf"),
+        ],
+    )
+    def test_non_finite_float_is_usage_error(self, tmp_path, command, bad):
+        assert run_cli(tmp_path, command, *self.QUICK.get(command, []), bad) == 2
+        assert not list(Path(tmp_path).iterdir())  # rejected before any run directory
+
+    @pytest.mark.parametrize(
+        "bad", ["lam=-1", "learning_rate=0", "num_blocks=0", "width=0", "noise_kind=foo"]
+    )
+    def test_compare_training_settings_are_usage_errors(self, tmp_path, monkeypatch, bad):
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("training started on settings every cell rejects")
+
+        monkeypatch.setattr(cli, "train_denoiser", no_training)
+        assert run_cli(tmp_path, "compare", *self.SMALL, "height=12",
+                       "schemes=conv3d,res3_1d", "seeds=1", bad) == 2
+        assert not list(Path(tmp_path).iterdir())

@@ -119,9 +119,8 @@ class TestFeatureSpectrum:
         assert np.all((spectrum.values >= 0) & (spectrum.values <= 1))
 
     def test_all_zero_map_flagged_empty(self):
-        spectrum = feature_spectrum(FeatureMap(np.zeros((3, 2, 2, 2))), source_tag="zeros")
+        spectrum = feature_spectrum(FeatureMap(np.zeros((3, 2, 2, 2))))
         assert spectrum.is_empty
-        assert spectrum.source_tag == "zeros"
 
 
 class TestTailMass:

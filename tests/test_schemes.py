@@ -16,18 +16,18 @@ from resset import (
     compression_param_count,
     conv_forward,
     fold_channels,
-    load_kernel_set,
     matmul,
     param_count,
     parse_scheme_token,
     random_kernel_set,
-    save_kernel_set,
     unfold_patches,
     valid_column_count,
     zero_kernel_set,
 )
 from resset import autodiff as ad
-from resset.schemes import LEAKY_SLOPE, branch_extents
+from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
+
+from conv_oracles import tap_loop_conv, tap_loop_set
 
 ALL_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "seq1d", "seq1d2d", "par1d2d"]
 JOINT_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"]
@@ -55,50 +55,25 @@ def conv3d_loop_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def tap_loop_conv(x: np.ndarray, w: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
-    """Direct same-padded branch convolution, independent of the im2col
-    gather: one (out, in) tensordot per kernel tap over a shifted slice of the
-    padded input."""
-    _, b, h, wd = x.shape
-    eb, eh, ew = extents
-    pads = ((0, 0), ((eb - 1) // 2,) * 2, ((eh - 1) // 2,) * 2, ((ew - 1) // 2,) * 2)
-    xp = np.pad(x, pads)
-    w5 = w.reshape(w.shape[0], w.shape[1], eb, eh, ew)
-    out = np.zeros((w.shape[0], b, h, wd))
-    for db in range(eb):
-        for dh in range(eh):
-            for dw in range(ew):
-                seg = xp[:, db : db + b, dh : dh + h, dw : dw + wd]
-                out += np.tensordot(w5[:, :, db, dh, dw], seg, axes=(1, 0))
-    return out
-
-
-def tap_loop_forward(ks: KernelSet, x: np.ndarray) -> np.ndarray:
-    """conv_forward rebuilt on the tap loop: joint schemes concatenate their
-    branches, sequential ones chain their stages, then the compression."""
-    extents = branch_extents(ks.scheme)
-    if ks.scheme.jointly_representable:
-        out = np.concatenate([tap_loop_conv(x, w, e) for w, e in zip(ks.weights, extents)])
-    else:
-        out = x
-        for w, e in zip(ks.weights, extents):
-            out = tap_loop_conv(out, w, e)
-    if ks.compression is not None:
-        out = np.tensordot(ks.compression, out, axes=(1, 0))
-    return out
-
-
-def network_block(ks: KernelSet, x: np.ndarray) -> np.ndarray:
+def network_block(scheme, weights, compression, aggregation, x: np.ndarray) -> np.ndarray:
     """The network's block forward on ``x``: a one-block network with identity
     lift and projection and no global residual computes exactly its block."""
-    m = ks.out_channels
-    net = Network(ks.scheme, channels=m, width=m, num_blocks=1, global_residual=False)
-    net.params.update({f"b0.w{j}": w for j, w in enumerate(ks.weights)})
+    m = x.shape[0]
+    net = Network(scheme, channels=m, width=m, num_blocks=1, global_residual=False)
+    net.params.update({f"b0.w{j}": w for j, w in enumerate(weights)})
     net.params.update(
-        {"lift": np.eye(m), "project": np.eye(m), "b0.compress": ks.compression,
-         "b0.aggregate": ks.aggregation}
+        {"lift": np.eye(m), "project": np.eye(m), "b0.compress": compression,
+         "b0.aggregate": aggregation}
     )
     return net.forward_tape(x).output.data
+
+
+def res3_block_arrays(draw, m: int):
+    """Branch weights, compression and aggregation of one res3_1d block of
+    width ``m``, each array made by ``draw(shape)``."""
+    scheme = parse_scheme_token("res3_1d")
+    weights = [draw(shape) for shape in expected_weight_shapes(scheme, m, m)]
+    return scheme, weights, draw((m, 3 * m)), draw((m, m))
 
 
 class TestKernelScheme:
@@ -249,12 +224,6 @@ class TestConvForward:
         for branch in range(3):
             np.testing.assert_allclose(out.data[branch], x.data[0], atol=1e-14)
 
-    def test_compression_reduces_channels(self, rng):
-        scheme = parse_scheme_token("res3_1d")
-        ks = random_kernel_set(scheme, 4, 2, rng, with_compression=True)
-        out = conv_forward(ks, FeatureMap(rng.standard_normal((2, 3, 4, 4))))
-        assert out.data.shape == (4, 3, 4, 4)
-
     def test_sequential_output_channels(self, rng):
         x = FeatureMap(rng.standard_normal((2, 3, 4, 4)))
         for token in ("seq1d", "seq1d2d"):
@@ -282,10 +251,10 @@ class TestTapLoopOracle:
     @pytest.mark.parametrize("token", ALL_TOKENS)
     def test_conv_forward_matches_tap_loop(self, rng, token):
         scheme = parse_scheme_token(token)
-        ks = random_kernel_set(scheme, 3, 2, rng, with_compression=scheme.is_parallel)
+        ks = random_kernel_set(scheme, 3, 2, rng)
         x = rng.standard_normal((2, 4, 5, 6))
         out = conv_forward(ks, FeatureMap(x)).data
-        assert np.max(np.abs(out - tap_loop_forward(ks, x))) <= 1e-12
+        assert np.max(np.abs(out - tap_loop_set(scheme, ks.weights, x))) <= 1e-12
 
     @pytest.mark.parametrize("extents", [(3, 3, 3), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
     def test_branch_conv_matches_tap_loop(self, rng, extents):
@@ -300,40 +269,24 @@ class TestRes3Block:
     rectifier -> 1x1x1 aggregation -> residual add with the block input."""
 
     def test_pure_residual_with_zero_weights(self, rng):
-        ks = zero_kernel_set(parse_scheme_token("res3_1d"), 3, 3,
-                             with_compression=True, with_aggregation=True)
+        arrays = res3_block_arrays(np.zeros, 3)
         x = rng.standard_normal((3, 4, 5, 5))
-        np.testing.assert_array_equal(network_block(ks, x), x)
+        np.testing.assert_array_equal(network_block(*arrays, x), x)
 
     def test_shape_preserved(self, rng):
-        ks = random_kernel_set(parse_scheme_token("res3_1d"), 4, 4, rng,
-                               with_compression=True, with_aggregation=True)
-        assert network_block(ks, rng.standard_normal((4, 6, 8, 8))).shape == (4, 6, 8, 8)
+        arrays = res3_block_arrays(rng.standard_normal, 4)
+        assert network_block(*arrays, rng.standard_normal((4, 6, 8, 8))).shape == (4, 6, 8, 8)
 
     def test_matches_manual_composition(self, rng):
-        ks = random_kernel_set(parse_scheme_token("res3_1d"), 3, 3, rng,
-                               with_compression=True, with_aggregation=True)
+        scheme, weights, compression, aggregation = res3_block_arrays(rng.standard_normal, 3)
         x = rng.standard_normal((3, 4, 5, 5))
-        pre = conv_forward(KernelSet(ks.scheme, 3, 3, ks.weights), FeatureMap(x)).data
-        compressed = np.tensordot(ks.compression, pre, axes=(1, 0))
+        pre = tap_loop_set(scheme, weights, x)
+        compressed = np.tensordot(compression, pre, axes=(1, 0))
         activated = np.where(compressed >= 0, compressed, LEAKY_SLOPE * compressed)
-        expected = np.tensordot(ks.aggregation, activated, axes=(1, 0)) + x
-        np.testing.assert_allclose(network_block(ks, x), expected, atol=1e-12)
-
-
-class TestKernelSetSerialization:
-    def test_roundtrip(self, tmp_path, rng):
-        ks = random_kernel_set(parse_scheme_token("res3_1d_l2"), 4, 2, rng,
-                               with_compression=True, with_aggregation=True)
-        save_kernel_set(ks, tmp_path / "ks")
-        loaded = load_kernel_set(tmp_path / "ks")
-        assert loaded.scheme == ks.scheme
-        for a, b in zip(loaded.weights, ks.weights):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(loaded.compression, ks.compression)
-        np.testing.assert_array_equal(loaded.aggregation, ks.aggregation)
-        header = (tmp_path / "ks" / "header.txt").read_text()
-        assert "variant=res3_1d" in header and "L=2" in header
+        expected = np.tensordot(aggregation, activated, axes=(1, 0)) + x
+        np.testing.assert_allclose(
+            network_block(scheme, weights, compression, aggregation, x), expected, atol=1e-12
+        )
 
 
 def test_branch_extents_cover_distinct_axes():

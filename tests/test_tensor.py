@@ -11,7 +11,6 @@ from resset import (
     FeatureMap,
     InvalidKernel,
     NumericError,
-    Shape4,
     ShapeError,
     UnfoldedMatrix,
     fold_channels,
@@ -53,15 +52,6 @@ def rejects(path, blob):
         read_tensor(path)
 
 
-class TestShape4:
-    def test_volume(self):
-        assert Shape4(2, 3, 4, 5).volume == 120
-
-    def test_rejects_zero_extent(self):
-        with pytest.raises(ShapeError):
-            Shape4(2, 0, 4, 5)
-
-
 class TestFeatureMap:
     def test_rejects_nan(self):
         data = np.zeros((1, 2, 2, 2))
@@ -79,7 +69,6 @@ class TestUnfoldPatches:
     def test_identity_unfold(self, rng):
         x = FeatureMap(rng.standard_normal((3, 2, 4, 5)))
         mat = unfold_patches(x, (1, 1, 1))
-        assert mat.origin == "patches"
         np.testing.assert_array_equal(mat.data, x.data.reshape(3, -1))
 
     def test_single_impulse_support(self):
