@@ -5,6 +5,12 @@ upstream gradient to its parents; ``backward`` walks the recorded graph in
 reverse topological order. The op set is deliberately small: axis-branch
 convolutions, 1x1x1 channel maps, the leaky rectifier, additions, the mean
 absolute error, and the singular-value diversity penalty.
+
+Branch convolutions run as kn2row (Vasudevan, Anderson and Gregg 2017): one
+(out, in) matrix product per kernel tap on a shifted view of the padded
+input, so no patch matrix is built or held on the tape. The im2col unfold in
+``tensor.unfold_patches`` is kept for the rank audit and as an independent
+check of this kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .regularizer import nuclear_penalty
-from .tensor import gather_patches, scatter_patches
 
 
 class Node:
@@ -29,8 +34,9 @@ class Node:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=np.float64)  # a copy: callers share g
+        else:
+            self.grad += g
 
     def backward(self, seed=None):
         """Push gradients from this node to every ancestor."""
@@ -57,17 +63,49 @@ class Node:
 
 
 def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
-    """Same-padded convolution of one branch, done as unfold + matmul."""
+    """Same-padded convolution of one branch, done as kn2row: one (out, in)
+    matrix product per kernel tap, accumulated over shifted views.
+
+    The padded input is flattened to ``(C, Bp*Hp*Wp)``. Output position
+    ``(b, h, w)`` sits at column ``b*Hp*Wp + h*Wp + w`` and tap
+    ``(db, dh, dw)`` reads ``s = db*Hp*Wp + dh*Wp + dw`` columns further on,
+    so each tap is a view of the same columns shifted by ``s``. The result is
+    computed on the padded ``(B, Hp, Wp)`` grid and cropped to ``(B, H, W)``:
+    the positions cropped away sum windows that wrap across a row or plane
+    edge, or are never written, and nothing reads them. The backward pass is
+    the same loop transposed, on the gradient embedded in a zero padded grid,
+    so those positions contribute nothing to either gradient.
+    """
     c, b, h, wd = x.data.shape
+    kb, kh, kw = extents
+    pb, ph, pw = (kb - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
     out_ch = w.data.shape[0]
-    cols = gather_patches(x.data, extents)
-    wf = w.data.reshape(out_ch, -1)
-    out = Node((wf @ cols).reshape(out_ch, b, h, wd), parents=(w, x))
+    padded = np.pad(x.data, ((0, 0), (pb, pb), (ph, ph), (pw, pw)))
+    _, bp, hp, wp = padded.shape
+    xp = padded.reshape(c, -1)
+    n = (b - 1) * hp * wp + (h - 1) * wp + wd
+    shifts = [
+        db * hp * wp + dh * wp + dw for db in range(kb) for dh in range(kh) for dw in range(kw)
+    ]
+    taps = np.moveaxis(w.data.reshape(out_ch, c, len(shifts)), 2, 0).copy()
+    grid = np.empty((out_ch, b * hp * wp))
+    acc = grid[:, :n]
+    np.matmul(taps[0], xp[:, :n], out=acc)  # shifts[0] == 0
+    for t in range(1, len(shifts)):
+        acc += taps[t] @ xp[:, shifts[t] : shifts[t] + n]
+    out = Node(grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd], parents=(w, x))
 
     def _backward(g):
-        gf = g.reshape(out_ch, -1)
-        w._accumulate((gf @ cols.T).reshape(w.data.shape))
-        x._accumulate(scatter_patches(wf.T @ gf, extents, x.data.shape))
+        gp = np.zeros((out_ch, b, hp, wp))
+        gp[:, :, :h, :wd] = g
+        gp = gp.reshape(out_ch, -1)[:, :n]
+        gw = np.empty((len(shifts), out_ch, c))
+        gxp = np.zeros((c, bp * hp * wp))
+        for t, s in enumerate(shifts):
+            np.matmul(gp, xp[:, s : s + n].T, out=gw[t])
+            gxp[:, s : s + n] += taps[t].T @ gp
+        w._accumulate(np.moveaxis(gw, 0, 2).reshape(w.data.shape))
+        x._accumulate(gxp.reshape(c, bp, hp, wp)[:, pb : pb + b, ph : ph + h, pw : pw + wd])
 
     out._backward = _backward
     return out
@@ -75,11 +113,13 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
 
 def channel_mix(w: Node, x: Node) -> Node:
     """1x1x1 map: mix channels with a (out, in) matrix at every position."""
-    out = Node(np.tensordot(w.data, x.data, axes=(1, 0)), parents=(w, x))
+    x2 = x.data.reshape(x.data.shape[0], -1)
+    out = Node((w.data @ x2).reshape(w.data.shape[0], *x.data.shape[1:]), parents=(w, x))
 
     def _backward(g):
-        w._accumulate(np.tensordot(g, x.data, axes=((1, 2, 3), (1, 2, 3))))
-        x._accumulate(np.tensordot(w.data.T, g, axes=(1, 0)))
+        g2 = g.reshape(g.shape[0], -1)
+        w._accumulate(g2 @ x2.T)
+        x._accumulate((w.data.T @ g2).reshape(x.data.shape))
 
     out._backward = _backward
     return out

@@ -33,6 +33,7 @@ from .rank import Spectrum, audit_kernel_rank, feature_spectrum, rank_upper_boun
 from .regularizer import da_reg_grad, da_reg_value
 from .schemes import (
     KernelScheme,
+    branch_extents,
     compression_mac_count,
     compression_param_count,
     mac_count,
@@ -40,7 +41,7 @@ from .schemes import (
     parse_scheme_token,
     zero_kernel_set,
 )
-from .tensor import FeatureMap, UnfoldedMatrix, read_tensor, write_tensor
+from .tensor import FeatureMap, UnfoldedMatrix, check_extents, read_tensor, write_tensor
 from .train import TrainConfig, TrainingData, train_denoiser, training_loss
 
 EXIT_OK = 0
@@ -227,14 +228,17 @@ def build_training_data(cfg: dict, seed_shift: int = 0) -> TrainingData:
     return TrainingData(pairs=tuple(pairs[:-1]), holdout=pairs[-1])
 
 
-def _check_grid(cfg: dict) -> None:
-    """Reject a cube grid that the holdout MSSIM window does not fit, before
-    any training time is spent on it."""
+def _check_grid(cfg: dict, schemes: list[KernelScheme]) -> None:
+    """Reject a cube grid that the holdout MSSIM window does not fit, or that
+    a branch window outgrows, before any training time is spent on it."""
     if min(cfg["height"], cfg["width_px"]) < SSIM_WINDOW:
         raise ConfigError(
             f"height and width_px must be >= the {SSIM_WINDOW}-pixel MSSIM window, "
             f"got {cfg['height']}x{cfg['width_px']}"
         )
+    for scheme in schemes:
+        for extents in branch_extents(scheme):
+            check_extents(extents, (cfg["bands"], cfg["height"], cfg["width_px"]))
 
 
 def train_config_from(cfg: dict, scheme: KernelScheme, seed: int, lam: float) -> TrainConfig:
@@ -276,7 +280,6 @@ RANK_AUDIT_SCHEMA = {
 def cmd_rank_audit(cfg: dict) -> int:
     if not cfg["schemes"]:
         raise ConfigError("schemes list is empty")
-    run_dir = make_run_dir("rank-audit", cfg)
     rows = []
     violation = False
     for token in cfg["schemes"]:
@@ -319,6 +322,7 @@ def cmd_rank_audit(cfg: dict) -> int:
         "measured_rank",
         "achieved",
     ]
+    run_dir = make_run_dir("rank-audit", cfg)
     write_csv(run_dir / "audit.csv", header, rows)
     print(f"rank-audit: {len(rows)} rows -> {run_dir / 'audit.csv'}")
     return EXIT_CHECK_FAILED if violation else EXIT_OK
@@ -510,7 +514,7 @@ TRAIN_SCHEMA = {
 
 def cmd_train(cfg: dict) -> int:
     scheme = parse_scheme_token(cfg["scheme"], k=cfg["k"])
-    _check_grid(cfg)
+    _check_grid(cfg, [scheme])
     tcfg = train_config_from(cfg, scheme, cfg["seed"], cfg["lam"])
     data = build_training_data(cfg, seed_shift=cfg["seed"])
     run_dir = make_run_dir("train", cfg)
@@ -546,8 +550,8 @@ def cmd_compare(cfg: dict) -> int:
         raise ConfigError("compare needs at least two schemes")
     if cfg["seeds"] < 1:
         raise ConfigError("compare needs at least one seed")
-    _check_grid(cfg)
     schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
+    _check_grid(cfg, schemes)
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
     train_config_from(cfg, schemes[0], 0, cfg["lam"])  # training settings fail here, not per cell
     data = [build_training_data(cfg, seed_shift=seed) for seed in range(cfg["seeds"])]
@@ -635,10 +639,10 @@ def cmd_spectrum(cfg: dict) -> int:
     array = read_tensor(cfg["input"])
     if array.ndim != 4:
         raise ConfigError(f"expected a rank-4 tensor, got rank {array.ndim}")
-    run_dir = make_run_dir("spectrum", cfg)
     spectrum = feature_spectrum(FeatureMap(array))
-    write_csv(run_dir / "spectrum.csv", ["index", "normalized_value"], _spectrum_rows(spectrum))
     tm = tail_mass(spectrum, cfg["head"])
+    run_dir = make_run_dir("spectrum", cfg)
+    write_csv(run_dir / "spectrum.csv", ["index", "normalized_value"], _spectrum_rows(spectrum))
     print(f"spectrum: {spectrum.values.size} values, tail_mass(head={cfg['head']})={tm:.6f}")
     return EXIT_OK
 

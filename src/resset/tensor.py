@@ -85,56 +85,34 @@ class SVDResult:
         return (self.left_factor * self.singular_values) @ self.right_factor.T
 
 
-def _check_extent(extent: int, dim: int, axis: str) -> None:
-    if not isinstance(extent, (int, np.integer)) or extent < 1 or extent % 2 == 0:
-        raise InvalidKernel(f"{axis} extent must be a positive odd integer, got {extent}")
-    if extent > 2 * dim + 1:
-        raise DegenerateKernel(
-            f"{axis} extent {extent} exceeds 2*{dim}+1 for input extent {dim}"
-        )
-
-
-def gather_patches(x: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
-    """im2col over a same-padded window: the (C*kB*kH*kW, B*H*W) patch matrix.
-
-    Rows are ordered channel-major, then band, row, and column offsets; columns
-    follow row-major traversal of the output positions. A branch convolution
-    is ``w.reshape(out, -1) @ gather_patches(x, extents)``.
-    """
-    c, b, h, w = x.shape
-    kb, kh, kw = extents
-    pads = ((0, 0), ((kb - 1) // 2,) * 2, ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2)
-    windows = sliding_window_view(np.pad(x, pads), (kb, kh, kw), axis=(1, 2, 3))
-    return windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * kb * kh * kw, b * h * w)
-
-
-def scatter_patches(cols: np.ndarray, extents: tuple[int, int, int], shape) -> np.ndarray:
-    """Adjoint of :func:`gather_patches`: scatter-add a patch matrix back onto
-    a (C, B, H, W) volume."""
-    c, b, h, w = shape
-    kb, kh, kw = extents
-    pb, ph, pw = (kb - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
-    g = cols.reshape(c, kb, kh, kw, b, h, w)
-    padded = np.zeros((c, b + 2 * pb, h + 2 * ph, w + 2 * pw))
-    for db in range(kb):
-        for dh in range(kh):
-            for dw in range(kw):
-                padded[:, db : db + b, dh : dh + h, dw : dw + w] += g[:, db, dh, dw]
-    return padded[:, pb : pb + b, ph : ph + h, pw : pw + w]
+def check_extents(extents: tuple[int, int, int], grid: tuple[int, int, int]) -> None:
+    """Reject a (band, height, width) window that is not positive and odd on
+    every axis, or that exceeds ``2*dim+1`` on a (B, H, W) grid: past that the
+    outer taps of a same-padded window read only padding at every position."""
+    for extent, dim, axis in zip(extents, grid, ("band", "height", "width")):
+        if not isinstance(extent, (int, np.integer)) or extent < 1 or extent % 2 == 0:
+            raise InvalidKernel(f"{axis} extent must be a positive odd integer, got {extent}")
+        if extent > 2 * dim + 1:
+            raise DegenerateKernel(
+                f"{axis} extent {extent} exceeds 2*{dim}+1 for input extent {dim}"
+            )
 
 
 def unfold_patches(fmap: FeatureMap, extents: tuple[int, int, int]) -> UnfoldedMatrix:
-    """Validated :func:`gather_patches` of a feature map.
+    """im2col over a same-padded window: the (C*kB*kH*kW, B*H*W) patch matrix.
 
-    With same zero padding and stride 1 the output grid equals the input
-    grid, so the result has ``kB*kH*kW*C`` rows and ``B*H*W`` columns.
+    Rows are ordered channel-major, then band, row, and column offsets; columns
+    follow row-major traversal of the output positions. With same zero padding
+    and stride 1 the output grid equals the input grid, and a branch
+    convolution is ``w.reshape(out, -1) @ unfold_patches(fmap, extents)``.
     """
     kb, kh, kw = extents
-    _, b, h, w = fmap.data.shape
-    _check_extent(kb, b, "band")
-    _check_extent(kh, h, "height")
-    _check_extent(kw, w, "width")
-    return UnfoldedMatrix(gather_patches(fmap.data, extents))
+    c, b, h, w = fmap.data.shape
+    check_extents(extents, (b, h, w))
+    pads = ((0, 0), ((kb - 1) // 2,) * 2, ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2)
+    windows = sliding_window_view(np.pad(fmap.data, pads), (kb, kh, kw), axis=(1, 2, 3))
+    patches = windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * kb * kh * kw, b * h * w)
+    return UnfoldedMatrix(patches)
 
 
 def unfold_channels(fmap: FeatureMap) -> UnfoldedMatrix:

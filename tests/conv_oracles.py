@@ -1,5 +1,8 @@
-"""Direct convolution oracles, independent of the im2col gather that the
-library's convolutions run on."""
+"""Direct convolution oracles for the library's kn2row branch convolution.
+
+They slice the padded 4-D volume once per kernel tap, so they need none of
+the kernel's flattened column offsets, wrap-around cropping or transposed
+backward loop; the weight gradient is written out the same way."""
 
 import numpy as np
 
@@ -21,6 +24,22 @@ def tap_loop_conv(x: np.ndarray, w: np.ndarray, extents: tuple[int, int, int]) -
                 seg = xp[:, db : db + b, dh : dh + h, dw : dw + wd]
                 out += np.tensordot(w5[:, :, db, dh, dw], seg, axes=(1, 0))
     return out
+
+
+def tap_loop_weight_grad(x: np.ndarray, g: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
+    """Gradient of ``sum(tap_loop_conv(x, w, extents) * g)`` with respect to
+    ``w``, as an (out, in, eb, eh, ew) array: one tensordot per kernel tap."""
+    _, b, h, wd = x.shape
+    eb, eh, ew = extents
+    pads = ((0, 0), ((eb - 1) // 2,) * 2, ((eh - 1) // 2,) * 2, ((ew - 1) // 2,) * 2)
+    xp = np.pad(x, pads)
+    gw = np.zeros((g.shape[0], x.shape[0], eb, eh, ew))
+    for db in range(eb):
+        for dh in range(eh):
+            for dw in range(ew):
+                seg = xp[:, db : db + b, dh : dh + h, dw : dw + wd]
+                gw[:, :, db, dh, dw] = np.tensordot(g, seg, axes=((1, 2, 3), (1, 2, 3)))
+    return gw
 
 
 def tap_loop_set(scheme: KernelScheme, weights, x: np.ndarray) -> np.ndarray:

@@ -56,6 +56,16 @@ class TestOpGradients:
         x = rng.standard_normal((2, 3, 5, 4))
         self.check_op(rng, lambda wn, xn: ad.branch_conv(wn, xn, (1, 3, 3)), [w, x])
 
+    def test_branch_conv_3d(self, rng):
+        w = rng.standard_normal((2, 3, 3, 3, 3))
+        x = rng.standard_normal((3, 4, 4, 5))
+        self.check_op(rng, lambda wn, xn: ad.branch_conv(wn, xn, (3, 3, 3)), [w, x])
+
+    def test_branch_conv_width(self, rng):
+        w = rng.standard_normal((3, 2, 3))
+        x = rng.standard_normal((2, 3, 4, 5))
+        self.check_op(rng, lambda wn, xn: ad.branch_conv(wn, xn, (1, 1, 3)), [w, x])
+
     def test_channel_mix(self, rng):
         w = rng.standard_normal((3, 4))
         x = rng.standard_normal((4, 3, 4, 4))
@@ -167,6 +177,22 @@ class TestGraphMechanics:
         out = ad.add(x, x)
         out.backward(np.ones_like(out.data))
         np.testing.assert_array_equal(x.grad, 2 * np.ones_like(x.data))
+
+    def test_first_gradient_is_a_private_copy(self, rng):
+        """add hands the same upstream array to both parents; each parent's
+        gradient must be its own array, or the second write would alias the
+        first."""
+        g = rng.standard_normal((2, 2, 2, 2))
+        a = ad.Node(rng.standard_normal(g.shape))
+        b = ad.Node(rng.standard_normal(g.shape))
+        ad.add(a, b).backward(g)
+        assert not np.shares_memory(a.grad, b.grad)
+        assert not np.shares_memory(a.grad, g) and not np.shares_memory(b.grad, g)
+        np.testing.assert_array_equal(a.grad, g)
+        np.testing.assert_array_equal(b.grad, g)
+        x = ad.Node(rng.standard_normal(g.shape))
+        ad.add(x, x).backward(g)
+        np.testing.assert_array_equal(x.grad, 2 * g)
 
     def test_add_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):

@@ -41,6 +41,10 @@ class TestRankAuditCommand:
     def test_empty_scheme_list_is_usage_error(self, tmp_path):
         assert run_cli(tmp_path, "rank-audit", "schemes=") == 2
 
+    def test_zero_seeds_leaves_no_run_directory(self, tmp_path):
+        assert run_cli(tmp_path, "rank-audit", "seeds=0") == 2
+        assert not list(Path(tmp_path).iterdir())
+
     def test_zero_weight_injection(self, tmp_path):
         code = run_cli(tmp_path, "rank-audit", "schemes=conv3d,res3_1d", "seeds=3",
                        "zero_weights=true")
@@ -232,6 +236,12 @@ class TestSpectrumCommand:
         tensor_path.write_bytes(b"RST1" + (4).to_bytes(4, "little") + b"\x02\x00")
         assert run_cli(tmp_path, "spectrum", f"input={tensor_path}") == 2
 
+    def test_negative_head_leaves_no_run_directory(self, tmp_path):
+        tensor_path = tmp_path / "feature.rst"
+        write_tensor(tensor_path, np.random.default_rng(0).standard_normal((2, 2, 3, 3)))
+        assert run_cli(tmp_path, "spectrum", f"input={tensor_path}", "head=-1") == 2
+        assert not list(Path(tmp_path).glob("spectrum-*"))
+
     def test_empty_extent_is_usage_error(self, tmp_path):
         tensor_path = tmp_path / "empty.rst"
         write_tensor(tensor_path, np.zeros((2, 0, 3, 3)))
@@ -253,6 +263,18 @@ class TestExitCodes:
                        "schemes=conv3d,res3_1d", "seeds=1") == 2
         assert not list(Path(tmp_path).rglob("report.json"))
         assert not list(Path(tmp_path).rglob("results.csv"))
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_window_past_the_grid_is_usage_error(self, tmp_path, monkeypatch, command):
+        """k=41 on a 4-band cube: most band taps would read only padding."""
+        def no_training(*_args, **_kwargs):
+            raise AssertionError("training started with a degenerate kernel window")
+
+        monkeypatch.setattr(cli, "train_denoiser", no_training)
+        extra = ["schemes=conv3d,res3_1d", "seeds=1"] if command == "compare" else []
+        assert run_cli(tmp_path, command, "k=41", "bands=4", "height=12", "width_px=12",
+                       "epochs=1", *extra) == 2
+        assert not list(Path(tmp_path).iterdir())
 
     def test_non_finite_evaluation_is_numeric_failure(self, tmp_path):
         code = run_cli(tmp_path, "train", *self.SMALL, "height=12", "learning_rate=1e300",

@@ -27,7 +27,7 @@ from resset import (
 from resset import autodiff as ad
 from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
 
-from conv_oracles import tap_loop_conv, tap_loop_set
+from conv_oracles import tap_loop_conv, tap_loop_set, tap_loop_weight_grad
 
 ALL_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "seq1d", "seq1d2d", "par1d2d"]
 JOINT_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"]
@@ -246,7 +246,8 @@ class TestConvForward:
 
 
 class TestTapLoopOracle:
-    """Both im2col convolutions against the direct tap loop."""
+    """The kn2row branch convolution, alone and inside conv_forward, against
+    the direct tap loop."""
 
     @pytest.mark.parametrize("token", ALL_TOKENS)
     def test_conv_forward_matches_tap_loop(self, rng, token):
@@ -256,12 +257,45 @@ class TestTapLoopOracle:
         out = conv_forward(ks, FeatureMap(x)).data
         assert np.max(np.abs(out - tap_loop_set(scheme, ks.weights, x))) <= 1e-12
 
-    @pytest.mark.parametrize("extents", [(3, 3, 3), (3, 1, 1), (1, 3, 1), (1, 1, 3)])
-    def test_branch_conv_matches_tap_loop(self, rng, extents):
-        w = rng.standard_normal((4, 3) + tuple(e for e in extents if e > 1))
-        x = rng.standard_normal((3, 5, 6, 7))
+    # Grids with one band or one row, and extents at the 2*dim+1 bound, are
+    # where a tap's flattened offset would wrap into the next row or plane.
+    BRANCH_CASES = [
+        pytest.param((3, 3, 3), 4, (3, 5, 6, 7), id="extents0"),
+        pytest.param((3, 1, 1), 4, (3, 5, 6, 7), id="extents1"),
+        pytest.param((1, 3, 1), 4, (3, 5, 6, 7), id="extents2"),
+        pytest.param((1, 1, 3), 4, (3, 5, 6, 7), id="extents3"),
+        pytest.param((5, 5, 5), 4, (3, 5, 6, 7), id="k5"),
+        pytest.param((3, 3, 3), 2, (5, 4, 5, 6), id="fewer_out_than_in"),
+        pytest.param((3, 3, 3), 3, (2, 1, 6, 7), id="one_band"),
+        pytest.param((1, 3, 3), 3, (2, 5, 1, 7), id="one_row"),
+        pytest.param((1, 1, 3), 3, (2, 4, 5, 1), id="one_column"),
+        pytest.param((5, 7, 9), 3, (2, 2, 3, 4), id="extents_at_bound"),
+        pytest.param((3, 3, 3), 2, (3, 1, 1, 1), id="single_voxel_at_bound"),
+    ]
+
+    @pytest.mark.parametrize("extents, out_ch, shape", BRANCH_CASES)
+    def test_branch_conv_matches_tap_loop(self, rng, extents, out_ch, shape):
+        w = rng.standard_normal((out_ch, shape[0]) + tuple(e for e in extents if e > 1))
+        x = rng.standard_normal(shape)
         out = ad.branch_conv(ad.Node(w), ad.Node(x), extents).data
+        assert out.shape == (out_ch,) + shape[1:]
         assert np.max(np.abs(out - tap_loop_conv(x, w, extents))) <= 1e-12
+
+    @pytest.mark.parametrize("extents, out_ch, shape", BRANCH_CASES)
+    def test_branch_conv_gradients_match_tap_loop(self, rng, extents, out_ch, shape):
+        """Whole gradients: the input gradient satisfies the adjoint identity
+        <conv(x), g> == <x, gx>, and the weight gradient equals the tap loop's."""
+        w = rng.standard_normal((out_ch, shape[0]) + tuple(e for e in extents if e > 1))
+        x = rng.standard_normal(shape)
+        g = rng.standard_normal((out_ch,) + shape[1:])
+        wn, xn = ad.Node(w), ad.Node(x)
+        out = ad.branch_conv(wn, xn, extents)
+        out.backward(g)
+        assert xn.grad.shape == x.shape and wn.grad.shape == w.shape
+        lhs, rhs = np.sum(out.data * g), np.sum(x * xn.grad)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(out.data * g))
+        expected = tap_loop_weight_grad(x, g, extents).reshape(w.shape)
+        assert np.max(np.abs(wn.grad - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
 
 
 class TestRes3Block:
