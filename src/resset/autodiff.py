@@ -8,9 +8,11 @@ absolute error, and the singular-value diversity penalty.
 
 Branch convolutions run as kn2row (Vasudevan, Anderson and Gregg 2017): one
 (out, in) matrix product per kernel tap on a shifted view of the padded
-input, so no patch matrix is built or held on the tape. The im2col unfold in
-``tensor.unfold_patches`` is kept for the rank audit and as an independent
-check of this kernel.
+input, so no patch matrix is built or held on the tape. The tap loop runs
+inside column blocks of the flattened grid, sized so that one block's
+operands stay in a core's L2 cache across all taps (``BLOCK_COLUMNS``). The
+im2col unfold in ``tensor.unfold_patches`` is kept for the rank audit and as
+an independent check of this kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +21,18 @@ import numpy as np
 
 from .errors import ShapeError
 from .regularizer import nuclear_penalty
+
+# Columns of the flattened padded grid per block of the branch convolution's
+# tap loop. One block's working set is about 8 B * block * (2*out + 2*in)
+# plus the taps' overhang: ~1 MB at width 8 and 4096 columns, inside a 2 MB
+# per-core L2; at 16384 columns it no longer fits. Forward plus backward on
+# the 8x31x32x32 toy cube at width 8 (2-core Xeon, OpenBLAS, medians of
+# 11-21 calls): the 3x3x3 branch takes 41 ms unblocked, 41-50 at 1024-2048
+# columns, 23-24 at 3072-6144, 26 at 8192 and 38 at 16384; the 3x1x1 branch
+# 4.8 unblocked and 3.4-3.8 at 3072-8192. One BLAS thread gives the same
+# shape (3x3x3: 49 unblocked, 42 at 2048, 25 at 4096), so the slow small
+# blocks are not a threading cost; their cause was not isolated.
+BLOCK_COLUMNS = 4096
 
 
 class Node:
@@ -75,6 +89,13 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     edge, or are never written, and nothing reads them. The backward pass is
     the same loop transposed, on the gradient embedded in a zero padded grid,
     so those positions contribute nothing to either gradient.
+
+    Both passes walk the ``n`` output columns in blocks of
+    ``BLOCK_COLUMNS`` and run every tap inside a block, so the block's
+    accumulator, its scratch product and the input columns its taps read
+    stay in cache across the taps instead of streaming through memory once
+    per tap (Goto and van de Geijn 2008). Every product is written through
+    ``out=`` into a scratch preallocated once per call.
     """
     c, b, h, wd = x.data.shape
     kb, kh, kw = extents
@@ -87,23 +108,31 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     shifts = [
         db * hp * wp + dh * wp + dw for db in range(kb) for dh in range(kh) for dw in range(kw)
     ]
+    cols = min(BLOCK_COLUMNS, n)
+    blocks = [(lo, min(lo + cols, n)) for lo in range(0, n, cols)]
     taps = np.moveaxis(w.data.reshape(out_ch, c, len(shifts)), 2, 0).copy()
     grid = np.empty((out_ch, b * hp * wp))
-    acc = grid[:, :n]
-    np.matmul(taps[0], xp[:, :n], out=acc)  # shifts[0] == 0
-    for t in range(1, len(shifts)):
-        acc += taps[t] @ xp[:, shifts[t] : shifts[t] + n]
+    prod = np.empty((out_ch, cols))
+    for lo, hi in blocks:
+        acc, tmp = grid[:, lo:hi], prod[:, : hi - lo]
+        np.matmul(taps[0], xp[:, lo:hi], out=acc)  # shifts[0] == 0
+        for t in range(1, len(shifts)):
+            s = shifts[t]
+            acc += np.matmul(taps[t], xp[:, lo + s : hi + s], out=tmp)
     out = Node(grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd], parents=(w, x))
 
     def _backward(g):
         gp = np.zeros((out_ch, b, hp, wp))
         gp[:, :, :h, :wd] = g
-        gp = gp.reshape(out_ch, -1)[:, :n]
-        gw = np.empty((len(shifts), out_ch, c))
+        gp = gp.reshape(out_ch, -1)
+        gw = np.zeros((len(shifts), out_ch, c))
         gxp = np.zeros((c, bp * hp * wp))
-        for t, s in enumerate(shifts):
-            np.matmul(gp, xp[:, s : s + n].T, out=gw[t])
-            gxp[:, s : s + n] += taps[t].T @ gp
+        prod = np.empty((c, cols))
+        for lo, hi in blocks:
+            g_blk, tmp = gp[:, lo:hi], prod[:, : hi - lo]
+            for t, s in enumerate(shifts):
+                gw[t] += g_blk @ xp[:, lo + s : hi + s].T
+                gxp[:, lo + s : hi + s] += np.matmul(taps[t].T, g_blk, out=tmp)
         w._accumulate(np.moveaxis(gw, 0, 2).reshape(w.data.shape))
         x._accumulate(gxp.reshape(c, bp, hp, wp)[:, pb : pb + b, ph : ph + h, pw : pw + wd])
 

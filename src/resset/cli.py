@@ -82,8 +82,12 @@ def _parse_value(raw: str, typ: type):
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text ({err.reason} at byte {err.start})") from err
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -115,18 +119,33 @@ def resolve_config(
     return resolved
 
 
+def _config_value_text(value) -> str:
+    """A resolved value written the way a config file states it."""
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def canonical_config_text(command: str, cfg: dict) -> str:
     lines = [f"command={command}"]
-    for key in sorted(cfg):
-        value = cfg[key]
-        if isinstance(value, list):
-            value = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key}={value}")
+    lines += [f"{key}={_config_value_text(cfg[key])}" for key in sorted(cfg)]
     return "\n".join(lines) + "\n"
+
+
+def _schema_help(schema: dict[str, Option]) -> str:
+    """The config keys of one command, one line each: key, type, default, help."""
+    rows = [("key", "type", "default", "help")]
+    rows += [(key, opt.type.__name__, _config_value_text(opt.default) or '""', opt.help)
+             for key, opt in schema.items()]
+    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    lines = ["config keys (key=value, in the --config file or as overrides):"]
+    lines += ["  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "  " + row[3]
+              for row in rows]
+    return "\n".join(lines)
 
 
 def make_run_dir(command: str, cfg: dict) -> Path:
@@ -266,7 +285,8 @@ def _spectrum_rows(spectrum: Spectrum) -> list[list]:
 
 RANK_AUDIT_SCHEMA = {
     **_COMMON,
-    "schemes": Option(list, ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"]),
+    "schemes": Option(list, ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"],
+                      "comma-separated scheme tokens to audit"),
     "m": Option(int, 4, "output channels M"),
     "c": Option(int, 4, "input channels C"),
     "k": Option(int, 3, "kernel extent"),
@@ -467,7 +487,8 @@ def cmd_grad_check(cfg: dict) -> int:
 
 BENCH_SCHEMA = {
     **_COMMON,
-    "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"]),
+    "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"],
+                      "comma-separated scheme tokens to tabulate"),
     "m": Option(int, 8, "output channels M"),
     "c": Option(int, 8, "input channels C"),
     "k": Option(int, 3, "kernel extent"),
@@ -540,7 +561,8 @@ def cmd_train(cfg: dict) -> int:
 COMPARE_SCHEMA = {
     **_COMMON,
     **_TASK,
-    "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"]),
+    "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"],
+                      "comma-separated scheme tokens to train and compare"),
     "seeds": Option(int, 3, "matched seeds per scheme"),
 }
 
@@ -667,7 +689,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (schema, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=f"{name} experiment")
+        p = sub.add_parser(name, help=f"{name} experiment", epilog=_schema_help(schema),
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
         p.add_argument("--config", type=str, default=None, help="key=value configuration file")
         p.add_argument("overrides", nargs="*", help="key=value overrides")
     try:

@@ -16,7 +16,6 @@ from .errors import ConfigError, NumericError
 from .schemes import (
     KernelScheme,
     KernelSet,
-    SchemeVariant,
     build_kernel_matrix,
     pre_compression_channels,
     random_kernel_set,
@@ -57,13 +56,9 @@ class Spectrum:
 
 
 def rank_upper_bound(scheme: KernelScheme, m: int) -> int:
-    """Row-count bound on the rank of the scheme's output feature matrix."""
-    variant = scheme.variant
-    if variant in (SchemeVariant.CONV3D, SchemeVariant.SEQ1D, SchemeVariant.SEQ1D2D):
-        return m
-    if variant is SchemeVariant.PAR1D2D:
-        return 2 * m
-    return pre_compression_channels(scheme, m)  # res3 variants: 3*L*M
+    """Row-count bound on the rank of the scheme's output feature matrix: the
+    channels the scheme produces before any 1x1x1 compression."""
+    return pre_compression_channels(scheme, m)
 
 
 def audit_kernel_rank(

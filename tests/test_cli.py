@@ -318,6 +318,14 @@ class TestExitCodes:
         assert run_cli(tmp_path, command, *self.QUICK.get(command, []), bad) == 2
         assert not list(Path(tmp_path).iterdir())  # rejected before any run directory
 
+    def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "audit.cfg"
+        cfg.write_bytes(b"schemes=conv3d\nseeds=\xff\xfe2\n")
+        out_dir = tmp_path / "runs"
+        assert main(["rank-audit", "--config", str(cfg), f"out_dir={out_dir}"]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "bad", ["lam=-1", "learning_rate=0", "num_blocks=0", "width=0", "noise_kind=foo"]
     )
@@ -329,3 +337,14 @@ class TestExitCodes:
         assert run_cli(tmp_path, "compare", *self.SMALL, "height=12",
                        "schemes=conv3d,res3_1d", "seeds=1", bad) == 2
         assert not list(Path(tmp_path).iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+def test_help_lists_every_config_key(capsys, command):
+    assert main([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    schema = cli._SUBCOMMANDS[command][0]
+    for key, option in schema.items():
+        row = next(line.split() for line in lines if line.split()[:1] == [key])
+        assert row[1] == option.type.__name__
+        assert option.help and " ".join(row[3:]) == option.help

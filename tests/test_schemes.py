@@ -259,32 +259,61 @@ class TestTapLoopOracle:
 
     # Grids with one band or one row, and extents at the 2*dim+1 bound, are
     # where a tap's flattened offset would wrap into the next row or plane.
+    # The last two span several column blocks of the default size: 10498
+    # columns, and 28672 = 7 * 4096, a multiple of every block size below.
+    BRANCH_SHAPES = [
+        ((3, 3, 3), 4, (3, 5, 6, 7), "extents0"),
+        ((3, 1, 1), 4, (3, 5, 6, 7), "extents1"),
+        ((1, 3, 1), 4, (3, 5, 6, 7), "extents2"),
+        ((1, 1, 3), 4, (3, 5, 6, 7), "extents3"),
+        ((5, 5, 5), 4, (3, 5, 6, 7), "k5"),
+        ((3, 3, 3), 2, (5, 4, 5, 6), "fewer_out_than_in"),
+        ((3, 3, 3), 3, (2, 1, 6, 7), "one_band"),
+        ((1, 3, 3), 3, (2, 5, 1, 7), "one_row"),
+        ((1, 1, 3), 3, (2, 4, 5, 1), "one_column"),
+        ((5, 7, 9), 3, (2, 2, 3, 4), "extents_at_bound"),
+        ((3, 3, 3), 2, (3, 1, 1, 1), "single_voxel_at_bound"),
+        ((3, 3, 3), 2, (2, 6, 40, 40), "several_blocks"),
+        ((3, 1, 1), 2, (2, 28, 32, 32), "block_multiple"),
+    ]
+    # Each case at the default block size (bare id) and with blocks of one
+    # and of seven columns, so every case crosses block edges.
     BRANCH_CASES = [
-        pytest.param((3, 3, 3), 4, (3, 5, 6, 7), id="extents0"),
-        pytest.param((3, 1, 1), 4, (3, 5, 6, 7), id="extents1"),
-        pytest.param((1, 3, 1), 4, (3, 5, 6, 7), id="extents2"),
-        pytest.param((1, 1, 3), 4, (3, 5, 6, 7), id="extents3"),
-        pytest.param((5, 5, 5), 4, (3, 5, 6, 7), id="k5"),
-        pytest.param((3, 3, 3), 2, (5, 4, 5, 6), id="fewer_out_than_in"),
-        pytest.param((3, 3, 3), 3, (2, 1, 6, 7), id="one_band"),
-        pytest.param((1, 3, 3), 3, (2, 5, 1, 7), id="one_row"),
-        pytest.param((1, 1, 3), 3, (2, 4, 5, 1), id="one_column"),
-        pytest.param((5, 7, 9), 3, (2, 2, 3, 4), id="extents_at_bound"),
-        pytest.param((3, 3, 3), 2, (3, 1, 1, 1), id="single_voxel_at_bound"),
+        pytest.param(extents, out_ch, shape, block, id=name if block is None else f"{name}-block{block}")
+        for extents, out_ch, shape, name in BRANCH_SHAPES
+        for block in (None, 1, 7)
     ]
 
-    @pytest.mark.parametrize("extents, out_ch, shape", BRANCH_CASES)
-    def test_branch_conv_matches_tap_loop(self, rng, extents, out_ch, shape):
+    def test_block_cases_cross_default_blocks(self):
+        def columns(extents, shape):  # the kernel's n on the flattened padded grid
+            _, b, h, wd = shape
+            hp, wp = h + extents[1] - 1, wd + extents[2] - 1
+            return (b - 1) * hp * wp + (h - 1) * wp + wd
+
+        cases = {name: (extents, shape) for extents, _, shape, name in self.BRANCH_SHAPES}
+        several = columns(*cases["several_blocks"])
+        multiple = columns(*cases["block_multiple"])
+        assert several > 2 * ad.BLOCK_COLUMNS and several % ad.BLOCK_COLUMNS
+        assert multiple > ad.BLOCK_COLUMNS and multiple % (7 * ad.BLOCK_COLUMNS) == 0
+
+    @pytest.mark.parametrize("extents, out_ch, shape, block", BRANCH_CASES)
+    def test_branch_conv_matches_tap_loop(self, rng, monkeypatch, extents, out_ch, shape, block):
+        if block is not None:
+            monkeypatch.setattr(ad, "BLOCK_COLUMNS", block)
         w = rng.standard_normal((out_ch, shape[0]) + tuple(e for e in extents if e > 1))
         x = rng.standard_normal(shape)
         out = ad.branch_conv(ad.Node(w), ad.Node(x), extents).data
         assert out.shape == (out_ch,) + shape[1:]
         assert np.max(np.abs(out - tap_loop_conv(x, w, extents))) <= 1e-12
 
-    @pytest.mark.parametrize("extents, out_ch, shape", BRANCH_CASES)
-    def test_branch_conv_gradients_match_tap_loop(self, rng, extents, out_ch, shape):
+    @pytest.mark.parametrize("extents, out_ch, shape, block", BRANCH_CASES)
+    def test_branch_conv_gradients_match_tap_loop(
+        self, rng, monkeypatch, extents, out_ch, shape, block
+    ):
         """Whole gradients: the input gradient satisfies the adjoint identity
         <conv(x), g> == <x, gx>, and the weight gradient equals the tap loop's."""
+        if block is not None:
+            monkeypatch.setattr(ad, "BLOCK_COLUMNS", block)
         w = rng.standard_normal((out_ch, shape[0]) + tuple(e for e in extents if e > 1))
         x = rng.standard_normal(shape)
         g = rng.standard_normal((out_ch,) + shape[1:])
