@@ -13,14 +13,33 @@ inside column blocks of the flattened grid, sized so that one block's
 operands stay in a core's L2 cache across all taps (``BLOCK_COLUMNS``). The
 im2col unfold in ``tensor.unfold_patches`` is kept for the rank audit and as
 an independent check of this kernel.
+
+Memory comes from a ``Workspace``, a shape-keyed pool of float64 arrays (the
+caching-allocator pattern of Paszke et al. 2019, "PyTorch", scoped to one
+run). Every node carries the workspace of the op input it was made from; a
+node made without one gets a private workspace. Each op takes its output,
+the arrays its backward keeps, its scratch and every gradient buffer from
+that workspace and writes through ``out=``. Lifetime contract:
+
+- An op gives its scratch back before it returns.
+- ``Node.backward`` gives an interior node's gradient and the arrays the node
+  owns (its value included) back right after the node's own backward has
+  run, when no other node can still read them. The root and the leaves keep
+  their values and gradients; an interior node's value is readable after
+  ``backward`` only until its workspace hands that array out again.
+- ``Workspace.reclaim`` takes back everything still lent out. Only
+  ``train.train_denoiser`` shares one workspace across forward passes: it
+  drops each step's tape and loss, reclaims, and runs the next forward on
+  the same arrays, so a steady-state epoch allocates nothing new.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .regularizer import nuclear_penalty
+from .workspace import Workspace
 
 # Columns of the flattened padded grid per block of the branch convolution's
 # tap loop. One block's working set is about 8 B * block * (2*out + 2*in)
@@ -36,24 +55,48 @@ BLOCK_COLUMNS = 4096
 
 
 class Node:
-    """A value in the computation graph with its gradient accumulator."""
+    """A value in the computation graph with its gradient accumulator.
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    ``ws`` is the workspace that the node's gradient and the arrays of the
+    op that made it come from; ``_owned`` lists the workspace arrays the
+    node's value and backward closure hold. After the
+    node's backward has run, ``backward`` gives both back unless the node is
+    the root (see the module docstring). A graph is walked backward once.
+    """
 
-    def __init__(self, data, parents=()):
+    __slots__ = ("data", "grad", "ws", "_parents", "_backward", "_owned", "__weakref__")
+
+    def __init__(self, data, parents=(), ws: Workspace | None = None, owned=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        self.ws = Workspace() if ws is None else ws
         self._parents = tuple(parents)
         self._backward = None
+        self._owned = owned
 
     def _accumulate(self, g):
+        """Add a gradient contribution that the caller keeps."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)  # a copy: callers share g
+            self.grad = self.ws.take(self.data.shape)
+            np.copyto(self.grad, g)  # a copy: callers share g
         else:
             self.grad += g
 
+    def _adopt(self, g):
+        """Add a gradient contribution taken from this node's workspace for
+        this node alone; the first one becomes the gradient without a copy."""
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+            self.ws.give(g)
+
     def backward(self, seed=None):
-        """Push gradients from this node to every ancestor."""
+        """Push gradients from this node to every ancestor. ``seed`` (ones by
+        default) must have this node's shape."""
+        seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=np.float64)
+        if seed.shape != self.data.shape:
+            raise ShapeError(f"seed shape {seed.shape} != value shape {self.data.shape}")
         topo = []
         visited = set()
         stack = [(self, False)]
@@ -68,12 +111,13 @@ class Node:
             stack.append((node, True))
             for parent in node._parents:
                 stack.append((parent, False))
-        if seed is None:
-            seed = np.ones_like(self.data)
-        self._accumulate(np.asarray(seed, dtype=np.float64))
+        self._accumulate(seed)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:  # every reader of its value and gradient has run
+                    node.ws.give(node.grad, *node._owned)
+                    node.grad, node._owned = None, ()
 
 
 def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
@@ -95,39 +139,52 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     accumulator, its scratch product and the input columns its taps read
     stay in cache across the taps instead of streaming through memory once
     per tap (Goto and van de Geijn 2008). Every product is written through
-    ``out=`` into a scratch preallocated once per call.
+    ``out=`` into workspace arrays. The node owns the padded input, the
+    reordered taps and the output grid until its backward has run.
     """
+    ws = x.ws
     c, b, h, wd = x.data.shape
     kb, kh, kw = extents
     pb, ph, pw = (kb - 1) // 2, (kh - 1) // 2, (kw - 1) // 2
     out_ch = w.data.shape[0]
-    padded = np.pad(x.data, ((0, 0), (pb, pb), (ph, ph), (pw, pw)))
-    _, bp, hp, wp = padded.shape
-    xp = padded.reshape(c, -1)
+    bp, hp, wp = b + 2 * pb, h + 2 * ph, wd + 2 * pw
+    xp = ws.take((c, bp * hp * wp))
+    padded = xp.reshape(c, bp, hp, wp)
+    padded.fill(0.0)
+    padded[:, pb : pb + b, ph : ph + h, pw : pw + wd] = x.data
     n = (b - 1) * hp * wp + (h - 1) * wp + wd
     shifts = [
         db * hp * wp + dh * wp + dw for db in range(kb) for dh in range(kh) for dw in range(kw)
     ]
     cols = min(BLOCK_COLUMNS, n)
     blocks = [(lo, min(lo + cols, n)) for lo in range(0, n, cols)]
-    taps = np.moveaxis(w.data.reshape(out_ch, c, len(shifts)), 2, 0).copy()
-    grid = np.empty((out_ch, b * hp * wp))
-    prod = np.empty((out_ch, cols))
+    taps = ws.take((len(shifts), out_ch, c))
+    taps[...] = np.moveaxis(w.data.reshape(out_ch, c, len(shifts)), 2, 0)
+    grid = ws.take((out_ch, b * hp * wp))
+    prod = ws.take((out_ch, cols))
     for lo, hi in blocks:
         acc, tmp = grid[:, lo:hi], prod[:, : hi - lo]
         np.matmul(taps[0], xp[:, lo:hi], out=acc)  # shifts[0] == 0
         for t in range(1, len(shifts)):
             s = shifts[t]
             acc += np.matmul(taps[t], xp[:, lo + s : hi + s], out=tmp)
-    out = Node(grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd], parents=(w, x))
+    ws.give(prod)
+    out = Node(
+        grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd],
+        parents=(w, x),
+        ws=ws,
+        owned=(xp, taps, grid),
+    )
 
     def _backward(g):
-        gp = np.zeros((out_ch, b, hp, wp))
-        gp[:, :, :h, :wd] = g
-        gp = gp.reshape(out_ch, -1)
-        gw = np.zeros((len(shifts), out_ch, c))
-        gxp = np.zeros((c, bp * hp * wp))
-        prod = np.empty((c, cols))
+        gp = ws.take((out_ch, b * hp * wp))
+        gp.fill(0.0)  # a reused buffer holds stale values where g does not reach
+        gp.reshape(out_ch, b, hp, wp)[:, :, :h, :wd] = g
+        gw = ws.take((len(shifts), out_ch, c))
+        gw.fill(0.0)
+        gxp = ws.take((c, bp * hp * wp))
+        gxp.fill(0.0)
+        prod = ws.take((c, cols))
         for lo, hi in blocks:
             g_blk, tmp = gp[:, lo:hi], prod[:, : hi - lo]
             for t, s in enumerate(shifts):
@@ -135,6 +192,7 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
                 gxp[:, lo + s : hi + s] += np.matmul(taps[t].T, g_blk, out=tmp)
         w._accumulate(np.moveaxis(gw, 0, 2).reshape(w.data.shape))
         x._accumulate(gxp.reshape(c, bp, hp, wp)[:, pb : pb + b, ph : ph + h, pw : pw + wd])
+        ws.give(gp, gw, gxp, prod)
 
     out._backward = _backward
     return out
@@ -142,20 +200,30 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
 
 def channel_mix(w: Node, x: Node) -> Node:
     """1x1x1 map: mix channels with a (out, in) matrix at every position."""
-    x2 = x.data.reshape(x.data.shape[0], -1)
-    out = Node((w.data @ x2).reshape(w.data.shape[0], *x.data.shape[1:]), parents=(w, x))
+    ws = x.ws
+    c, out_ch = x.data.shape[0], w.data.shape[0]
+    x2 = x.data.reshape(c, -1)
+    y = ws.take((out_ch, *x.data.shape[1:]))
+    np.matmul(w.data, x2, out=y.reshape(out_ch, -1))
+    out = Node(y, parents=(w, x), ws=ws, owned=(y,))
 
     def _backward(g):
-        g2 = g.reshape(g.shape[0], -1)
+        g2 = g.reshape(out_ch, -1)
         w._accumulate(g2 @ x2.T)
-        x._accumulate((w.data.T @ g2).reshape(x.data.shape))
+        gx = ws.take(x.data.shape)
+        np.matmul(w.data.T, g2, out=gx.reshape(c, -1))
+        x._adopt(gx)
 
     out._backward = _backward
     return out
 
 
 def concat_channels(parts: list[Node]) -> Node:
-    out = Node(np.concatenate([p.data for p in parts], axis=0), parents=tuple(parts))
+    ws = parts[0].ws
+    channels = sum(p.data.shape[0] for p in parts)
+    y = ws.take((channels, *parts[0].data.shape[1:]))
+    np.concatenate([p.data for p in parts], axis=0, out=y)
+    out = Node(y, parents=tuple(parts), ws=ws, owned=(y,))
 
     def _backward(g):
         start = 0
@@ -169,10 +237,21 @@ def concat_channels(parts: list[Node]) -> Node:
 
 
 def leaky_relu(x: Node, slope: float) -> Node:
-    out = Node(np.where(x.data >= 0, x.data, slope * x.data), parents=(x,))
+    """``max(x, slope*x)``, which is ``x`` where ``x >= 0`` and ``slope*x``
+    elsewhere, bit for bit, for ``0 <= slope <= 1``."""
+    if not 0.0 <= slope <= 1.0:
+        raise ConfigError(f"leaky_relu slope must lie in [0, 1], got {slope}")
+    ws = x.ws
+    y = ws.take(x.data.shape)
+    np.multiply(x.data, slope, out=y)
+    np.maximum(x.data, y, out=y)
+    out = Node(y, parents=(x,), ws=ws, owned=(y,))
 
     def _backward(g):
-        x._accumulate(np.where(x.data >= 0, g, slope * g))
+        gx = ws.take(g.shape)
+        np.multiply(g, slope, out=gx)
+        np.copyto(gx, g, where=x.data >= 0)
+        x._adopt(gx)
 
     out._backward = _backward
     return out
@@ -181,7 +260,10 @@ def leaky_relu(x: Node, slope: float) -> Node:
 def add(a: Node, b: Node) -> Node:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
-    out = Node(a.data + b.data, parents=(a, b))
+    ws = a.ws
+    y = ws.take(a.data.shape)
+    np.add(a.data, b.data, out=y)
+    out = Node(y, parents=(a, b), ws=ws, owned=(y,))
 
     def _backward(g):
         a._accumulate(g)
@@ -192,10 +274,15 @@ def add(a: Node, b: Node) -> Node:
 
 
 def scale(x: Node, factor: float) -> Node:
-    out = Node(x.data * factor, parents=(x,))
+    ws = x.ws
+    y = ws.take(x.data.shape)
+    np.multiply(x.data, factor, out=y)
+    out = Node(y, parents=(x,), ws=ws, owned=(y,))
 
     def _backward(g):
-        x._accumulate(g * factor)
+        gx = ws.take(g.shape)
+        np.multiply(g, factor, out=gx)
+        x._adopt(gx)
 
     out._backward = _backward
     return out
@@ -205,11 +292,22 @@ def mean_abs_error(pred: Node, target: np.ndarray) -> Node:
     """Mean absolute error; its subgradient at exact ties is zero."""
     if pred.data.shape != target.shape:
         raise ShapeError(f"prediction shape {pred.data.shape} != target {target.shape}")
-    diff = pred.data - target
-    out = Node(np.mean(np.abs(diff)), parents=(pred,))
+    ws = pred.ws
+    diff = ws.take(target.shape)
+    np.subtract(pred.data, target, out=diff)
+    magnitude = ws.take(target.shape)
+    np.abs(diff, out=magnitude)
+    y = ws.take(())
+    y[...] = np.mean(magnitude)
+    ws.give(magnitude)
+    out = Node(y, parents=(pred,), ws=ws, owned=(diff, y))
 
     def _backward(g):
-        pred._accumulate(g * np.sign(diff) / diff.size)
+        gx = ws.take(diff.shape)
+        np.sign(diff, out=gx)
+        np.multiply(g, gx, out=gx)
+        np.divide(gx, diff.size, out=gx)
+        pred._adopt(gx)
 
     out._backward = _backward
     return out
@@ -217,11 +315,16 @@ def mean_abs_error(pred: Node, target: np.ndarray) -> Node:
 
 def diversity_penalty(x: Node) -> Node:
     """Negative nuclear norm of the channels x (B*H*W) unfolding of ``x``."""
-    value, grad_mat, _ = nuclear_penalty(x.data.reshape(x.data.shape[0], -1))
-    out = Node(value, parents=(x,))
+    ws = x.ws
+    value, grad_mat, _ = nuclear_penalty(x.data.reshape(x.data.shape[0], -1), ws)
+    y = ws.take(())
+    y[...] = value
+    out = Node(y, parents=(x,), ws=ws, owned=(y, grad_mat))
 
     def _backward(g):
-        x._accumulate(float(g) * grad_mat.reshape(x.data.shape))
+        gx = ws.take(x.data.shape)
+        np.multiply(grad_mat.reshape(x.data.shape), float(g), out=gx)
+        x._adopt(gx)
 
     out._backward = _backward
     return out

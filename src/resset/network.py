@@ -104,14 +104,16 @@ class Network:
         y = ad.channel_mix(nodes[f"b{i}.aggregate"], y)
         return ad.add(y, x), feat
 
-    def forward_tape(self, x: np.ndarray) -> ForwardTape:
-        """Run the taped forward pass on a raw (C, B, H, W) array."""
+    def forward_tape(self, x: np.ndarray, ws: ad.Workspace | None = None) -> ForwardTape:
+        """Run the taped forward pass on a raw (C, B, H, W) array. Every array
+        of the tape comes from ``ws``, or from a private workspace without one
+        (see ``autodiff`` for the lifetime contract)."""
         if x.ndim != 4 or x.shape[0] != self.channels:
             raise ShapeError(
                 f"expected (C={self.channels}, B, H, W) input, got shape {x.shape}"
             )
-        nodes = {name: ad.Node(value) for name, value in self.params.items()}
-        xin = ad.Node(x)
+        xin = ad.Node(x, ws=ws)
+        nodes = {name: ad.Node(value, ws=xin.ws) for name, value in self.params.items()}
         h = ad.channel_mix(nodes["lift"], xin)
         feature = None
         for i in range(self.num_blocks):

@@ -129,9 +129,11 @@ def training_loss(
     return data_term, float(data_term.data), 0.0
 
 
-def _evaluate(net: Network, data: TrainingData) -> tuple[MetricsReport, Spectrum]:
+def _evaluate(
+    net: Network, data: TrainingData, ws: ad.Workspace
+) -> tuple[MetricsReport, Spectrum]:
     noisy, clean = data.holdout
-    tape = net.forward_tape(noisy.data)
+    tape = net.forward_tape(noisy.data, ws)
     denoised = feature_to_cube(FeatureMap(tape.output.data))
     reference = feature_to_cube(clean)
     spectrum = feature_spectrum(FeatureMap(tape.feature.data))
@@ -141,10 +143,17 @@ def _evaluate(net: Network, data: TrainingData) -> tuple[MetricsReport, Spectrum
 def train_denoiser(
     cfg: TrainConfig, data: TrainingData, return_network: bool = False
 ) -> TrainReport | tuple[TrainReport, Network]:
-    """Minibatch Adam over the paired cubes; reports losses, metrics, spectrum."""
+    """Minibatch Adam over the paired cubes; reports losses, metrics, spectrum.
+
+    Every forward pass of the run, the final evaluation included, draws its
+    arrays from one workspace. Each step's tape and loss are dropped and the
+    workspace reclaimed before the next forward, so one tape is alive at a
+    time and the steps after the first reuse the first step's arrays.
+    """
     start = time.perf_counter()
     channels = data.pairs[0][0].channels
     net = Network(cfg.scheme, channels, cfg.width, cfg.num_blocks, seed=cfg.seed)
+    ws = ad.Workspace()
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
     state = AdamState()
     data_terms: list[float] = []
@@ -158,7 +167,7 @@ def train_denoiser(
             grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in net.params.items()}
             for idx in batch:
                 noisy, clean = data.pairs[idx]
-                tape = net.forward_tape(noisy.data)
+                tape = net.forward_tape(noisy.data, ws)
                 try:
                     loss, d_term, r_term = training_loss(
                         tape.output, tape.feature, clean.data, cfg.lam
@@ -169,6 +178,8 @@ def train_denoiser(
                 for name, node in tape.params.items():
                     if node.grad is not None:
                         grads[name] += node.grad
+                del tape, loss
+                ws.reclaim()
                 epoch_data += d_term
                 epoch_reg += r_term
             adam_step(net.params, grads, state, cfg)
@@ -178,7 +189,7 @@ def train_denoiser(
             raise NonFiniteLoss(epoch)
         data_terms.append(epoch_data)
         reg_terms.append(epoch_reg)
-    metrics, spectrum = _evaluate(net, data)
+    metrics, spectrum = _evaluate(net, data, ws)
     report = TrainReport(
         scheme_token=cfg.scheme.token,
         parameter_count=net.parameter_count(),

@@ -14,6 +14,7 @@ from resset import (
 )
 from resset import autodiff as ad
 from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
+from resset.train import training_loss
 
 from conv_oracles import tap_loop_set
 
@@ -74,6 +75,13 @@ class TestOpGradients:
     def test_leaky_relu(self, rng):
         x = rng.standard_normal((2, 3, 3, 3)) + 0.05  # keep clear of the kink
         self.check_op(rng, lambda xn: ad.leaky_relu(xn, LEAKY_SLOPE), [x])
+
+    @pytest.mark.parametrize("slope", [-0.1, 1.5])
+    def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
+        """The rectifier is max(x, slope*x), which is the leaky rectifier only
+        for 0 <= slope <= 1."""
+        with pytest.raises(ConfigError):
+            ad.leaky_relu(ad.Node(np.ones((1, 1, 1, 2))), slope)
 
     def test_concat_channels(self, rng):
         a = rng.standard_normal((2, 3, 3, 3))
@@ -197,6 +205,82 @@ class TestGraphMechanics:
     def test_add_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             ad.add(ad.Node(np.zeros((1, 2, 2, 2))), ad.Node(np.zeros((2, 2, 2, 2))))
+
+    @pytest.mark.parametrize(
+        "seed_shape", [pytest.param((5, 6, 6), id="rank3"), pytest.param((), id="scalar")]
+    )
+    def test_backward_rejects_seed_of_other_shape(self, rng, seed_shape):
+        net = Network(parse_scheme_token("res3_1d"), channels=1, width=4, num_blocks=1, seed=5)
+        out = net.forward_tape(rng.standard_normal((1, 5, 6, 6))).output
+        with pytest.raises(ShapeError) as info:
+            out.backward(np.ones(seed_shape))
+        assert str(seed_shape) in str(info.value) and "(1, 5, 6, 6)" in str(info.value)
+
+
+class FreshArrays(ad.Workspace):
+    """A workspace that never recycles: every take is a new array full of NaN,
+    so an op that reads a buffer before writing it, or an array given back
+    while still in use, shows up against it."""
+
+    def take(self, shape):
+        return np.full(shape, np.nan)
+
+    def give(self, *arrays):
+        pass
+
+
+class TestWorkspace:
+    def test_take_reuses_what_was_given_back(self):
+        ws = ad.Workspace()
+        a = ws.take((2, 3))
+        b = ws.take((2, 3))
+        assert a is not b
+        ws.give(a)
+        assert ws.take((3, 2)) is not a  # keyed by shape, not by size
+        assert ws.take((2, 3)) is a
+        ws.reclaim()
+        assert {id(ws.take((2, 3))), id(ws.take((2, 3)))} == {id(a), id(b)}
+
+    def test_giving_back_twice_raises(self):
+        ws = ad.Workspace()
+        a = ws.take((4,))
+        ws.give(a)
+        with pytest.raises(KeyError):
+            ws.give(a)
+        with pytest.raises(KeyError):
+            ws.give(np.empty(4))
+
+    def test_backward_gives_back_interior_arrays_only(self, rng):
+        w = ad.Node(rng.standard_normal((3, 2)))
+        x = ad.Node(rng.standard_normal((2, 2, 3, 3)), ws=w.ws)
+        mid = ad.leaky_relu(ad.channel_mix(w, x), LEAKY_SLOPE)
+        root = ad.mean_abs_error(mid, np.zeros(mid.data.shape))
+        root.backward()
+        assert mid.grad is None
+        assert root.grad is not None and w.grad is not None and x.grad is not None
+
+    @pytest.mark.parametrize("token, lam", [("conv3d", 0.0), ("res3_1d", 5e-5), ("seq1d2d", 5e-5)])
+    def test_shared_workspace_matches_fresh_arrays(self, rng, token, lam):
+        """Steps through one recycling workspace, as in training, give
+        bit-identical parameter gradients to graphs that never reuse an array,
+        on the same parameters and inputs."""
+        net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=2, seed=7)
+        ws = ad.Workspace()
+        for _ in range(3):
+            x = rng.standard_normal((1, 5, 6, 7))
+            clean = rng.standard_normal(x.shape)
+            grads = []
+            for workspace in (ws, FreshArrays()):
+                tape = net.forward_tape(x, workspace)
+                loss = training_loss(tape.output, tape.feature, clean, lam)[0]
+                loss.backward()
+                grads.append({k: n.grad.copy() for k, n in tape.params.items()})
+                del tape, loss
+                workspace.reclaim()
+            shared, fresh = grads
+            for name in net.params:
+                np.testing.assert_array_equal(shared[name], fresh[name], err_msg=name)
+                net.params[name] -= 1e-2 * fresh[name]  # the next step sees new weights
 
 
 class TestNetworkTape:

@@ -1,5 +1,7 @@
 """Adam updates, the denoising loss, and the training loop contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,54 @@ class TestTrainDenoiser:
             adam_step(reference.params, grads, state, cfg)
         for name in trained.params:
             np.testing.assert_array_equal(trained.params[name], reference.params[name])
+
+
+class TestTrainingWorkspace:
+    """One workspace per run: one tape alive at a time, no new arrays after
+    the first step."""
+
+    def test_one_tape_alive(self, monkeypatch):
+        """Step k's output node is dead when step k+1's forward starts, and
+        the last step's when the evaluation starts."""
+        from resset import Network
+
+        outputs = []
+        forward = Network.forward_tape
+
+        def watched(self, *args):
+            assert all(ref() is None for ref in outputs), "an earlier tape is still alive"
+            tape = forward(self, *args)
+            outputs.append(weakref.ref(tape.output))
+            return tape
+
+        monkeypatch.setattr(Network, "forward_tape", watched)
+        train_denoiser(small_config(epochs=3, lam=5e-5), identity_task())
+        assert len(outputs) == 4  # three steps and the evaluation
+
+    @pytest.mark.parametrize("token, lam", [("conv3d", 0.0), ("res3_1d", 5e-5)])
+    def test_no_new_arrays_after_first_step(self, monkeypatch, token, lam):
+        """Count workspace misses (a take that returns an array never handed
+        out before) per forward pass; only the first may have any."""
+        from resset import Network
+
+        seen: dict[int, np.ndarray] = {}  # keeps every array alive, so ids stay unique
+        misses: list[int] = []
+        take, forward = ad.Workspace.take, Network.forward_tape
+
+        def counted_take(self, shape):
+            array = take(self, shape)
+            if id(array) not in seen:
+                seen[id(array)] = array
+                misses[-1] += 1
+            return array
+
+        def counted_forward(self, *args):
+            misses.append(0)
+            return forward(self, *args)
+
+        monkeypatch.setattr(ad.Workspace, "take", counted_take)
+        monkeypatch.setattr(Network, "forward_tape", counted_forward)
+        cfg = small_config(epochs=4, lam=lam, scheme=parse_scheme_token(token))
+        train_denoiser(cfg, identity_task())
+        assert len(misses) == 5 and misses[0] > 0
+        assert misses[1:] == [0, 0, 0, 0]
