@@ -54,14 +54,11 @@ from .schemes import (
 )
 from .tensor import (
     FeatureMap,
-    SVDResult,
     UnfoldedMatrix,
     fold_channels,
     matmul,
     numeric_rank,
     read_tensor,
-    svd,
-    unfold_channels,
     unfold_patches,
     write_tensor,
 )

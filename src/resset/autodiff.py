@@ -11,8 +11,8 @@ Branch convolutions run as kn2row (Vasudevan, Anderson and Gregg 2017): one
 input, so no patch matrix is built or held on the tape. The tap loop runs
 inside column blocks of the flattened grid, sized so that one block's
 operands stay in a core's L2 cache across all taps (``BLOCK_COLUMNS``). The
-im2col unfold in ``tensor.unfold_patches`` is kept for the rank audit and as
-an independent check of this kernel.
+im2col unfold in ``tensor.unfold_patches`` is kept only as an independent
+check of this kernel, in acceptance criterion 1 and the oracle tests.
 
 Memory comes from a ``Workspace``, a shape-keyed pool of float64 arrays (the
 caching-allocator pattern of Paszke et al. 2019, "PyTorch", scoped to one

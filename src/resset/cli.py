@@ -120,7 +120,7 @@ def resolve_config(
 
 
 def _config_value_text(value) -> str:
-    """A resolved value written the way a config file states it."""
+    """A resolved value or CSV cell written the way a config file states it."""
     if isinstance(value, list):
         return ",".join(str(v) for v in value)
     if isinstance(value, bool):
@@ -162,16 +162,8 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([_format_cell(cell) for cell in row])
+        writer.writerow([_config_value_text(cell) for cell in row])
     path.write_text(buf.getvalue())
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return "true" if cell else "false"
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -453,7 +445,8 @@ def network_grad_max_error(
 
 
 def cmd_grad_check(cfg: dict) -> int:
-    for key, low in (("max_rows", 2), ("max_cols", 2), ("num_blocks", 1)):
+    for key, low in (("matrices", 1), ("max_rows", 2), ("max_cols", 2), ("num_blocks", 1),
+                     ("samples", 1)):
         if cfg[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     scheme = parse_scheme_token(cfg["net_scheme"])
@@ -540,7 +533,7 @@ def cmd_train(cfg: dict) -> int:
     data = build_training_data(cfg, seed_shift=cfg["seed"])
     run_dir = make_run_dir("train", cfg)
     try:
-        report, net = train_denoiser(tcfg, data, return_network=True)
+        report, net, feature = train_denoiser(tcfg, data, return_network=True)
     except NonFiniteLoss as err:
         write_json(run_dir / "report.json", {"error": "non_finite_loss", "epoch": err.epoch})
         print(f"train: non-finite loss at epoch {err.epoch}")
@@ -548,7 +541,7 @@ def cmd_train(cfg: dict) -> int:
     write_json(run_dir / "report.json", report.as_dict())
     write_csv(run_dir / "spectrum.csv", ["index", "normalized_value"], _spectrum_rows(report.spectrum))
     net.save_checkpoint(run_dir / "checkpoint")
-    write_tensor(run_dir / "feature.rst", net.forward_tape(data.holdout[0].data).feature.data)
+    write_tensor(run_dir / "feature.rst", feature)
     (run_dir / "timing.txt").write_text(f"wall_seconds={report.wall_seconds:.3f}\n")
     m = report.metrics
     print(

@@ -21,7 +21,7 @@ from .schemes import (
     random_kernel_set,
     valid_column_count,
 )
-from .tensor import FeatureMap, numeric_rank, unfold_channels
+from .tensor import FeatureMap, numeric_rank
 
 AUDIT_RANK_TOL = 1e-6
 
@@ -107,12 +107,12 @@ def feature_spectrum(fmap: FeatureMap) -> Spectrum:
     come from an SVD without factors, not from the Gram matrix, so the tail
     keeps full precision.
     """
-    mat = unfold_channels(fmap)
-    if not np.all(np.isfinite(mat.data)):
+    mat = fmap.data.reshape(fmap.channels, -1)
+    if not np.all(np.isfinite(mat)):
         raise NumericError("cannot decompose a matrix with non-finite entries")
-    if not np.any(mat.data):
+    if not np.any(mat):
         return Spectrum(values=np.empty(0))
-    s = np.linalg.svd(mat.data, compute_uv=False)
+    s = np.linalg.svd(mat, compute_uv=False)
     return Spectrum(values=s / s[0])
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import UnfoldedMatrix, svd
+from .errors import NumericError
+from .tensor import UnfoldedMatrix
 from .workspace import Workspace
 
 SINGULAR_CUTOFF = 1e-12
@@ -69,14 +70,15 @@ def nuclear_penalty(
                 np.matmul(u / s, rotated, out=grad)
                 ws.give(rotated)
                 return -float(np.sum(s)), np.negative(grad, out=grad), s[::-1]
-    decomp = svd(UnfoldedMatrix(mat))
-    s = decomp.singular_values
+    if not np.all(np.isfinite(mat)):
+        raise NumericError("cannot decompose a matrix with non-finite entries")
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     value = -float(np.sum(s))
     if s.size == 0 or s[0] == 0.0:
         grad.fill(0.0)
         return value, grad, s
     keep = s > SINGULAR_CUTOFF * s[0]
-    np.matmul(decomp.left_factor[:, keep], decomp.right_factor[:, keep].T, out=grad)
+    np.matmul(u[:, keep], vh[keep], out=grad)
     return value, np.negative(grad, out=grad), s
 
 

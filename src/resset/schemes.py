@@ -36,8 +36,33 @@ class SchemeVariant(Enum):
     PAR1D2D = "par1d2d"
 
 
-_RES3_VARIANTS = (SchemeVariant.RES3_2D, SchemeVariant.RES3_1D, SchemeVariant.RES3_1DX3)
-_SEQUENTIAL_VARIANTS = (SchemeVariant.SEQ1D, SchemeVariant.SEQ1D2D)
+# One row per variant: its branch windows as (band, height, width) patterns,
+# "k" spanning the kernel extent and "1" one tap, and whether the branches are
+# chained. Parallel branches go band, height, width axis (a 2-D branch spans
+# the plane complementary to its axis); chained stages go in application order.
+_LAYOUTS: dict[SchemeVariant, tuple[tuple[str, ...], bool]] = {
+    SchemeVariant.CONV3D: (("kkk",), False),
+    SchemeVariant.RES3_2D: (("1kk", "k1k", "kk1"), False),
+    SchemeVariant.RES3_1D: (("k11", "1k1", "11k"), False),
+    SchemeVariant.RES3_1DX3: (("k11", "1k1", "11k"), False),
+    SchemeVariant.SEQ1D: (("k11", "1k1", "11k"), True),
+    SchemeVariant.SEQ1D2D: (("k11", "1kk"), True),
+    SchemeVariant.PAR1D2D: (("1kk", "k11"), False),
+}
+
+# Config token -> (variant, L). A scheme's own token is the first one that
+# names it, and its allowed L values are those its tokens carry.
+_TOKENS: dict[str, tuple[SchemeVariant, int]] = {
+    "conv3d": (SchemeVariant.CONV3D, 1),
+    "res3_2d": (SchemeVariant.RES3_2D, 1),
+    "res3_1d": (SchemeVariant.RES3_1D, 1),
+    "res3_1d_l1": (SchemeVariant.RES3_1D, 1),
+    "res3_1d_l2": (SchemeVariant.RES3_1D, 2),
+    "res3_1dx3": (SchemeVariant.RES3_1DX3, 3),
+    "seq1d": (SchemeVariant.SEQ1D, 1),
+    "seq1d2d": (SchemeVariant.SEQ1D2D, 1),
+    "par1d2d": (SchemeVariant.PAR1D2D, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -51,98 +76,61 @@ class KernelScheme:
     def __post_init__(self):
         if self.k < 1 or self.k % 2 == 0:
             raise ConfigError(f"kernel extent must be a positive odd integer, got {self.k}")
-        if self.variant is SchemeVariant.RES3_1D:
-            if self.L not in (1, 2):
-                raise ConfigError(f"res3_1d supports L in {{1, 2}}, got L={self.L}")
-        elif self.variant is SchemeVariant.RES3_1DX3:
-            if self.L != 3:
-                raise ConfigError(f"res3_1dx3 requires L=3, got L={self.L}")
-        elif self.L != 1:
-            raise ConfigError(f"{self.variant.value} does not take L, got L={self.L}")
+        allowed = sorted({ell for v, ell in _TOKENS.values() if v is self.variant})
+        if self.L not in allowed:
+            raise ConfigError(f"{self.variant.value} supports L in {allowed}, got L={self.L}")
 
     @property
-    def is_res3(self) -> bool:
-        return self.variant in _RES3_VARIANTS
+    def is_res3(self) -> bool:  # a ReS³ set: one parallel branch per axis
+        return self.jointly_representable and len(_LAYOUTS[self.variant][0]) == 3
 
     @property
-    def is_parallel(self) -> bool:
-        return self.is_res3 or self.variant is SchemeVariant.PAR1D2D
+    def is_parallel(self) -> bool:  # several branches, so a block compresses them
+        return self.jointly_representable and len(_LAYOUTS[self.variant][0]) > 1
 
     @property
     def jointly_representable(self) -> bool:
-        return self.variant not in _SEQUENTIAL_VARIANTS
+        return not _LAYOUTS[self.variant][1]
 
     @property
     def token(self) -> str:
-        if self.variant is SchemeVariant.RES3_1D and self.L == 2:
-            return "res3_1d_l2"
-        return self.variant.value
+        return next(t for t, named in _TOKENS.items() if named == (self.variant, self.L))
 
 
 def parse_scheme_token(token: str, k: int = 3) -> KernelScheme:
     """Parse a config token like ``conv3d`` or ``res3_1d_l2`` into a scheme."""
     name = token.strip().lower()
-    table = {
-        "conv3d": (SchemeVariant.CONV3D, 1),
-        "res3_2d": (SchemeVariant.RES3_2D, 1),
-        "res3_1d": (SchemeVariant.RES3_1D, 1),
-        "res3_1d_l1": (SchemeVariant.RES3_1D, 1),
-        "res3_1d_l2": (SchemeVariant.RES3_1D, 2),
-        "res3_1dx3": (SchemeVariant.RES3_1DX3, 3),
-        "seq1d": (SchemeVariant.SEQ1D, 1),
-        "seq1d2d": (SchemeVariant.SEQ1D2D, 1),
-        "par1d2d": (SchemeVariant.PAR1D2D, 1),
-    }
-    if name not in table:
-        raise ConfigError(f"unknown scheme {token!r}; valid: {', '.join(sorted(table))}")
-    variant, ell = table[name]
+    if name not in _TOKENS:
+        raise ConfigError(f"unknown scheme {token!r}; valid: {', '.join(sorted(_TOKENS))}")
+    variant, ell = _TOKENS[name]
     return KernelScheme(variant=variant, k=k, L=ell)
 
 
 def branch_extents(scheme: KernelScheme) -> tuple[tuple[int, int, int], ...]:
-    """Per-branch (band, height, width) window extents.
-
-    For parallel schemes these are the simultaneous branches, ordered
-    band-axis, height-axis, width-axis (2-D branches span the plane
-    complementary to their axis). For sequential schemes they are the chained
-    stages in application order.
-    """
-    k = scheme.k
-    if scheme.variant is SchemeVariant.CONV3D:
-        return ((k, k, k),)
-    if scheme.variant in (SchemeVariant.RES3_1D, SchemeVariant.RES3_1DX3):
-        return ((k, 1, 1), (1, k, 1), (1, 1, k))
-    if scheme.variant is SchemeVariant.RES3_2D:
-        return ((1, k, k), (k, 1, k), (k, k, 1))
-    if scheme.variant is SchemeVariant.PAR1D2D:
-        return ((1, k, k), (k, 1, 1))
-    if scheme.variant is SchemeVariant.SEQ1D:
-        return ((k, 1, 1), (1, k, 1), (1, 1, k))
-    return ((k, 1, 1), (1, k, k))  # seq1d2d
+    """Per-branch (band, height, width) window extents, in table order."""
+    windows, _ = _LAYOUTS[scheme.variant]
+    return tuple(tuple(scheme.k if axis == "k" else 1 for axis in w) for w in windows)
 
 
 def expected_weight_shapes(scheme: KernelScheme, m: int, c: int) -> tuple[tuple[int, ...], ...]:
-    """Compact weight-array shapes per branch (or per sequential stage)."""
+    """Compact weight-array shapes per branch (or per sequential stage). Every
+    parallel branch maps C to L*M channels; a chain maps C to M, then M to M."""
+    chained = _LAYOUTS[scheme.variant][1]
     shapes = []
     for i, extents in enumerate(branch_extents(scheme)):
         taps = tuple(e for e in extents if e > 1) or (1,)
-        if scheme.is_parallel:
-            out_ch = scheme.L * m if scheme.is_res3 else m
-            in_ch = c
-        else:
-            out_ch = m
-            in_ch = c if i == 0 else m
+        out_ch = m if chained else scheme.L * m
+        in_ch = m if chained and i > 0 else c
         shapes.append((out_ch, in_ch) + taps)
     return tuple(shapes)
 
 
 def pre_compression_channels(scheme: KernelScheme, m: int) -> int:
-    """Channel count produced by the scheme before any 1x1x1 compression."""
-    if scheme.is_res3:
-        return 3 * scheme.L * m
-    if scheme.variant is SchemeVariant.PAR1D2D:
-        return 2 * m
-    return m
+    """Channel count produced by the scheme before any 1x1x1 compression: the
+    summed outputs of the parallel branches, or M for a chain."""
+    if _LAYOUTS[scheme.variant][1]:
+        return m
+    return sum(shape[0] for shape in expected_weight_shapes(scheme, m, m))
 
 
 def param_count(scheme: KernelScheme, m: int, c: int) -> int:

@@ -73,18 +73,6 @@ class UnfoldedMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
-class SVDResult:
-    """Thin SVD: singular values plus orthonormal left/right factors."""
-
-    singular_values: np.ndarray
-    left_factor: np.ndarray
-    right_factor: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left_factor * self.singular_values) @ self.right_factor.T
-
-
 def check_extents(extents: tuple[int, int, int], grid: tuple[int, int, int]) -> None:
     """Reject a (band, height, width) window that is not positive and odd on
     every axis, or that exceeds ``2*dim+1`` on a (B, H, W) grid: past that the
@@ -115,14 +103,8 @@ def unfold_patches(fmap: FeatureMap, extents: tuple[int, int, int]) -> UnfoldedM
     return UnfoldedMatrix(patches)
 
 
-def unfold_channels(fmap: FeatureMap) -> UnfoldedMatrix:
-    """Flatten a volume to its channels x (bands*height*width) matrix."""
-    c = fmap.data.shape[0]
-    return UnfoldedMatrix(fmap.data.reshape(c, -1))
-
-
 def fold_channels(mat: UnfoldedMatrix, bands: int, height: int, width: int) -> FeatureMap:
-    """Inverse of :func:`unfold_channels` for a known output grid."""
+    """Reshape a channels x (bands*height*width) matrix back into a volume."""
     if mat.cols != bands * height * width:
         raise ShapeError(
             f"cannot fold {mat.rows}x{mat.cols} matrix into grid {bands}x{height}x{width}"
@@ -135,14 +117,6 @@ def matmul(a: UnfoldedMatrix, b: UnfoldedMatrix) -> UnfoldedMatrix:
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     return UnfoldedMatrix(a.data @ b.data)
-
-
-def svd(m: UnfoldedMatrix) -> SVDResult:
-    """Thin SVD with non-increasing singular values."""
-    if not np.all(np.isfinite(m.data)):
-        raise NumericError("cannot decompose a matrix with non-finite entries")
-    u, s, vh = np.linalg.svd(m.data, full_matrices=False)
-    return SVDResult(singular_values=s, left_factor=u, right_factor=vh.T)
 
 
 def numeric_rank(m: UnfoldedMatrix, rel_tol: float = 1e-9) -> int:

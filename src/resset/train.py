@@ -131,19 +131,22 @@ def training_loss(
 
 def _evaluate(
     net: Network, data: TrainingData, ws: ad.Workspace
-) -> tuple[MetricsReport, Spectrum]:
+) -> tuple[MetricsReport, Spectrum, np.ndarray]:
+    """Metrics and feature spectrum on the holdout, plus the feature volume."""
     noisy, clean = data.holdout
     tape = net.forward_tape(noisy.data, ws)
     denoised = feature_to_cube(FeatureMap(tape.output.data))
     reference = feature_to_cube(clean)
     spectrum = feature_spectrum(FeatureMap(tape.feature.data))
-    return metrics_report(denoised, reference), spectrum
+    return metrics_report(denoised, reference), spectrum, tape.feature.data
 
 
 def train_denoiser(
     cfg: TrainConfig, data: TrainingData, return_network: bool = False
-) -> TrainReport | tuple[TrainReport, Network]:
+) -> TrainReport | tuple[TrainReport, Network, np.ndarray]:
     """Minibatch Adam over the paired cubes; reports losses, metrics, spectrum.
+    With ``return_network`` it also returns the trained network and the
+    last block's pre-compression feature volume on the holdout.
 
     Every forward pass of the run, the final evaluation included, draws its
     arrays from one workspace. Each step's tape and loss are dropped and the
@@ -189,7 +192,7 @@ def train_denoiser(
             raise NonFiniteLoss(epoch)
         data_terms.append(epoch_data)
         reg_terms.append(epoch_reg)
-    metrics, spectrum = _evaluate(net, data, ws)
+    metrics, spectrum, feature = _evaluate(net, data, ws)
     report = TrainReport(
         scheme_token=cfg.scheme.token,
         parameter_count=net.parameter_count(),
@@ -201,5 +204,5 @@ def train_denoiser(
         wall_seconds=time.perf_counter() - start,
     )
     if return_network:
-        return report, net
+        return report, net, feature
     return report

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resset import cli, synth_cube, write_tensor
+from resset import Network, cli, synth_cube, write_tensor
 from resset.cli import main
 
 
@@ -149,6 +149,20 @@ class TestTrainCommand:
         assert run_cli(tmp_path, "train", *self.SMALL) == 0
         assert len(calls) == 2
 
+    def test_holdout_forward_runs_once(self, tmp_path, monkeypatch):
+        """Two training steps and one holdout evaluation, whose feature volume
+        is the one feature.rst holds: three taped forward passes."""
+        calls = []
+        original = Network.forward_tape
+
+        def counting_forward(net, *args, **kwargs):
+            calls.append(args[0].shape)
+            return original(net, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward_tape", counting_forward)
+        assert run_cli(tmp_path, "train", *self.SMALL) == 0
+        assert len(calls) == 3
+
     def test_byte_identical_reruns(self, tmp_path):
         run_cli(tmp_path, "train", *self.SMALL)
         run_dir = only_run_dir(tmp_path, "train")
@@ -288,6 +302,8 @@ class TestExitCodes:
             ("train", "width=0"),
             ("train", "bands=0"),
             ("grad-check", "width=0"),
+            ("grad-check", "matrices=0"),
+            ("grad-check", "samples=0"),
             ("grad-check", "max_rows=1"),
             ("grad-check", "max_cols=1"),
             ("grad-check", "num_blocks=0"),

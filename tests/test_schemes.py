@@ -25,7 +25,14 @@ from resset import (
     zero_kernel_set,
 )
 from resset import autodiff as ad
-from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
+from resset import rank_upper_bound
+from resset.schemes import (
+    _LAYOUTS,
+    _TOKENS,
+    LEAKY_SLOPE,
+    branch_extents,
+    expected_weight_shapes,
+)
 
 from conv_oracles import tap_loop_conv, tap_loop_set, tap_loop_weight_grad
 
@@ -92,6 +99,29 @@ class TestKernelScheme:
     def test_token_roundtrip(self):
         for token in ALL_TOKENS:
             assert parse_scheme_token(token).token == token
+
+
+class TestSchemeTable:
+    def test_every_variant_has_a_row_and_a_token(self):
+        assert set(_LAYOUTS) == set(SchemeVariant)
+        assert {variant for variant, _ in _TOKENS.values()} == set(SchemeVariant)
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_rank_bound_is_the_joint_matrix_row_count(self, rng, token, m):
+        scheme = parse_scheme_token(token)
+        if not scheme.jointly_representable:
+            assert rank_upper_bound(scheme, m) == m
+            return
+        ks = random_kernel_set(scheme, m, 2, rng)
+        assert rank_upper_bound(scheme, m) == build_kernel_matrix(ks).rows
+
+    @pytest.mark.parametrize("token", ALL_TOKENS)
+    def test_parallel_bound_sums_branch_outputs(self, token):
+        scheme = parse_scheme_token(token)
+        if scheme.is_parallel:
+            shapes = expected_weight_shapes(scheme, 5, 3)
+            assert rank_upper_bound(scheme, 5) == sum(shape[0] for shape in shapes)
 
 
 class TestParamCount:

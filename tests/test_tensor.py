@@ -1,4 +1,4 @@
-"""Tensor substrate: unfolding, matmul, SVD, rank, and file round-trips."""
+"""Tensor substrate: unfolding, matmul, singular values, rank, and file round-trips."""
 
 import numpy as np
 import pytest
@@ -17,11 +17,10 @@ from resset import (
     matmul,
     numeric_rank,
     read_tensor,
-    svd,
-    unfold_channels,
     unfold_patches,
     write_tensor,
 )
+from resset.regularizer import nuclear_penalty
 
 
 def gather_oracle(x: np.ndarray, extents):
@@ -141,38 +140,45 @@ class TestMatmul:
             matmul(UnfoldedMatrix(np.ones((2, 3))), UnfoldedMatrix(np.ones((4, 2))))
 
 
+def singular_values(mat: np.ndarray) -> np.ndarray:
+    """The singular values that the diversity penalty returns; a wide
+    well-conditioned matrix takes its Gram path, any other its SVD."""
+    return nuclear_penalty(mat)[2]
+
+
 class TestSvd:
     def test_identity_singular_values(self):
-        result = svd(UnfoldedMatrix(np.eye(4)))
-        np.testing.assert_allclose(result.singular_values, np.ones(4))
+        np.testing.assert_allclose(singular_values(np.eye(4)), np.ones(4))
 
     def test_embedded_diagonal(self):
         mat = np.zeros((3, 5))
         mat[0, 0], mat[1, 1], mat[2, 2] = 3.0, 2.0, 1.0
-        result = svd(UnfoldedMatrix(mat))
-        np.testing.assert_allclose(result.singular_values, [3.0, 2.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(singular_values(mat), [3.0, 2.0, 1.0], atol=1e-12)
 
     def test_reconstruction_and_orthonormality(self, rng):
+        """The gradient -U V^T has orthonormal rows on a full-rank wide draw
+        and orthonormal columns on a tall one, and <U V^T, F> = ||F||_*."""
         mat = rng.standard_normal((5, 8))
-        result = svd(UnfoldedMatrix(mat))
-        rel = np.linalg.norm(result.reconstruct() - mat) / np.linalg.norm(mat)
-        assert rel <= 1e-8
-        gram_left = result.left_factor.T @ result.left_factor
-        gram_right = result.right_factor.T @ result.right_factor
-        np.testing.assert_allclose(gram_left, np.eye(5), atol=1e-8)
-        np.testing.assert_allclose(gram_right, np.eye(5), atol=1e-8)
+        for draw in (mat, mat.T):
+            value, grad, s = nuclear_penalty(draw)
+            small = grad @ grad.T if draw.shape[0] <= draw.shape[1] else grad.T @ grad
+            np.testing.assert_allclose(small, np.eye(5), atol=1e-8)
+            assert np.sum(grad * draw) == pytest.approx(value, rel=1e-10)
+            assert value == pytest.approx(-np.sum(s), rel=1e-12)
 
     def test_sorted_non_increasing(self, rng):
-        result = svd(UnfoldedMatrix(rng.standard_normal((6, 6))))
-        s = result.singular_values
-        assert np.all(s[:-1] >= s[1:]) and np.all(s >= 0)
+        for mat in (rng.standard_normal((6, 6)), rng.standard_normal((4, 9))):
+            s = singular_values(mat)
+            assert np.all(s[:-1] >= s[1:]) and np.all(s >= 0)
 
     def test_non_finite_rejected(self):
-        bad = UnfoldedMatrix(np.array([[1.0, np.inf], [0.0, 1.0]]))
+        bad = np.array([[1.0, np.inf], [0.0, 1.0]])
         with pytest.raises(NumericError):
-            svd(bad)
+            nuclear_penalty(bad)
         with pytest.raises(NumericError):
-            numeric_rank(bad)
+            nuclear_penalty(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]]))
+        with pytest.raises(NumericError):
+            numeric_rank(UnfoldedMatrix(bad))
 
 
 class TestSvdInvariance:
@@ -181,10 +187,10 @@ class TestSvdInvariance:
     def test_transpose_and_scaling(self, seed, scale):
         gen = np.random.default_rng(seed)
         mat = gen.standard_normal((4, 6))
-        s = svd(UnfoldedMatrix(mat)).singular_values
-        s_t = svd(UnfoldedMatrix(mat.T)).singular_values
+        s = singular_values(mat)
+        s_t = singular_values(mat.T)
         np.testing.assert_allclose(s, s_t, atol=1e-10)
-        s_c = svd(UnfoldedMatrix(scale * mat)).singular_values
+        s_c = singular_values(scale * mat)
         np.testing.assert_allclose(s_c, abs(scale) * s, atol=1e-10)
 
 
@@ -210,7 +216,7 @@ class TestNumericRank:
 class TestChannelFolding:
     def test_roundtrip(self, rng):
         fmap = FeatureMap(rng.standard_normal((3, 2, 4, 5)))
-        mat = unfold_channels(fmap)
+        mat = UnfoldedMatrix(fmap.data.reshape(3, -1))
         back = fold_channels(mat, 2, 4, 5)
         np.testing.assert_array_equal(back.data, fmap.data)
 

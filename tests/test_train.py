@@ -173,7 +173,7 @@ class TestTrainDenoiser:
 
         data = identity_task()
         cfg = small_config(epochs=4, lam=0.0)
-        _, trained = train_denoiser(cfg, data, return_network=True)
+        _, trained, _ = train_denoiser(cfg, data, return_network=True)
 
         reference = Network(RES3, channels=1, width=cfg.width,
                             num_blocks=cfg.num_blocks, seed=cfg.seed)
