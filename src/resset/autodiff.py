@@ -249,8 +249,9 @@ def leaky_relu(x: Node, slope: float) -> Node:
 
     def _backward(g):
         gx = ws.take(g.shape)
-        np.multiply(g, slope, out=gx)
-        np.copyto(gx, g, where=x.data >= 0)
+        np.greater_equal(x.data, 0.0, out=gx)  # 1 where x >= 0, else 0 (NaN too)
+        np.maximum(gx, slope, out=gx)  # 1 where x >= 0, else slope
+        np.multiply(gx, g, out=gx)  # g or slope*g, bit for bit
         x._adopt(gx)
 
     out._backward = _backward
@@ -314,16 +315,24 @@ def mean_abs_error(pred: Node, target: np.ndarray) -> Node:
 
 
 def diversity_penalty(x: Node) -> Node:
-    """Negative nuclear norm of the channels x (B*H*W) unfolding of ``x``."""
+    """Negative nuclear norm of the channels x (B*H*W) unfolding of ``x``.
+
+    The gradient stays factored as ``-(left @ right)`` (see
+    ``regularizer.nuclear_penalty``). The node keeps only the factors: on the
+    Gram path a rows x rows matrix and the unfolding of ``x``, which is on
+    the tape already. Its backward forms ``(-g * left) @ right`` in one
+    matrix product, written straight into the input's gradient array.
+    """
     ws = x.ws
-    value, grad_mat, _ = nuclear_penalty(x.data.reshape(x.data.shape[0], -1), ws)
+    rows = x.data.shape[0]
+    value, (left, right), _ = nuclear_penalty(x.data.reshape(rows, -1))
     y = ws.take(())
     y[...] = value
-    out = Node(y, parents=(x,), ws=ws, owned=(y, grad_mat))
+    out = Node(y, parents=(x,), ws=ws, owned=(y,))
 
     def _backward(g):
         gx = ws.take(x.data.shape)
-        np.multiply(grad_mat.reshape(x.data.shape), float(g), out=gx)
+        np.matmul(np.multiply(left, -float(g)), right, out=gx.reshape(rows, -1))
         x._adopt(gx)
 
     out._backward = _backward

@@ -56,9 +56,13 @@ EXIT_NUMERIC = 3
 
 @dataclass(frozen=True)
 class Option:
+    """One config key: its type, default, help line and, for numbers, the
+    lowest value ``resolve_config`` accepts (``low=None``: no bound)."""
+
     type: type
     default: object
     help: str = ""
+    low: int | None = None
 
 
 def _parse_value(raw: str, typ: type):
@@ -112,10 +116,10 @@ def resolve_config(
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     resolved = {}
     for key, opt in schema.items():
-        if key in merged:
-            resolved[key] = _parse_value(merged[key], opt.type)
-        else:
-            resolved[key] = opt.default
+        value = _parse_value(merged[key], opt.type) if key in merged else opt.default
+        if opt.low is not None and value < opt.low:
+            raise ConfigError(f"{key} must be >= {opt.low}, got {value}")
+        resolved[key] = value
     return resolved
 
 
@@ -137,13 +141,15 @@ def canonical_config_text(command: str, cfg: dict) -> str:
 
 
 def _schema_help(schema: dict[str, Option]) -> str:
-    """The config keys of one command, one line each: key, type, default, help."""
-    rows = [("key", "type", "default", "help")]
-    rows += [(key, opt.type.__name__, _config_value_text(opt.default) or '""', opt.help)
+    """The config keys of one command, one line each: key, type, lowest
+    accepted value ("-" for none), default, help."""
+    rows = [("key", "type", "min", "default", "help")]
+    rows += [(key, opt.type.__name__, "-" if opt.low is None else str(opt.low),
+              _config_value_text(opt.default) or '""', opt.help)
              for key, opt in schema.items()]
-    widths = [max(len(row[i]) for row in rows) for i in range(3)]
+    widths = [max(len(row[i]) for row in rows) for i in range(4)]
     lines = ["config keys (key=value, in the --config file or as overrides):"]
-    lines += ["  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "  " + row[3]
+    lines += ["  " + "  ".join(cell.ljust(w) for cell, w in zip(row, widths)) + "  " + row[4]
               for row in rows]
     return "\n".join(lines)
 
@@ -178,22 +184,22 @@ _COMMON = {
 }
 
 _TASK = {
-    "width": Option(int, 8, "channel width M carried between blocks"),
-    "num_blocks": Option(int, 2, "number of residual blocks"),
+    "width": Option(int, 8, "channel width M carried between blocks", low=1),
+    "num_blocks": Option(int, 2, "number of residual blocks", low=1),
     "k": Option(int, 3, "kernel extent"),
     "lam": Option(float, 5e-5, "diversity penalty weight"),
     "learning_rate": Option(float, 2e-4, "Adam learning rate"),
     "beta1": Option(float, 0.9, "Adam first-moment decay"),
     "beta2": Option(float, 0.999, "Adam second-moment decay"),
-    "epochs": Option(int, 300, "training epochs"),
-    "batch_size": Option(int, 1, "pairs per optimizer step"),
-    "seed": Option(int, 0, "master seed for init/shuffling"),
-    "bands": Option(int, 31, "cube bands"),
-    "height": Option(int, 32, "cube height"),
-    "width_px": Option(int, 32, "cube width"),
-    "endmembers": Option(int, 4, "synthetic endmember count"),
-    "train_pairs": Option(int, 1, "number of training pairs"),
-    "data_seed": Option(int, 100, "seed for synthetic cube content"),
+    "epochs": Option(int, 300, "training epochs", low=0),
+    "batch_size": Option(int, 1, "pairs per optimizer step", low=1),
+    "seed": Option(int, 0, "master seed for init/shuffling", low=0),
+    "bands": Option(int, 31, "cube bands", low=1),
+    "height": Option(int, 32, "cube height", low=1),
+    "width_px": Option(int, 32, "cube width", low=1),
+    "endmembers": Option(int, 4, "synthetic endmember count", low=1),
+    "train_pairs": Option(int, 1, "number of training pairs", low=1),
+    "data_seed": Option(int, 100, "seed for synthetic cube content", low=0),
     "noise_kind": Option(str, "gaussian", "gaussian|gaussian_blind|non_iid|stripe|deadline|impulse|mixture"),
     "sigma": Option(float, 50.0, "noise level on the 0-255 scale"),
     "sigma_min": Option(float, 30.0, "lower noise level for blind/non-iid"),
@@ -201,7 +207,7 @@ _TASK = {
     "fraction": Option(float, 0.1, "column/voxel fraction for structured noise"),
     "magnitude": Option(float, 0.25, "stripe offset bound"),
     "band_fraction": Option(float, 1.0 / 3.0, "share of bands hit by structured noise"),
-    "noise_seed": Option(int, 200, "seed for the noise draws"),
+    "noise_seed": Option(int, 200, "seed for the noise draws", low=0),
 }
 
 
@@ -279,11 +285,11 @@ RANK_AUDIT_SCHEMA = {
     **_COMMON,
     "schemes": Option(list, ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"],
                       "comma-separated scheme tokens to audit"),
-    "m": Option(int, 4, "output channels M"),
-    "c": Option(int, 4, "input channels C"),
+    "m": Option(int, 4, "output channels M", low=1),
+    "c": Option(int, 4, "input channels C", low=1),
     "k": Option(int, 3, "kernel extent"),
-    "seeds": Option(int, 10, "independent weight draws per scheme"),
-    "seed": Option(int, 0, "base RNG seed"),
+    "seeds": Option(int, 10, "independent weight draws per scheme", low=1),
+    "seed": Option(int, 0, "base RNG seed", low=0),
     "tol": Option(float, 1e-6, "relative singular-value cutoff"),
     "zero_weights": Option(bool, False, "audit all-zero weights instead of random draws"),
 }
@@ -342,14 +348,14 @@ def cmd_rank_audit(cfg: dict) -> int:
 
 GRAD_CHECK_SCHEMA = {
     **_COMMON,
-    "seed": Option(int, 0, "RNG seed"),
-    "matrices": Option(int, 20, "number of penalty-gradient test matrices"),
-    "max_rows": Option(int, 12, "max matrix rows"),
-    "max_cols": Option(int, 24, "max matrix cols"),
+    "seed": Option(int, 0, "RNG seed", low=0),
+    "matrices": Option(int, 20, "number of penalty-gradient test matrices", low=1),
+    "max_rows": Option(int, 12, "max matrix rows", low=2),
+    "max_cols": Option(int, 24, "max matrix cols", low=2),
     "net_scheme": Option(str, "res3_1d", "scheme for the network check"),
-    "width": Option(int, 4, "channel width for the network check"),
-    "num_blocks": Option(int, 2, "blocks for the network check"),
-    "samples": Option(int, 20, "sampled parameters for finite differences"),
+    "width": Option(int, 4, "channel width for the network check", low=1),
+    "num_blocks": Option(int, 2, "blocks for the network check", low=1),
+    "samples": Option(int, 20, "sampled parameters for finite differences", low=1),
     "tol": Option(float, 1e-4, "max allowed relative error"),
     "sabotage": Option(bool, False, "flip analytic gradient signs (self-test hook)"),
 }
@@ -445,10 +451,6 @@ def network_grad_max_error(
 
 
 def cmd_grad_check(cfg: dict) -> int:
-    for key, low in (("matrices", 1), ("max_rows", 2), ("max_cols", 2), ("num_blocks", 1),
-                     ("samples", 1)):
-        if cfg[key] < low:
-            raise ConfigError(f"{key} must be >= {low}, got {cfg[key]}")
     scheme = parse_scheme_token(cfg["net_scheme"])
     run_dir = make_run_dir("grad-check", cfg)
     rng = np.random.default_rng(np.random.SeedSequence((cfg["seed"], 0xDA)))
@@ -482,21 +484,18 @@ BENCH_SCHEMA = {
     **_COMMON,
     "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"],
                       "comma-separated scheme tokens to tabulate"),
-    "m": Option(int, 8, "output channels M"),
-    "c": Option(int, 8, "input channels C"),
+    "m": Option(int, 8, "output channels M", low=1),
+    "c": Option(int, 8, "input channels C", low=1),
     "k": Option(int, 3, "kernel extent"),
-    "bands": Option(int, 8, "input bands"),
-    "height": Option(int, 16, "input height"),
-    "width_px": Option(int, 16, "input width"),
+    "bands": Option(int, 8, "input bands", low=1),
+    "height": Option(int, 16, "input height", low=1),
+    "width_px": Option(int, 16, "input width", low=1),
 }
 
 
 def cmd_bench(cfg: dict) -> int:
     if not cfg["schemes"]:
         raise ConfigError("schemes list is empty")
-    for key in ("m", "c", "bands", "height", "width_px"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     run_dir = make_run_dir("bench", cfg)
     grid = cfg["bands"] * cfg["height"] * cfg["width_px"]
     rows = []
@@ -556,15 +555,13 @@ COMPARE_SCHEMA = {
     **_TASK,
     "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"],
                       "comma-separated scheme tokens to train and compare"),
-    "seeds": Option(int, 3, "matched seeds per scheme"),
+    "seeds": Option(int, 3, "matched seeds per scheme", low=1),
 }
 
 
 def cmd_compare(cfg: dict) -> int:
     if len(cfg["schemes"]) < 2:
         raise ConfigError("compare needs at least two schemes")
-    if cfg["seeds"] < 1:
-        raise ConfigError("compare needs at least one seed")
     schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
     _check_grid(cfg, schemes)
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
@@ -644,7 +641,7 @@ def cmd_compare(cfg: dict) -> int:
 SPECTRUM_SCHEMA = {
     **_COMMON,
     "input": Option(str, "", "path to a rank-4 portable tensor file"),
-    "head": Option(int, 8, "head index for the tail-mass summary"),
+    "head": Option(int, 8, "head index for the tail-mass summary", low=0),
 }
 
 

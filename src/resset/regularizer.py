@@ -14,7 +14,11 @@ the numerically nonzero part of the spectrum. For the wide,
 well-conditioned feature matrices of training it is computed from the small
 Gram matrix F F^T (Ionescu et al., ICCV 2015, "Matrix Backpropagation for
 Deep Networks with Structured Layers"); every other input falls back to a
-thin SVD.
+thin SVD. Either way it comes back as two factors, ``-(left @ right)``: the
+rows x rows matrix ``G^(-1/2)`` with ``F`` itself, or ``U_k`` with
+``V_k^T``. The taped penalty keeps only the small factor and forms the
+product once, in its backward, already scaled by the upstream gradient, so
+no rows x cols array is built in the forward pass.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ import numpy as np
 
 from .errors import NumericError
 from .tensor import UnfoldedMatrix
-from .workspace import Workspace
 
 SINGULAR_CUTOFF = 1e-12
 
@@ -32,8 +35,10 @@ SINGULAR_CUTOFF = 1e-12
 # eps ~ sqrt(N) * 2^-53 for rows of N entries (2e-14 at the toy run's
 # N = 31744). A singular value sqrt(lam) then carries a relative error of
 # about eps * lam_max / (2 * lam), and the gradient G^(-1/2) F an absolute
-# error of about eps * lam_max / lam_min. Taking the Gram path only when
-# lam_min > GRAM_MIN_RATIO * lam_max bounds both near 2e-6, 50x under the
+# error of about eps * lam_max / lam_min. Forming G^(-1/2) = U S^-1 U^T
+# before multiplying by F adds about 2^-53 * s_max / s_min, at most about
+# 2e-12 at the ratio. Taking the Gram path only when
+# lam_min > GRAM_MIN_RATIO * lam_max bounds the total near 2e-6, 50x under the
 # 1e-4 gradient tolerance of acceptance criterion 3, and keeps the toy feature
 # matrix (lam_min / lam_max ~ 3e-6) on it. Below the ratio the SVD resolves
 # what the Gram matrix cannot.
@@ -41,22 +46,22 @@ GRAM_MIN_RATIO = 1e-8
 
 
 def nuclear_penalty(
-    mat: np.ndarray, ws: Workspace | None = None
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value ``-||F||_*``, its (sub)gradient, and the singular values of ``F``.
+    mat: np.ndarray,
+) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Value ``-||F||_*``, its (sub)gradient as factors ``(left, right)`` with
+    ``grad = -(left @ right)``, and the singular values of ``F``.
 
     The gradient is ``-(F F^T)^(-1/2) F``, which equals ``-U V^T`` on a
     full-rank ``F``. A wide ``F`` whose Gram matrix passes the
     ``GRAM_MIN_RATIO`` test takes it from the eigendecomposition of the
-    rows x rows Gram matrix. Every other input (tall, zero, rank-deficient or
-    ill-conditioned) takes a thin SVD, keeping the singular values above
-    ``SINGULAR_CUTOFF`` times the largest. Singular values come back
-    non-increasing. The gradient and its rows x cols intermediate are taken
-    from ``ws`` (a private workspace without one); the gradient stays lent to
-    the caller.
+    rows x rows Gram matrix, as ``((F F^T)^(-1/2), F)``; ``F`` is returned
+    itself, not copied. Every other input (tall, zero, rank-deficient or
+    ill-conditioned) takes a thin SVD and returns ``(U_k, V_k^T)`` over the
+    singular values above ``SINGULAR_CUTOFF`` times the largest, which is
+    ``k = 0`` (a zero gradient) for the zero matrix. It does not return
+    ``U_k S_k^-1 U_k^T``: near the cutoff that form amplifies rounding by up
+    to ``s_max / s_min``. Singular values come back non-increasing.
     """
-    ws = Workspace() if ws is None else ws
-    grad = ws.take(mat.shape)
     rows, cols = mat.shape
     if 0 < rows <= cols:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
@@ -65,21 +70,12 @@ def nuclear_penalty(
             lam, u = np.linalg.eigh(gram)
             if lam[0] > GRAM_MIN_RATIO * lam[-1]:
                 s = np.sqrt(lam)
-                rotated = ws.take(mat.shape)
-                np.matmul(u.T, mat, out=rotated)
-                np.matmul(u / s, rotated, out=grad)
-                ws.give(rotated)
-                return -float(np.sum(s)), np.negative(grad, out=grad), s[::-1]
+                return -float(np.sum(s)), ((u / s) @ u.T, mat), s[::-1]
     if not np.all(np.isfinite(mat)):
         raise NumericError("cannot decompose a matrix with non-finite entries")
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    value = -float(np.sum(s))
-    if s.size == 0 or s[0] == 0.0:
-        grad.fill(0.0)
-        return value, grad, s
-    keep = s > SINGULAR_CUTOFF * s[0]
-    np.matmul(u[:, keep], vh[keep], out=grad)
-    return value, np.negative(grad, out=grad), s
+    keep = s > SINGULAR_CUTOFF * s.max(initial=0.0)
+    return -float(np.sum(s)), (u[:, keep], vh[keep]), s
 
 
 def da_reg_value(f_mat: UnfoldedMatrix) -> float:
@@ -89,4 +85,5 @@ def da_reg_value(f_mat: UnfoldedMatrix) -> float:
 
 def da_reg_grad(f_mat: UnfoldedMatrix) -> UnfoldedMatrix:
     """Subgradient -U V^T over the numerically nonzero singular values."""
-    return UnfoldedMatrix(nuclear_penalty(f_mat.data)[1])
+    left, right = nuclear_penalty(f_mat.data)[1]
+    return UnfoldedMatrix(-(left @ right))

@@ -1,8 +1,9 @@
 """A shape-keyed pool of float64 arrays that outlives the graphs it serves.
 
-``autodiff`` takes every array of a tape from a ``Workspace`` and
-``regularizer.nuclear_penalty`` its gradient; the lifetime contract is in the
-``autodiff`` module docstring.
+``autodiff`` takes every array of a tape from a ``Workspace``; the lifetime
+contract is in the ``autodiff`` module docstring. ``regularizer`` takes
+nothing from it: the penalty's gradient stays factored until the taped op's
+backward writes the product into a gradient buffer taken from here.
 """
 
 from __future__ import annotations

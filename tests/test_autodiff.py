@@ -76,6 +76,23 @@ class TestOpGradients:
         x = rng.standard_normal((2, 3, 3, 3)) + 0.05  # keep clear of the kink
         self.check_op(rng, lambda xn: ad.leaky_relu(xn, LEAKY_SLOPE), [x])
 
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_leaky_relu_backward_matches_masked_copy_bitwise(self, slope):
+        """The backward's 0/1 mask, floored at the slope and multiplied by g,
+        equals slope*g overwritten by g where x >= 0, bit for bit, at signed
+        zeros, infinities, NaN and tiny values of both x and g."""
+        x_values = np.array([-np.inf, -1.0, -0.0, 0.0, 1e-300, 1.0, np.inf, np.nan])
+        g_values = np.array([-2.5, -0.0, 0.0, 1e-300, 1.0, np.inf, -np.inf, np.nan])
+        shape = (1, x_values.size, g_values.size, 1)
+        x = np.repeat(x_values, g_values.size).reshape(shape)
+        g = np.tile(g_values, x_values.size).reshape(shape)
+        node = ad.Node(x)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the forward and the reference
+            ad.leaky_relu(node, slope).backward(g)
+            reference = g * slope
+        np.copyto(reference, g, where=x >= 0)
+        assert node.grad.view(np.uint64).tolist() == reference.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("slope", [-0.1, 1.5])
     def test_leaky_relu_rejects_slope_outside_unit_interval(self, slope):
         """The rectifier is max(x, slope*x), which is the leaky rectifier only

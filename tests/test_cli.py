@@ -265,7 +265,8 @@ class TestSpectrumCommand:
 class TestExitCodes:
     SMALL = ["bands=8", "width_px=12", "epochs=1", "width=4", "num_blocks=1"]
     # keeps a wrongly accepted value from running a full-size command
-    QUICK = {"train": [*SMALL, "height=12"], "grad-check": ["matrices=1", "samples=1"]}
+    QUICK = {"train": [*SMALL, "height=12"], "compare": [*SMALL, "height=12", "seeds=1"],
+             "grad-check": ["matrices=1", "samples=1"]}
 
     def test_grid_below_similarity_window_is_usage_error(self, tmp_path, monkeypatch):
         def no_training(*_args, **_kwargs):
@@ -334,6 +335,27 @@ class TestExitCodes:
         assert run_cli(tmp_path, command, *self.QUICK.get(command, []), bad) == 2
         assert not list(Path(tmp_path).iterdir())  # rejected before any run directory
 
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            pytest.param("train", ["seed=-1"], id="train-seed"),
+            pytest.param("train", ["data_seed=-1"], id="train-data_seed"),
+            pytest.param("train", ["noise_seed=-5"], id="train-noise_seed"),
+            pytest.param("grad-check", ["seed=-1"], id="grad_check-seed"),
+            pytest.param("rank-audit", ["seed=-1"], id="rank_audit-seed"),
+            pytest.param("train", ["train_pairs=-1"], id="train-train_pairs"),
+            pytest.param("compare", ["train_pairs=-1", "schemes=conv3d,res3_1d"],
+                         id="compare-train_pairs"),
+        ],
+    )
+    def test_below_schema_bound_is_usage_error(self, tmp_path, capsys, command, bad):
+        """Negative seeds and pair counts are refused by the schema's lower
+        bound, before any data, run directory or traceback."""
+        assert run_cli(tmp_path, command, *self.QUICK.get(command, []), *bad) == 2
+        key = bad[0].split("=")[0]
+        assert f"usage error: {key} must be >= " in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
         cfg.write_bytes(b"schemes=conv3d\nseeds=\xff\xfe2\n")
@@ -363,4 +385,5 @@ def test_help_lists_every_config_key(capsys, command):
     for key, option in schema.items():
         row = next(line.split() for line in lines if line.split()[:1] == [key])
         assert row[1] == option.type.__name__
-        assert option.help and " ".join(row[3:]) == option.help
+        assert row[2] == ("-" if option.low is None else str(option.low))
+        assert option.help and " ".join(row[4:]) == option.help

@@ -47,6 +47,12 @@ def svd_oracle(mat):
     return -float(np.sum(s)), -(u[:, keep] @ vh[keep, :])
 
 
+def penalty_with_gradient(mat):
+    """``nuclear_penalty`` with its gradient factors multiplied out."""
+    value, (left, right), s = regularizer.nuclear_penalty(mat)
+    return value, -(left @ right), s
+
+
 def fd_gradient(mat, step=1e-5):
     out = np.zeros_like(mat)
     for i in range(mat.shape[0]):
@@ -151,7 +157,7 @@ class TestPenaltyPaths:
     )
     def test_matches_svd_oracle_on_the_expected_path(self, rng, svd_calls, gram, build, tol):
         mat = build(rng)
-        value, grad, s = regularizer.nuclear_penalty(mat)
+        value, grad, s = penalty_with_gradient(mat)
         assert svd_calls == ([] if gram else [mat.shape])
         oracle_value, oracle_grad = svd_oracle(mat)
         assert value == pytest.approx(oracle_value, rel=1e-12, abs=0.0)
@@ -168,7 +174,7 @@ class TestPenaltyPaths:
         feature = net.forward_tape(cube_to_feature(noisy).data).feature.data
         mat = feature.reshape(feature.shape[0], -1)
         assert mat.shape == (24, 31744)
-        _, grad, _ = regularizer.nuclear_penalty(mat)
+        _, grad, _ = penalty_with_gradient(mat)
         assert svd_calls == []
         np.testing.assert_allclose(grad, svd_oracle(mat)[1], rtol=0.0, atol=1e-10)
 
@@ -177,6 +183,41 @@ class TestPenaltyPaths:
         mat[0, 1] = np.nan
         with pytest.raises(NumericError):
             regularizer.nuclear_penalty(mat)
+
+    # (case, takes the Gram path, feature volume builder)
+    TAPED_CASES = [
+        ("gram", True, lambda rng: gap_separated(rng, 6, 60).reshape(6, 3, 4, 5)),
+        ("rank_deficient", False,
+         lambda rng: with_spectrum(rng, 4, 10, [3.0, 1.0]).reshape(4, 1, 2, 5)),
+        ("tall", False, lambda rng: gap_separated(rng, 10, 4).reshape(10, 1, 2, 2)),
+    ]
+
+    @pytest.mark.parametrize(
+        "gram, build", [c[1:] for c in TAPED_CASES], ids=[c[0] for c in TAPED_CASES]
+    )
+    def test_taped_gradient_matches_svd_oracle(self, rng, svd_calls, gram, build):
+        """The factored gradient, multiplied out in backward and scaled by the
+        upstream gradient, is -U V^T of an in-test thin SVD."""
+        x = build(rng)
+        rows = x.shape[0]
+        node = ad.Node(x)
+        loss = ad.diversity_penalty(node)
+        assert svd_calls == ([] if gram else [(rows, x.size // rows)])
+        loss.backward(np.float64(0.25))
+        oracle = 0.25 * svd_oracle(x.reshape(rows, -1))[1]
+        error = np.max(np.abs(node.grad.reshape(rows, -1) - oracle))
+        assert error <= 1e-10 * np.max(np.abs(oracle))
+
+    def test_gram_path_tape_holds_no_unfolded_array(self, rng):
+        """On the Gram path the node owns no rows x cols array, and its
+        backward holds none but the feature it reads."""
+        x = rng.standard_normal((6, 3, 4, 5))
+        loss = ad.diversity_penalty(ad.Node(x))
+        assert all(a.size < x.size for a in loss._owned)
+        held = [c.cell_contents for c in loss._backward.__closure__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert any(a.shape == (6, 6) for a in arrays)  # the factor G^(-1/2)
+        assert all(a.size < x.size or np.shares_memory(a, x) for a in arrays)
 
     def test_autodiff_and_regularizer_share_one_gradient(self, rng):
         x = rng.standard_normal((6, 3, 4, 5))
@@ -192,7 +233,7 @@ class TestCombined:
     def test_da_reg_bundles_value_grad_spectrum(self, rng):
         """One decomposition gives the value, the gradient and the spectrum."""
         mat = gap_separated(rng, 4, 6)
-        value, grad, s = regularizer.nuclear_penalty(mat)
+        value, grad, s = penalty_with_gradient(mat)
         assert value == da_reg_value(UnfoldedMatrix(mat))
         np.testing.assert_array_equal(grad, da_reg_grad(UnfoldedMatrix(mat)).data)
         np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False), rtol=1e-12)

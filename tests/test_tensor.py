@@ -160,7 +160,8 @@ class TestSvd:
         and orthonormal columns on a tall one, and <U V^T, F> = ||F||_*."""
         mat = rng.standard_normal((5, 8))
         for draw in (mat, mat.T):
-            value, grad, s = nuclear_penalty(draw)
+            value, (left, right), s = nuclear_penalty(draw)
+            grad = -(left @ right)
             small = grad @ grad.T if draw.shape[0] <= draw.shape[1] else grad.T @ grad
             np.testing.assert_allclose(small, np.eye(5), atol=1e-8)
             assert np.sum(grad * draw) == pytest.approx(value, rel=1e-10)

@@ -1,6 +1,7 @@
 """Adam updates, the denoising loss, and the training loop contracts."""
 
 import weakref
+from math import prod
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from resset import (
     train_denoiser,
 )
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature
+from resset.schemes import pre_compression_channels
 from resset import autodiff as ad
 from resset.train import AdamState, training_loss
 
@@ -240,3 +242,24 @@ class TestTrainingWorkspace:
         train_denoiser(cfg, identity_task())
         assert len(misses) == 5 and misses[0] > 0
         assert misses[1:] == [0, 0, 0, 0]
+
+    def test_penalty_takes_no_unfolded_feature_array(self, monkeypatch):
+        """Penalized res3_1d steps never take an array shaped like the
+        unfolded feature (rows, B*H*W): the penalty's gradient stays factored
+        until its backward writes it into the feature's gradient."""
+        data = identity_task()
+        cfg = small_config(epochs=3, lam=5e-5)
+        noisy = data.pairs[0][0].data
+        unfolded = (pre_compression_channels(RES3, cfg.width), prod(noisy.shape[1:]))
+        shapes: list[tuple[int, ...]] = []
+        take = ad.Workspace.take
+
+        def recorded_take(self, shape):
+            shapes.append(tuple(shape))
+            return take(self, shape)
+
+        monkeypatch.setattr(ad.Workspace, "take", recorded_take)
+        report = train_denoiser(cfg, data)
+        assert all(r < 0.0 for r in report.reg_terms)  # the penalty ran every step
+        assert (unfolded[0], *noisy.shape[1:]) in shapes  # the feature itself is taped
+        assert unfolded not in shapes
