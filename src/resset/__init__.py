@@ -6,7 +6,6 @@ from .errors import (
     DegenerateKernel,
     InvalidKernel,
     NonFiniteLoss,
-    NotJointlyRepresentable,
     NumericError,
     RessetError,
     ShapeError,

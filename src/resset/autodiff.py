@@ -321,14 +321,22 @@ def diversity_penalty(x: Node) -> Node:
     ``regularizer.nuclear_penalty``). The node keeps only the factors: on the
     Gram path a rows x rows matrix and the unfolding of ``x``, which is on
     the tape already. Its backward forms ``(-g * left) @ right`` in one
-    matrix product, written straight into the input's gradient array.
+    matrix product, written straight into the input's gradient array. A
+    non-contiguous ``x`` (a convolution's cropped output) is unfolded into a
+    workspace array that the node owns, not into a fresh copy.
     """
     ws = x.ws
     rows = x.data.shape[0]
-    value, (left, right), _ = nuclear_penalty(x.data.reshape(rows, -1))
+    if x.data.flags.c_contiguous:
+        mat, owned = x.data.reshape(rows, -1), ()
+    else:
+        mat = ws.take((rows, x.data.size // rows))
+        np.copyto(mat.reshape(x.data.shape), x.data)
+        owned = (mat,)
+    value, (left, right), _ = nuclear_penalty(mat)
     y = ws.take(())
     y[...] = value
-    out = Node(y, parents=(x,), ws=ws, owned=(y,))
+    out = Node(y, parents=(x,), ws=ws, owned=(y, *owned))
 
     def _backward(g):
         gx = ws.take(x.data.shape)

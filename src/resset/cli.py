@@ -563,6 +563,9 @@ def cmd_compare(cfg: dict) -> int:
     if len(cfg["schemes"]) < 2:
         raise ConfigError("compare needs at least two schemes")
     schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
+    repeated = sorted({s.token for s in schemes if schemes.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"compare names {', '.join(repeated)} more than once")
     _check_grid(cfg, schemes)
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
     train_config_from(cfg, schemes[0], 0, cfg["lam"])  # training settings fail here, not per cell

@@ -21,10 +21,6 @@ class NumericError(RessetError):
     """Non-finite values where finite ones are required."""
 
 
-class NotJointlyRepresentable(RessetError):
-    """Sequential schemes have no single joint kernel matrix."""
-
-
 class ConfigError(RessetError):
     """Invalid or inconsistent configuration."""
 

@@ -85,6 +85,8 @@ class NoiseSpec:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+        if not 0.0 <= self.magnitude < float("inf"):
+            raise ConfigError(f"magnitude must be finite and >= 0, got {self.magnitude}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .schemes import (
     KernelScheme,
     branch_extents,
     expected_weight_shapes,
-    pre_compression_channels,
+    rank_upper_bound,
     set_forward,
 )
 from .tensor import read_tensor, write_tensor
@@ -74,7 +74,7 @@ class Network:
             for j, shape in enumerate(expected_weight_shapes(scheme, width, width)):
                 self._register(f"b{i}.w{j}", self._kaiming(rng, shape))
             if scheme.is_parallel:
-                pre = pre_compression_channels(scheme, width)
+                pre = rank_upper_bound(scheme, width)
                 self._register(f"b{i}.compress", self._kaiming(rng, (width, pre)))
             self._register(
                 f"b{i}.aggregate",

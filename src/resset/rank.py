@@ -1,9 +1,10 @@
-"""Rank bounds, kernel-matrix rank audits, and feature singular spectra.
+"""Kernel-matrix rank audits and feature singular spectra.
 
-The joint kernel matrix of each scheme caps the rank of the output feature
-matrix at its own rank, which in turn is capped by the smaller of its row
-count and its structurally nonzero column count. Audits draw random weights
-and check that generic draws actually reach that cap.
+The joint kernel matrix of each scheme, chains included, caps the rank of
+the output feature matrix at its own rank, which in turn is capped by the
+smaller of its row count (``schemes.rank_upper_bound``) and its structurally
+nonzero column count. Audits draw random weights and check that generic
+draws actually reach that cap.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .schemes import (
     KernelScheme,
     KernelSet,
     build_kernel_matrix,
-    pre_compression_channels,
     random_kernel_set,
+    rank_upper_bound,
     valid_column_count,
 )
 from .tensor import FeatureMap, numeric_rank
@@ -53,12 +54,6 @@ class Spectrum:
     @property
     def is_empty(self) -> bool:
         return self.values.size == 0
-
-
-def rank_upper_bound(scheme: KernelScheme, m: int) -> int:
-    """Row-count bound on the rank of the scheme's output feature matrix: the
-    channels the scheme produces before any 1x1x1 compression."""
-    return pre_compression_channels(scheme, m)
 
 
 def audit_kernel_rank(

@@ -8,7 +8,9 @@ block (see ``network.py``) follows a parallel set with a 1x1x1 compression
 back to the nominal channel count.
 
 All convolutions use stride 1 and symmetric "same" zero padding, so spatial
-and spectral extents are preserved everywhere.
+and spectral extents are preserved everywhere. Every scheme, chains included,
+has one joint kernel matrix that maps the unfolded k^3*C patches to the set's
+output channels.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import prod
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NotJointlyRepresentable, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .tensor import FeatureMap, UnfoldedMatrix
 
 LEAKY_SLOPE = 0.2
@@ -82,15 +84,15 @@ class KernelScheme:
 
     @property
     def is_res3(self) -> bool:  # a ReS³ set: one parallel branch per axis
-        return self.jointly_representable and len(_LAYOUTS[self.variant][0]) == 3
+        return not self.chained and len(_LAYOUTS[self.variant][0]) == 3
 
     @property
     def is_parallel(self) -> bool:  # several branches, so a block compresses them
-        return self.jointly_representable and len(_LAYOUTS[self.variant][0]) > 1
+        return not self.chained and len(_LAYOUTS[self.variant][0]) > 1
 
     @property
-    def jointly_representable(self) -> bool:
-        return not _LAYOUTS[self.variant][1]
+    def chained(self) -> bool:  # stages applied one after another
+        return _LAYOUTS[self.variant][1]
 
     @property
     def token(self) -> str:
@@ -115,22 +117,21 @@ def branch_extents(scheme: KernelScheme) -> tuple[tuple[int, int, int], ...]:
 def expected_weight_shapes(scheme: KernelScheme, m: int, c: int) -> tuple[tuple[int, ...], ...]:
     """Compact weight-array shapes per branch (or per sequential stage). Every
     parallel branch maps C to L*M channels; a chain maps C to M, then M to M."""
-    chained = _LAYOUTS[scheme.variant][1]
     shapes = []
     for i, extents in enumerate(branch_extents(scheme)):
         taps = tuple(e for e in extents if e > 1) or (1,)
-        out_ch = m if chained else scheme.L * m
-        in_ch = m if chained and i > 0 else c
+        out_ch = m if scheme.chained else scheme.L * m
+        in_ch = m if scheme.chained and i > 0 else c
         shapes.append((out_ch, in_ch) + taps)
     return tuple(shapes)
 
 
-def pre_compression_channels(scheme: KernelScheme, m: int) -> int:
-    """Channel count produced by the scheme before any 1x1x1 compression: the
-    summed outputs of the parallel branches, or M for a chain."""
-    if _LAYOUTS[scheme.variant][1]:
-        return m
-    return sum(shape[0] for shape in expected_weight_shapes(scheme, m, m))
+def rank_upper_bound(scheme: KernelScheme, m: int) -> int:
+    """Row count of the scheme's joint kernel matrix, which bounds the rank of
+    its output feature matrix: the channels the scheme produces before any
+    1x1x1 compression, L*M per parallel branch or M for a whole chain."""
+    windows, chained = _LAYOUTS[scheme.variant]
+    return m if chained else len(windows) * scheme.L * m
 
 
 def param_count(scheme: KernelScheme, m: int, c: int) -> int:
@@ -141,7 +142,7 @@ def param_count(scheme: KernelScheme, m: int, c: int) -> int:
 def compression_param_count(scheme: KernelScheme, m: int) -> int:
     """Weights in the 1x1x1 compression layer (zero for single-path schemes)."""
     if scheme.is_parallel:
-        return m * pre_compression_channels(scheme, m)
+        return m * rank_upper_bound(scheme, m)
     return 0
 
 
@@ -195,53 +196,51 @@ def zero_kernel_set(scheme: KernelScheme, m: int, c: int) -> KernelSet:
     return KernelSet(scheme, m, c, weights)
 
 
-def _tap_offsets(extents: tuple[int, int, int], k: int) -> list[tuple[int, int, int]]:
-    """Offsets a branch touches inside the virtual k x k x k window."""
-    mid = k // 2
-    axes = [range(e) if e > 1 else (mid,) for e in extents]
-    return [(db, dh, dw) for db in axes[0] for dh in axes[1] for dw in axes[2]]
+def _window(extents: tuple[int, ...], k: int) -> tuple[slice, ...]:
+    """Slices of a k x k x k window that centre a kernel of these extents."""
+    return tuple(slice((k - e) // 2, (k + e) // 2) for e in extents)
 
 
 def build_kernel_matrix(ks: KernelSet) -> UnfoldedMatrix:
     """Assemble the joint zero-replenished kernel matrix of shape rows x k^3*C.
 
-    Rows stack the parallel branches in their fixed order; each row places its
-    branch weights on exactly the columns whose (channel, band, row, column)
-    offsets the branch touches. Sequential schemes have no such joint matrix.
+    Each row block is one (out, C, *extents) kernel embedded, centred, in a
+    zero k x k x k window: a parallel branch's weights, in branch order, or a
+    whole chain. A chain's stages act on disjoint axes, so their composition
+    is their per-axis product and the chain is one same-padded convolution
+    with it, borders included. Columns follow ``tensor.unfold_patches``.
     """
-    scheme, m, c = ks.scheme, ks.out_channels, ks.in_channels
-    if not scheme.jointly_representable:
-        raise NotJointlyRepresentable(f"{scheme.token} is a sequential composition")
-    k = scheme.k
-    rows = pre_compression_channels(scheme, m)
-    mat = np.zeros((rows, c * k**3))
-    row0 = 0
-    for w, extents in zip(ks.weights, branch_extents(scheme)):
-        out_ch = w.shape[0]
-        flat = w.reshape(out_ch, w.shape[1], -1)  # (out, C, taps)
-        for t, (db, dh, dw) in enumerate(_tap_offsets(extents, k)):
-            col = ((np.arange(c) * k + db) * k + dh) * k + dw
-            mat[row0 : row0 + out_ch, col] = flat[:, :, t]
-        row0 += out_ch
-    return UnfoldedMatrix(mat)
+    scheme, k = ks.scheme, ks.scheme.k
+    kernels = [w.reshape(w.shape[:2] + e) for w, e in zip(ks.weights, branch_extents(scheme))]
+    if scheme.chained:
+        composed = kernels[0]
+        for stage in kernels[1:]:
+            composed = (stage[:, :, None] * composed[None]).sum(axis=1)
+        kernels = [composed]
+    blocks = [np.zeros(kernel.shape[:2] + (k, k, k)) for kernel in kernels]
+    for block, kernel in zip(blocks, kernels):
+        block[(...,) + _window(kernel.shape[2:], k)] = kernel
+    joint = np.concatenate(blocks)
+    return UnfoldedMatrix(joint.reshape(len(joint), -1))
 
 
 def valid_column_count(scheme: KernelScheme, c: int) -> int:
     """Columns of the joint kernel matrix with any structurally nonzero entry."""
-    if not scheme.jointly_representable:
-        raise NotJointlyRepresentable(f"{scheme.token} is a sequential composition")
-    offsets = set()
-    for extents in branch_extents(scheme):
-        offsets.update(_tap_offsets(extents, scheme.k))
-    return len(offsets) * c
+    k, blocks = scheme.k, branch_extents(scheme)
+    if scheme.chained:  # one row block, spanning every axis a stage spans
+        blocks = (tuple(map(max, zip(*blocks))),)
+    support = np.zeros((k, k, k), dtype=bool)
+    for extents in blocks:
+        support[_window(extents, k)] = True
+    return int(support.sum()) * c
 
 
 def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.Node:
-    """Taped convolution set: joint schemes concatenate their branches along
+    """Taped convolution set: parallel schemes concatenate their branches along
     the channel axis in the fixed branch order; sequential schemes chain their
     stages without intermediate nonlinearities."""
     extents = branch_extents(scheme)
-    if scheme.jointly_representable:
+    if not scheme.chained:
         parts = [ad.branch_conv(w, x, e) for w, e in zip(weights, extents)]
         return parts[0] if len(parts) == 1 else ad.concat_channels(parts)
     for w, e in zip(weights, extents):

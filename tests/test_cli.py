@@ -45,6 +45,14 @@ class TestRankAuditCommand:
         assert run_cli(tmp_path, "rank-audit", "seeds=0") == 2
         assert not list(Path(tmp_path).iterdir())
 
+    def test_chains_reach_rank_m(self, tmp_path):
+        code = run_cli(tmp_path, "rank-audit", "schemes=seq1d,seq1d2d", "m=4", "c=4", "seeds=5")
+        assert code == 0
+        rows = read_rows(only_run_dir(tmp_path, "rank-audit") / "audit.csv")
+        assert len(rows) == 10
+        assert all(row["predicted_bound"] == "4" and row["valid_columns"] == "108" for row in rows)
+        assert all(row["measured_rank"] == "4" and row["achieved"] == "true" for row in rows)
+
     def test_zero_weight_injection(self, tmp_path):
         code = run_cli(tmp_path, "rank-audit", "schemes=conv3d,res3_1d", "seeds=3",
                        "zero_weights=true")
@@ -216,6 +224,18 @@ class TestCompareCommand:
     def test_needs_two_schemes(self, tmp_path):
         assert run_cli(tmp_path, "compare", "schemes=conv3d") == 2
 
+    @pytest.mark.parametrize("schemes", ["conv3d,conv3d", "res3_1d,res3_1d_l1", "res3_1d,conv3d,RES3_1D"])
+    def test_one_scheme_named_twice_is_usage_error(self, tmp_path, capsys, monkeypatch, schemes):
+        """Two tokens for one scheme would train it twice and average both
+        copies; compare refuses them before any data or run directory."""
+        def no_data(*_args, **_kwargs):
+            raise AssertionError("data synthesized for a duplicated scheme list")
+
+        monkeypatch.setattr(cli, "build_training_data", no_data)
+        assert run_cli(tmp_path, "compare", f"schemes={schemes}", "seeds=1") == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
     def test_rerun_reproduces_results_bytes(self, tmp_path):
         args = ["compare", "schemes=conv3d,res3_1d", "seeds=2", "bands=8", "height=12",
                 "width_px=12", "epochs=1", "width=4", "num_blocks=1"]
@@ -354,6 +374,14 @@ class TestExitCodes:
         assert run_cli(tmp_path, command, *self.QUICK.get(command, []), *bad) == 2
         key = bad[0].split("=")[0]
         assert f"usage error: {key} must be >= " in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_negative_stripe_magnitude_is_usage_error(self, tmp_path, capsys, command):
+        extra = ["schemes=conv3d,res3_1d"] if command == "compare" else []
+        assert run_cli(tmp_path, command, *self.QUICK[command], *extra, "noise_kind=stripe",
+                       "magnitude=-1") == 2
+        assert "magnitude must be" in capsys.readouterr().err
         assert not list(Path(tmp_path).iterdir())
 
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):

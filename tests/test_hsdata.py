@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resset import (
+    ConfigError,
     HSCube,
     NoiseKind,
     NoiseSpec,
@@ -103,6 +104,16 @@ class TestAddNoise:
             col_spread = diff[b].max(axis=0) - diff[b].min(axis=0)
             np.testing.assert_allclose(col_spread, 0.0, atol=1e-12)  # constant per column
             assert np.all(np.abs(diff[b]) <= 0.25 + 1e-12)
+
+    @pytest.mark.parametrize("magnitude", [-1.0, -1e-12, np.inf, np.nan])
+    def test_magnitude_outside_finite_non_negative_rejected(self, magnitude):
+        with pytest.raises(ConfigError, match="magnitude"):
+            NoiseSpec(kind=NoiseKind.STRIPE, magnitude=magnitude)
+
+    def test_zero_magnitude_stripes_leave_cube_unchanged(self):
+        cube = synth_cube(10, 4, 12, 12)
+        out = add_noise(cube, NoiseSpec(kind=NoiseKind.STRIPE, magnitude=0.0, seed=11))
+        np.testing.assert_array_equal(out.data, cube.data)
 
     def test_blind_sigma_within_range(self):
         cube = synth_cube(12, 16, 48, 48)

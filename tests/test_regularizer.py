@@ -219,6 +219,24 @@ class TestPenaltyPaths:
         assert any(a.shape == (6, 6) for a in arrays)  # the factor G^(-1/2)
         assert all(a.size < x.size or np.shares_memory(a, x) for a in arrays)
 
+    def test_non_contiguous_feature_unfolds_into_an_owned_workspace_array(self, rng):
+        """A cropped view is copied into a workspace array the node owns, and
+        gives the same value and gradient, bit for bit, as its contiguous copy;
+        a contiguous feature is read in place."""
+        base = rng.standard_normal((6, 3, 5, 7))
+        view = base[:, :, :4, :5]
+        results = []
+        for x in (view, np.ascontiguousarray(view)):
+            node = ad.Node(x)
+            loss = ad.diversity_penalty(node)
+            unfolded = [a for a in loss._owned if a.shape == (6, view.size // 6)]
+            assert len(unfolded) == (0 if x.flags.c_contiguous else 1)
+            loss.backward(np.float64(0.5))
+            results.append((loss.data.copy(), node.grad.copy()))
+        (value, grad), (value_c, grad_c) = results
+        np.testing.assert_array_equal(value, value_c)
+        np.testing.assert_array_equal(grad, grad_c)
+
     def test_autodiff_and_regularizer_share_one_gradient(self, rng):
         x = rng.standard_normal((6, 3, 4, 5))
         node = ad.Node(x)

@@ -9,7 +9,6 @@ from resset import (
     KernelScheme,
     KernelSet,
     Network,
-    NotJointlyRepresentable,
     SchemeVariant,
     ShapeError,
     build_kernel_matrix,
@@ -34,10 +33,10 @@ from resset.schemes import (
     expected_weight_shapes,
 )
 
-from conv_oracles import tap_loop_conv, tap_loop_set, tap_loop_weight_grad
+from conv_oracles import tap_loop_conv, tap_loop_set, tap_loop_weight_grad, tap_placement_matrix
 
 ALL_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "seq1d", "seq1d2d", "par1d2d"]
-JOINT_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"]
+UNCHAINED_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"]
 
 
 def conv3d_loop_oracle(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -110,11 +109,16 @@ class TestSchemeTable:
     @pytest.mark.parametrize("m", [1, 4])
     def test_rank_bound_is_the_joint_matrix_row_count(self, rng, token, m):
         scheme = parse_scheme_token(token)
-        if not scheme.jointly_representable:
-            assert rank_upper_bound(scheme, m) == m
-            return
         ks = random_kernel_set(scheme, m, 2, rng)
         assert rank_upper_bound(scheme, m) == build_kernel_matrix(ks).rows
+
+    @pytest.mark.parametrize("variant", [v for v, (_, chained) in _LAYOUTS.items() if chained])
+    def test_chained_stages_act_on_disjoint_axes(self, variant):
+        """A chain composes into its stages' per-axis product only because no
+        two stages span the same axis."""
+        windows, _ = _LAYOUTS[variant]
+        spans = [{axis for axis, tap in enumerate(w) if tap == "k"} for w in windows]
+        assert sum(len(span) for span in spans) == len(set().union(*spans))
 
     @pytest.mark.parametrize("token", ALL_TOKENS)
     def test_parallel_bound_sums_branch_outputs(self, token):
@@ -191,15 +195,15 @@ class TestBuildKernelMatrix:
         bottom = build_kernel_matrix(one_d_only).data[3:]
         np.testing.assert_array_equal(mat.data, np.vstack([top, bottom]))
 
-    def test_sequential_schemes_rejected(self, rng):
-        for token in ("seq1d", "seq1d2d"):
-            ks = random_kernel_set(parse_scheme_token(token), 3, 3, rng)
-            with pytest.raises(NotJointlyRepresentable):
-                build_kernel_matrix(ks)
+    @pytest.mark.parametrize("token", UNCHAINED_TOKENS)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_unchained_matrices_match_tap_placement(self, rng, token, k):
+        ks = random_kernel_set(parse_scheme_token(token, k=k), 3, 2, rng)
+        np.testing.assert_array_equal(build_kernel_matrix(ks).data, tap_placement_matrix(ks))
 
     def test_valid_columns_per_scheme(self):
         expected = {"conv3d": 27, "res3_2d": 19, "res3_1d": 7, "res3_1d_l2": 7,
-                    "res3_1dx3": 7, "par1d2d": 11}
+                    "res3_1dx3": 7, "seq1d": 27, "seq1d2d": 27, "par1d2d": 11}
         for token, per_channel in expected.items():
             scheme = parse_scheme_token(token)
             for c in (1, 4):
@@ -234,7 +238,7 @@ class TestConvForward:
 
     def test_all_joint_schemes_match_matmul_path(self, rng):
         x = FeatureMap(rng.standard_normal((2, 4, 4, 5)))
-        for token in JOINT_TOKENS:
+        for token in UNCHAINED_TOKENS:
             scheme = parse_scheme_token(token)
             ks = random_kernel_set(scheme, 3, 2, rng)
             direct = conv_forward(ks, x).data
@@ -242,6 +246,18 @@ class TestConvForward:
             folded = fold_channels(joint, 4, 4, 5).data
             rel = np.linalg.norm(direct - folded) / np.linalg.norm(folded)
             assert rel < 1e-10, token
+
+    @pytest.mark.parametrize("token", ["seq1d", "seq1d2d"])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_chains_match_matmul_path(self, rng, token, k):
+        """A chain's composed kernel matrix times the unfolded patches is the
+        chained convolution, at the borders too."""
+        x = FeatureMap(rng.standard_normal((2, 4, 4, 5)))
+        ks = random_kernel_set(parse_scheme_token(token, k=k), 3, 2, rng)
+        direct = conv_forward(ks, x).data
+        joint = matmul(build_kernel_matrix(ks), unfold_patches(x, (k, k, k)))
+        folded = fold_channels(joint, 4, 4, 5).data
+        assert np.linalg.norm(direct - folded) <= 1e-10 * np.linalg.norm(folded)
 
     def test_delta_kernels_reproduce_input(self):
         scheme = parse_scheme_token("res3_1d")

@@ -18,7 +18,7 @@ from resset import (
     train_denoiser,
 )
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature
-from resset.schemes import pre_compression_channels
+from resset.schemes import rank_upper_bound
 from resset import autodiff as ad
 from resset.train import AdamState, training_loss
 
@@ -215,7 +215,7 @@ class TestTrainingWorkspace:
         train_denoiser(small_config(epochs=3, lam=5e-5), identity_task())
         assert len(outputs) == 4  # three steps and the evaluation
 
-    @pytest.mark.parametrize("token, lam", [("conv3d", 0.0), ("res3_1d", 5e-5)])
+    @pytest.mark.parametrize("token, lam", [("conv3d", 0.0), ("conv3d", 5e-5), ("res3_1d", 5e-5)])
     def test_no_new_arrays_after_first_step(self, monkeypatch, token, lam):
         """Count workspace misses (a take that returns an array never handed
         out before) per forward pass; only the first may have any."""
@@ -243,6 +243,33 @@ class TestTrainingWorkspace:
         assert len(misses) == 5 and misses[0] > 0
         assert misses[1:] == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("token", ["conv3d", "seq1d", "seq1d2d", "res3_1d", "par1d2d"])
+    def test_penalty_reads_a_workspace_array(self, monkeypatch, token):
+        """Every matrix the penalty decomposes lies in an array the run's
+        workspace lent: the feature itself when it is contiguous, else the
+        copy of a convolution's cropped output that the penalty node owns."""
+        lent: dict[int, np.ndarray] = {}  # keeps every array alive, so ids stay unique
+        unfolded: list[np.ndarray] = []
+        take, penalty = ad.Workspace.take, ad.nuclear_penalty
+
+        def recorded_take(self, shape):
+            array = take(self, shape)
+            lent[id(array)] = array
+            return array
+
+        def recorded_penalty(mat):
+            unfolded.append(mat)
+            return penalty(mat)
+
+        monkeypatch.setattr(ad.Workspace, "take", recorded_take)
+        monkeypatch.setattr(ad, "nuclear_penalty", recorded_penalty)
+        train_denoiser(small_config(epochs=3, lam=5e-5, scheme=parse_scheme_token(token)),
+                       identity_task())
+        assert len(unfolded) == 3
+        for mat in unfolded:
+            owner = mat if mat.base is None else mat.base
+            assert id(owner) in lent
+
     def test_penalty_takes_no_unfolded_feature_array(self, monkeypatch):
         """Penalized res3_1d steps never take an array shaped like the
         unfolded feature (rows, B*H*W): the penalty's gradient stays factored
@@ -250,7 +277,7 @@ class TestTrainingWorkspace:
         data = identity_task()
         cfg = small_config(epochs=3, lam=5e-5)
         noisy = data.pairs[0][0].data
-        unfolded = (pre_compression_channels(RES3, cfg.width), prod(noisy.shape[1:]))
+        unfolded = (rank_upper_bound(RES3, cfg.width), prod(noisy.shape[1:]))
         shapes: list[tuple[int, ...]] = []
         take = ad.Workspace.take
 
