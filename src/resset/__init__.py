@@ -49,6 +49,7 @@ from .schemes import (
     parse_scheme_token,
     random_kernel_set,
     valid_column_count,
+    valid_columns,
     zero_kernel_set,
 )
 from .tensor import (

@@ -273,6 +273,16 @@ def train_config_from(cfg: dict, scheme: KernelScheme, seed: int, lam: float) ->
     )
 
 
+def _distinct_schemes(command: str, cfg: dict) -> list[KernelScheme]:
+    """Parse the ``schemes`` tokens, refusing two that name one scheme: it
+    would run twice and both row sets would carry its one token."""
+    schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
+    repeated = sorted({s.token for s in schemes if schemes.count(s) > 1})
+    if repeated:
+        raise ConfigError(f"{command} names {', '.join(repeated)} more than once")
+    return schemes
+
+
 def _spectrum_rows(spectrum: Spectrum) -> list[list]:
     return [[i, float(v)] for i, v in enumerate(spectrum.values)]
 
@@ -300,8 +310,7 @@ def cmd_rank_audit(cfg: dict) -> int:
         raise ConfigError("schemes list is empty")
     rows = []
     violation = False
-    for token in cfg["schemes"]:
-        scheme = parse_scheme_token(token, k=cfg["k"])
+    for scheme in _distinct_schemes("rank-audit", cfg):
         ks = zero_kernel_set(scheme, cfg["m"], cfg["c"])
         audit = audit_kernel_rank(
             ks,
@@ -562,10 +571,7 @@ COMPARE_SCHEMA = {
 def cmd_compare(cfg: dict) -> int:
     if len(cfg["schemes"]) < 2:
         raise ConfigError("compare needs at least two schemes")
-    schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
-    repeated = sorted({s.token for s in schemes if schemes.count(s) > 1})
-    if repeated:
-        raise ConfigError(f"compare names {', '.join(repeated)} more than once")
+    schemes = _distinct_schemes("compare", cfg)
     _check_grid(cfg, schemes)
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
     train_config_from(cfg, schemes[0], 0, cfg["lam"])  # training settings fail here, not per cell

@@ -20,9 +20,9 @@ from .schemes import (
     build_kernel_matrix,
     random_kernel_set,
     rank_upper_bound,
-    valid_column_count,
+    valid_columns,
 )
-from .tensor import FeatureMap, numeric_rank
+from .tensor import FeatureMap, UnfoldedMatrix, numeric_rank
 
 AUDIT_RANK_TOL = 1e-6
 
@@ -67,13 +67,17 @@ def audit_kernel_rank(
 
     Each seed redraws standard-normal weights with the structure of ``ks``;
     with ``zero_weights`` the draws are replaced by all-zero weights, which
-    pins the measured rank at zero.
+    pins the measured rank at zero. Each draw's rank is that of its rows x
+    ``schemes.valid_columns`` submatrix. The columns left out are exactly
+    zero, so dropping them leaves K K^T, and with it every singular value,
+    unchanged: the decomposition is smaller, not approximate.
     """
     if seeds < 1:
         raise ConfigError(f"need at least one seed, got {seeds}")
     scheme, m, c = ks.scheme, ks.out_channels, ks.in_channels
     bound = rank_upper_bound(scheme, m)
-    columns = valid_column_count(scheme, c)
+    mask = valid_columns(scheme, c)
+    columns = int(mask.sum())
     ranks = []
     for s in range(seeds):
         if zero_weights:
@@ -81,7 +85,8 @@ def audit_kernel_rank(
         else:
             rng = np.random.default_rng(np.random.SeedSequence((rng_seed, s)))
             draw = random_kernel_set(scheme, m, c, rng)
-        ranks.append(numeric_rank(build_kernel_matrix(draw), rel_tol=rel_tol))
+        kernel = UnfoldedMatrix(build_kernel_matrix(draw).data[:, mask])
+        ranks.append(numeric_rank(kernel, rel_tol=rel_tol))
     measured = max(ranks)
     return RankAudit(
         scheme=scheme,

@@ -224,15 +224,23 @@ def build_kernel_matrix(ks: KernelSet) -> UnfoldedMatrix:
     return UnfoldedMatrix(joint.reshape(len(joint), -1))
 
 
-def valid_column_count(scheme: KernelScheme, c: int) -> int:
-    """Columns of the joint kernel matrix with any structurally nonzero entry."""
+def valid_columns(scheme: KernelScheme, c: int) -> np.ndarray:
+    """Boolean mask of the joint kernel matrix's columns with any structurally
+    nonzero entry: the union of the row blocks' windows in the k x k x k
+    grid, tiled over the C input channels in ``build_kernel_matrix``'s
+    channel-major column order. Every other column is zero for any weights."""
     k, blocks = scheme.k, branch_extents(scheme)
     if scheme.chained:  # one row block, spanning every axis a stage spans
         blocks = (tuple(map(max, zip(*blocks))),)
     support = np.zeros((k, k, k), dtype=bool)
     for extents in blocks:
         support[_window(extents, k)] = True
-    return int(support.sum()) * c
+    return np.tile(support.ravel(), c)
+
+
+def valid_column_count(scheme: KernelScheme, c: int) -> int:
+    """Columns of the joint kernel matrix with any structurally nonzero entry."""
+    return int(valid_columns(scheme, c).sum())
 
 
 def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.Node:

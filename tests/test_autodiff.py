@@ -72,6 +72,22 @@ class TestOpGradients:
         x = rng.standard_normal((4, 3, 4, 4))
         self.check_op(rng, ad.channel_mix, [w, x])
 
+    @pytest.mark.parametrize("out_ch, in_ch", [(8, 1), (1, 8), (1, 1)])
+    def test_channel_mix_single_channel_matches_matmul_bitwise(self, rng, out_ch, in_ch):
+        """One input channel (the lift) or one output channel (the project's
+        input gradient) makes a product an outer product; the values and both
+        gradients keep matmul's exact bits."""
+        w = rng.standard_normal((out_ch, in_ch))
+        x = rng.standard_normal((in_ch, 3, 4, 5))
+        g = rng.standard_normal((out_ch, 3, 4, 5))
+        wn, xn = ad.Node(w), ad.Node(x)
+        out = ad.channel_mix(wn, xn)
+        out.backward(g)
+        x2, g2 = x.reshape(in_ch, -1), g.reshape(out_ch, -1)
+        expected = [(out.data, w @ x2), (wn.grad, g2 @ x2.T), (xn.grad, w.T @ g2)]
+        for got, want in expected:
+            assert np.array_equal(got.reshape(want.shape).view(np.uint64), want.view(np.uint64))
+
     def test_leaky_relu(self, rng):
         x = rng.standard_normal((2, 3, 3, 3)) + 0.05  # keep clear of the kink
         self.check_op(rng, lambda xn: ad.leaky_relu(xn, LEAKY_SLOPE), [x])

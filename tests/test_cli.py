@@ -2,10 +2,13 @@
 
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resset import Network, cli, synth_cube, write_tensor
 from resset.cli import main
@@ -60,6 +63,19 @@ class TestRankAuditCommand:
         rows = read_rows(only_run_dir(tmp_path, "rank-audit") / "audit.csv")
         assert all(row["measured_rank"] == "0" for row in rows)
         assert all(row["achieved"] == "false" for row in rows)
+
+    @pytest.mark.parametrize("schemes", ["conv3d,conv3d", "res3_1d,res3_1d_l1", "res3_1d,conv3d,RES3_1D"])
+    def test_one_scheme_named_twice_is_usage_error(self, tmp_path, capsys, monkeypatch, schemes):
+        """Two tokens for one scheme would audit it twice and write both row
+        sets under its one token; rank-audit refuses them before any audit or
+        run directory."""
+        def no_audit(*_args, **_kwargs):
+            raise AssertionError("audit run for a duplicated scheme list")
+
+        monkeypatch.setattr(cli, "audit_kernel_rank", no_audit)
+        assert run_cli(tmp_path, "rank-audit", f"schemes={schemes}", "seeds=2") == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
 
     def test_unknown_key_rejected(self, tmp_path):
         assert run_cli(tmp_path, "rank-audit", "bogus_key=1") == 2
@@ -403,6 +419,41 @@ class TestExitCodes:
         assert run_cli(tmp_path, "compare", *self.SMALL, "height=12",
                        "schemes=conv3d,res3_1d", "seeds=1", bad) == 2
         assert not list(Path(tmp_path).iterdir())
+
+
+# Boundary values per rank-audit key. k stays small: the joint matrix holds
+# rows x k^3*C floats.
+RANK_AUDIT_VALUES = {
+    "m": ["-1", "0", "1", "2", "3", "", "x", "1.5", "nan"],
+    "c": ["-1", "0", "1", "3", "", "x", "1e3"],
+    "k": ["-1", "0", "1", "2", "3", "5", "7"],
+    "seeds": ["-1", "0", "1", "2", "", "x"],
+    "seed": ["-1", "0", "1", str(2**64), str(10**30), "", "x"],
+    "tol": ["-1", "0", "1e-300", "1e-6", "0.5", "1", "2", "nan", "inf", "-inf", "", "x"],
+    "schemes": ["", ",", "conv3d", "bogus", "CONV3D,par1d2d", "res3_1d,res3_1d_l1",
+                "conv3d,seq1d,seq1d2d", "res3_1dx3,res3_2d,res3_1d_l2"],
+    "zero_weights": ["true", "false", "1", "0", "", "maybe"],
+}
+
+
+RANK_AUDIT_PAIRS = [f"{key}={value}" for key, values in RANK_AUDIT_VALUES.items()
+                    for value in values]
+
+
+@pytest.mark.parametrize("key", sorted(RANK_AUDIT_VALUES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rank_audit_exit_code_contract(key, data):
+    """Every boundary value of ``key``, over the defaults and up to two other
+    boundary values, exits 0, 1, 2 or 3 without a traceback, and a usage
+    error leaves no run directory."""
+    others = data.draw(st.lists(st.sampled_from(RANK_AUDIT_PAIRS), max_size=2))
+    probe = data.draw(st.sampled_from(RANK_AUDIT_VALUES[key]))
+    with tempfile.TemporaryDirectory() as out_dir:
+        code = main(["rank-audit", *others, f"{key}={probe}", f"out_dir={out_dir}"])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert not list(Path(out_dir).iterdir())
 
 
 @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))

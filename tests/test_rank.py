@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from resset import rank
 from resset import (
     ConfigError,
     FeatureMap,
@@ -16,9 +17,11 @@ from resset import (
     feature_spectrum,
     tail_mass,
     unfold_patches,
+    valid_columns,
     zero_kernel_set,
 )
 from resset.rank import Spectrum
+from resset.schemes import _TOKENS
 
 BOUND_TABLE = {
     "conv3d": 1,
@@ -91,6 +94,37 @@ class TestAuditKernelRank:
         kernel_matrix = build_kernel_matrix(ks)
         feature = matmul(kernel_matrix, unfold_patches(x, (3, 3, 3)))
         assert numeric_rank(feature, rel_tol=1e-6) <= numeric_rank(kernel_matrix, rel_tol=1e-6)
+
+    @pytest.mark.parametrize("token", sorted(_TOKENS))
+    @pytest.mark.parametrize("k, m, c", [(1, 3, 5), (3, 4, 4), (3, 8, 8), (3, 5, 2), (5, 2, 3)])
+    def test_draw_ranks_equal_full_matrix_ranks(self, token, k, m, c):
+        """Dropping the structurally zero columns changes no draw's rank: the
+        oracle redraws each seed and ranks the full rows x k^3*C matrix."""
+        scheme = parse_scheme_token(token, k=k)
+        audit = audit_kernel_rank(zero_kernel_set(scheme, m, c), seeds=20, rng_seed=7)
+        full = []
+        for s in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence((7, s)))
+            draw = build_kernel_matrix(random_kernel_set(scheme, m, c, rng))
+            full.append(numeric_rank(draw, rel_tol=rank.AUDIT_RANK_TOL))
+        assert audit.seed_ranks == tuple(full)
+
+    @pytest.mark.parametrize("token", ["conv3d", "res3_1dx3", "seq1d2d", "par1d2d"])
+    def test_decomposes_only_valid_columns(self, monkeypatch, token):
+        """One rank per draw, each of the rows x valid-columns submatrix."""
+        scheme = parse_scheme_token(token)
+        shapes = []
+        real = rank.numeric_rank
+
+        def recording(mat, rel_tol):
+            shapes.append(mat.data.shape)
+            return real(mat, rel_tol=rel_tol)
+
+        monkeypatch.setattr(rank, "numeric_rank", recording)
+        audit = audit_kernel_rank(zero_kernel_set(scheme, 8, 8), seeds=4)
+        columns = int(valid_columns(scheme, 8).sum())
+        assert shapes == [(rank_upper_bound(scheme, 8), columns)] * 4
+        assert audit.valid_columns == columns
 
     def test_requires_positive_seeds(self):
         ks = zero_kernel_set(parse_scheme_token("conv3d"), 2, 2)

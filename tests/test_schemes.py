@@ -21,6 +21,7 @@ from resset import (
     random_kernel_set,
     unfold_patches,
     valid_column_count,
+    valid_columns,
     zero_kernel_set,
 )
 from resset import autodiff as ad
@@ -200,6 +201,21 @@ class TestBuildKernelMatrix:
     def test_unchained_matrices_match_tap_placement(self, rng, token, k):
         ks = random_kernel_set(parse_scheme_token(token, k=k), 3, 2, rng)
         np.testing.assert_array_equal(build_kernel_matrix(ks).data, tap_placement_matrix(ks))
+
+    @pytest.mark.parametrize("token", sorted(_TOKENS))
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c", [1, 3])
+    def test_valid_columns_are_the_structural_support(self, rng, token, k, c):
+        """Columns outside the mask are zero in every draw; each column inside
+        it is nonzero in a generic draw."""
+        scheme = parse_scheme_token(token, k=k)
+        mask = valid_columns(scheme, c)
+        assert mask.shape == (k**3 * c,) and mask.dtype == bool
+        assert int(mask.sum()) == valid_column_count(scheme, c)
+        for _ in range(3):
+            mat = build_kernel_matrix(random_kernel_set(scheme, 3, c, rng)).data
+            assert not np.any(mat[:, ~mask])
+            assert np.all(np.any(mat[:, mask] != 0.0, axis=0))
 
     def test_valid_columns_per_scheme(self):
         expected = {"conv3d": 27, "res3_2d": 19, "res3_1d": 7, "res3_1d_l2": 7,
