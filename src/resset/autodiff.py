@@ -6,13 +6,18 @@ reverse topological order. The op set is deliberately small: axis-branch
 convolutions, 1x1x1 channel maps, the leaky rectifier, additions, the mean
 absolute error, and the singular-value diversity penalty.
 
-Branch convolutions run as kn2row (Vasudevan, Anderson and Gregg 2017): one
-(out, in) matrix product per kernel tap on a shifted view of the padded
-input, so no patch matrix is built or held on the tape. The tap loop runs
-inside column blocks of the flattened grid, sized so that one block's
-operands stay in a core's L2 cache across all taps (``BLOCK_COLUMNS``). The
-im2col unfold in ``tensor.unfold_patches`` is kept only as an independent
-check of this kernel, in acceptance criterion 1 and the oracle tests.
+Branch convolutions run as kn2row (Vasudevan, Anderson and Gregg 2017) with
+the width taps stacked as in MEC (Cho and Brand 2017): per column block of
+the flattened padded input, one window holds the block ``kw`` times, each
+copy shifted one column further, and each (band, height) tap row is one
+(out, kw*in) matrix product on a shifted view of that window. No patch
+matrix is built or held on the tape; the window is block-sized scratch, and
+for ``kw == 1`` a view of the input. The input gradient is the same gather
+on the padded output gradient with the taps flipped and transposed. The tap
+loops run inside column blocks sized so that one block's operands stay in a
+core's L2 cache across all taps (``BLOCK_COLUMNS``). The im2col unfold in
+``tensor.unfold_patches`` is kept only as an independent check of this
+kernel, in acceptance criterion 1 and the oracle tests.
 
 Memory comes from a ``Workspace``, a shape-keyed pool of float64 arrays (the
 caching-allocator pattern of Paszke et al. 2019, "PyTorch", scoped to one
@@ -42,15 +47,16 @@ from .regularizer import nuclear_penalty
 from .workspace import Workspace
 
 # Columns of the flattened padded grid per block of the branch convolution's
-# tap loop. One block's working set is about 8 B * block * (2*out + 2*in)
-# plus the taps' overhang: ~1 MB at width 8 and 4096 columns, inside a 2 MB
-# per-core L2; at 16384 columns it no longer fits. Forward plus backward on
-# the 8x31x32x32 toy cube at width 8 (2-core Xeon, OpenBLAS, medians of
-# 11-21 calls): the 3x3x3 branch takes 41 ms unblocked, 41-50 at 1024-2048
-# columns, 23-24 at 3072-6144, 26 at 8192 and 38 at 16384; the 3x1x1 branch
-# 4.8 unblocked and 3.4-3.8 at 3072-8192. One BLAS thread gives the same
-# shape (3x3x3: 49 unblocked, 42 at 2048, 25 at 4096), so the slow small
-# blocks are not a threading cost; their cause was not isolated.
+# tap loops. One block's working set is its stacked window, (kw*in) x
+# (block + span) with span = (kb-1)*Hp*Wp + (kh-1)*Wp, plus the (out, block)
+# accumulator and product: at width 8 and 4096 columns about 1.9 MB for the
+# 3x3x3 branch on the 31x32x32 toy cube (span 2380), inside a 2 MB per-core
+# L2. Forward plus backward per call on that cube at width 8 (2-core Xeon,
+# OpenBLAS, medians of 15-25 calls, four alternating runs): the 3x3x3 branch
+# took 22.7-24.4 ms at 2048 columns, 16.8-21.7 at 3072, 15.9-20.8 at 4096,
+# 18.2-21.2 at 6144 and 19.4-23.4 at 8192; the 3x1x1 branch 4.3-4.8, 3.1-3.6,
+# 2.7-4.2, 2.7-3.3 and 3.1-3.7. The machine's speed drifts by more than the
+# differences among 3072-6144; 4096 stays.
 BLOCK_COLUMNS = 4096
 
 
@@ -120,27 +126,68 @@ class Node:
                     node.grad, node._owned = None, ()
 
 
+def _tap_rows(taps, src, rows, blocks, out, ws):
+    """``out[:, lo:hi] = sum_r taps[r] @ window[:, rows[r] : rows[r] + hi - lo]``
+    for each column block ``(lo, hi)``. The block's window stacks
+    ``kw = taps.shape[2] // in`` row blocks; row block ``j`` is ``src`` from
+    column ``lo + j`` on, ``hi - lo + rows[-1]`` columns wide. With ``kw == 1``
+    the window is a view of ``src``; otherwise it is copied into block-sized
+    scratch from ``ws``, as is each product."""
+    cin, cols = src.shape[0], blocks[0][1] - blocks[0][0]
+    kw = taps.shape[2] // cin
+    prod = ws.take((out.shape[0], cols))
+    stack = ws.take((kw * cin, cols + rows[-1])) if kw > 1 else None
+    for lo, hi in blocks:
+        width = hi - lo + rows[-1]
+        if stack is None:
+            window = src[:, lo : lo + width]
+        else:
+            window = stack[:, :width]
+            for j in range(kw):
+                window[j * cin : (j + 1) * cin] = src[:, lo + j : lo + j + width]
+        acc, tmp = out[:, lo:hi], prod[:, : hi - lo]
+        np.matmul(taps[0], window[:, : hi - lo], out=acc)  # rows[0] == 0
+        for r in range(1, len(rows)):
+            acc += np.matmul(taps[r], window[:, rows[r] : rows[r] + hi - lo], out=tmp)
+    ws.give(prod)
+    if stack is not None:
+        ws.give(stack)
+
+
 def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
-    """Same-padded convolution of one branch, done as kn2row: one (out, in)
-    matrix product per kernel tap, accumulated over shifted views.
+    """Same-padded convolution of one branch, done as kn2row with the width
+    taps stacked: one (out, kw*in) matrix product per (band, height) tap row,
+    accumulated over shifted windows.
 
     The padded input is flattened to ``(C, Bp*Hp*Wp)``. Output position
     ``(b, h, w)`` sits at column ``b*Hp*Wp + h*Wp + w`` and tap
-    ``(db, dh, dw)`` reads ``s = db*Hp*Wp + dh*Wp + dw`` columns further on,
-    so each tap is a view of the same columns shifted by ``s``. The result is
-    computed on the padded ``(B, Hp, Wp)`` grid and cropped to ``(B, H, W)``:
-    the positions cropped away sum windows that wrap across a row or plane
-    edge, or are never written, and nothing reads them. The backward pass is
-    the same loop transposed, on the gradient embedded in a zero padded grid,
-    so those positions contribute nothing to either gradient.
+    ``(db, dh, dw)`` reads ``db*Hp*Wp + dh*Wp + dw`` columns further on. The
+    ``kw`` taps of one row differ only in ``dw``, so a block's stacked window
+    holds the input ``kw`` times, shifted by ``0..kw-1`` columns, and tap row
+    ``(db, dh)`` is one product with the row's ``kw`` taps side by side on
+    that window, ``db*Hp*Wp + dh*Wp`` columns on (the memory-efficient
+    stacking of Cho and Brand 2017, "MEC"). With ``kw == 1`` the window is a
+    view of the padded input and no copy is made. The result is computed on
+    the padded ``(B, Hp, Wp)`` grid and cropped to ``(B, H, W)``: the
+    positions cropped away sum windows that wrap across a row or plane edge,
+    or are never written, and nothing reads them.
+
+    The input gradient is the same stacked gather run on the output
+    gradient, embedded in a zeroed padded grid like the input, with the taps
+    flipped on every axis and transposed. Each block's first product is
+    written through ``out=``, so the input gradient's array needs no
+    zero-fill. The weight gradient is one ``(out, in)`` product per tap on
+    shifted views of the padded input. The zero border of the gradient grid
+    keeps the wrapped positions out of both gradients.
 
     Both passes walk the ``n`` output columns in blocks of
     ``BLOCK_COLUMNS`` and run every tap inside a block, so the block's
-    accumulator, its scratch product and the input columns its taps read
-    stay in cache across the taps instead of streaming through memory once
-    per tap (Goto and van de Geijn 2008). Every product is written through
-    ``out=`` into workspace arrays. The node owns the padded input, the
-    reordered taps and the output grid until its backward has run.
+    accumulator, its window and its scratch product stay in cache across
+    the taps instead of streaming through memory once per tap (Goto and van
+    de Geijn 2008). Every array comes from the workspace. The node owns the
+    padded input, the reordered taps and the output grid until its backward
+    has run; windows and products are block-sized scratch, and at
+    ``C == O`` the two passes' scratch has one shape.
     """
     ws = x.ws
     c, b, h, wd = x.data.shape
@@ -153,22 +200,16 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     padded.fill(0.0)
     padded[:, pb : pb + b, ph : ph + h, pw : pw + wd] = x.data
     n = (b - 1) * hp * wp + (h - 1) * wp + wd
-    shifts = [
-        db * hp * wp + dh * wp + dw for db in range(kb) for dh in range(kh) for dw in range(kw)
-    ]
+    rows = [db * hp * wp + dh * wp for db in range(kb) for dh in range(kh)]
+    shifts = [row + dw for row in rows for dw in range(kw)]
     cols = min(BLOCK_COLUMNS, n)
     blocks = [(lo, min(lo + cols, n)) for lo in range(0, n, cols)]
-    taps = ws.take((len(shifts), out_ch, c))
-    taps[...] = np.moveaxis(w.data.reshape(out_ch, c, len(shifts)), 2, 0)
+    taps = ws.take((len(rows), out_ch, kw * c))  # taps[db*kh + dh, o, dw*C + i]
+    taps.reshape(kb, kh, out_ch, kw, c)[...] = np.transpose(
+        w.data.reshape(out_ch, c, kb, kh, kw), (2, 3, 0, 4, 1)
+    )
     grid = ws.take((out_ch, b * hp * wp))
-    prod = ws.take((out_ch, cols))
-    for lo, hi in blocks:
-        acc, tmp = grid[:, lo:hi], prod[:, : hi - lo]
-        np.matmul(taps[0], xp[:, lo:hi], out=acc)  # shifts[0] == 0
-        for t in range(1, len(shifts)):
-            s = shifts[t]
-            acc += np.matmul(taps[t], xp[:, lo + s : hi + s], out=tmp)
-    ws.give(prod)
+    _tap_rows(taps, xp, rows, blocks, grid, ws)
     out = Node(
         grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd],
         parents=(w, x),
@@ -177,22 +218,29 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     )
 
     def _backward(g):
-        gp = ws.take((out_ch, b * hp * wp))
-        gp.fill(0.0)  # a reused buffer holds stale values where g does not reach
-        gp.reshape(out_ch, b, hp, wp)[:, :, :h, :wd] = g
+        gp = ws.take((out_ch, bp * hp * wp))
+        grad_grid = gp.reshape(out_ch, bp, hp, wp)
+        grad_grid.fill(0.0)  # the border must read as zero gradient
+        grad_grid[:, pb : pb + b, ph : ph + h, pw : pw + wd] = g
+        front = pb * hp * wp + ph * wp + pw  # output column 0 in gp
+        flipped = ws.take((len(rows), c, kw * out_ch))
+        flipped.reshape(kb, kh, c, kw, out_ch)[...] = np.transpose(
+            taps.reshape(kb, kh, out_ch, kw, c)[::-1, ::-1, :, ::-1], (0, 1, 4, 3, 2)
+        )
         gw = ws.take((len(shifts), out_ch, c))
         gw.fill(0.0)
-        gxp = ws.take((c, bp * hp * wp))
-        gxp.fill(0.0)
-        prod = ws.take((c, cols))
         for lo, hi in blocks:
-            g_blk, tmp = gp[:, lo:hi], prod[:, : hi - lo]
+            g_blk = gp[:, front + lo : front + hi]
             for t, s in enumerate(shifts):
                 gw[t] += g_blk @ xp[:, lo + s : hi + s].T
-                gxp[:, lo + s : hi + s] += np.matmul(taps[t].T, g_blk, out=tmp)
         w._accumulate(np.moveaxis(gw, 0, 2).reshape(w.data.shape))
-        x._accumulate(gxp.reshape(c, bp, hp, wp)[:, pb : pb + b, ph : ph + h, pw : pw + wd])
-        ws.give(gp, gw, gxp, prod)
+        # gx[:, i] is the gradient of padded input column front + i; the
+        # flipped taps read gp from column i to i + 2*front, the last one
+        # inside the grid for odd extents.
+        gx = ws.take((c, b * hp * wp))
+        _tap_rows(flipped, gp, rows, blocks, gx, ws)
+        x._accumulate(gx.reshape(c, b, hp, wp)[:, :, :h, :wd])
+        ws.give(gp, flipped, gw, gx)
 
     out._backward = _backward
     return out

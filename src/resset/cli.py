@@ -274,8 +274,11 @@ def train_config_from(cfg: dict, scheme: KernelScheme, seed: int, lam: float) ->
 
 
 def _distinct_schemes(command: str, cfg: dict) -> list[KernelScheme]:
-    """Parse the ``schemes`` tokens, refusing two that name one scheme: it
-    would run twice and both row sets would carry its one token."""
+    """Parse the ``schemes`` tokens, refusing an empty list and two tokens
+    that name one scheme: it would run twice and both row sets would carry
+    its one token."""
+    if not cfg["schemes"]:
+        raise ConfigError("schemes list is empty")
     schemes = [parse_scheme_token(token, k=cfg["k"]) for token in cfg["schemes"]]
     repeated = sorted({s.token for s in schemes if schemes.count(s) > 1})
     if repeated:
@@ -306,8 +309,6 @@ RANK_AUDIT_SCHEMA = {
 
 
 def cmd_rank_audit(cfg: dict) -> int:
-    if not cfg["schemes"]:
-        raise ConfigError("schemes list is empty")
     rows = []
     violation = False
     for scheme in _distinct_schemes("rank-audit", cfg):
@@ -503,13 +504,11 @@ BENCH_SCHEMA = {
 
 
 def cmd_bench(cfg: dict) -> int:
-    if not cfg["schemes"]:
-        raise ConfigError("schemes list is empty")
+    schemes = _distinct_schemes("bench", cfg)
     run_dir = make_run_dir("bench", cfg)
     grid = cfg["bands"] * cfg["height"] * cfg["width_px"]
     rows = []
-    for token in cfg["schemes"]:
-        scheme = parse_scheme_token(token, k=cfg["k"])
+    for scheme in schemes:
         rows.append(
             [
                 scheme.token,

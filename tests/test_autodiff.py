@@ -16,6 +16,7 @@ from resset import autodiff as ad
 from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
 from resset.train import training_loss
 
+from conftest import FreshArrays
 from conv_oracles import tap_loop_set
 
 
@@ -248,18 +249,6 @@ class TestGraphMechanics:
         with pytest.raises(ShapeError) as info:
             out.backward(np.ones(seed_shape))
         assert str(seed_shape) in str(info.value) and "(1, 5, 6, 6)" in str(info.value)
-
-
-class FreshArrays(ad.Workspace):
-    """A workspace that never recycles: every take is a new array full of NaN,
-    so an op that reads a buffer before writing it, or an array given back
-    while still in use, shows up against it."""
-
-    def take(self, shape):
-        return np.full(shape, np.nan)
-
-    def give(self, *arrays):
-        pass
 
 
 class TestWorkspace:

@@ -128,6 +128,19 @@ class TestBenchCommand:
         rows = read_rows(only_run_dir(tmp_path, "bench") / "bench.csv")
         assert int(rows[0]["macs"]) == 27 * 8 * 8 * 8 * 16 * 16  # 3,538,944
 
+    @pytest.mark.parametrize("schemes", ["conv3d,conv3d", "res3_1d,res3_1d_l1", "res3_1d,conv3d,RES3_1D"])
+    def test_one_scheme_named_twice_is_usage_error(self, tmp_path, capsys, schemes):
+        """Two tokens for one scheme would write two identical rows under its
+        one token; bench refuses them before any run directory."""
+        assert run_cli(tmp_path, "bench", f"schemes={schemes}") == 2
+        assert "more than once" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
+    @pytest.mark.parametrize("bad", ["schemes=bogus", "schemes=", "k=0", "k=4", "k=-1"])
+    def test_bad_scheme_or_extent_leaves_no_run_directory(self, tmp_path, bad):
+        assert run_cli(tmp_path, "bench", bad) == 2
+        assert not list(Path(tmp_path).iterdir())
+
 
 class TestTrainCommand:
     SMALL = ["bands=8", "height=12", "width_px=12", "epochs=2", "width=4", "num_blocks=1"]
@@ -436,24 +449,46 @@ RANK_AUDIT_VALUES = {
 }
 
 
-RANK_AUDIT_PAIRS = [f"{key}={value}" for key, values in RANK_AUDIT_VALUES.items()
-                    for value in values]
+def check_exit_code_contract(command, values, key, data):
+    """Every boundary value of ``key``, over the defaults and up to two other
+    boundary values, exits 0, 1, 2 or 3 without a traceback, and a usage
+    error leaves no run directory."""
+    pairs = [f"{k}={v}" for k, vs in values.items() for v in vs]
+    others = data.draw(st.lists(st.sampled_from(pairs), max_size=2))
+    probe = data.draw(st.sampled_from(values[key]))
+    with tempfile.TemporaryDirectory() as out_dir:
+        code = main([command, *others, f"{key}={probe}", f"out_dir={out_dir}"])
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert not list(Path(out_dir).iterdir())
 
 
 @pytest.mark.parametrize("key", sorted(RANK_AUDIT_VALUES))
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_rank_audit_exit_code_contract(key, data):
-    """Every boundary value of ``key``, over the defaults and up to two other
-    boundary values, exits 0, 1, 2 or 3 without a traceback, and a usage
-    error leaves no run directory."""
-    others = data.draw(st.lists(st.sampled_from(RANK_AUDIT_PAIRS), max_size=2))
-    probe = data.draw(st.sampled_from(RANK_AUDIT_VALUES[key]))
-    with tempfile.TemporaryDirectory() as out_dir:
-        code = main(["rank-audit", *others, f"{key}={probe}", f"out_dir={out_dir}"])
-        assert code in (0, 1, 2, 3)
-        if code == 2:
-            assert not list(Path(out_dir).iterdir())
+    check_exit_code_contract("rank-audit", RANK_AUDIT_VALUES, key, data)
+
+
+# Boundary values per bench key. Every count is arithmetic on Python
+# integers, so huge values are cheap here.
+BENCH_VALUES = {
+    "m": ["-1", "0", "1", "2", str(2**64), "", "x", "1.5", "nan"],
+    "c": ["-1", "0", "1", "3", str(10**30), "", "x", "1e3"],
+    "k": ["-1", "0", "1", "2", "3", "4", "5", "7", str(2**64 + 1), "", "x"],
+    "bands": ["-1", "0", "1", "2", str(2**64), "", "x"],
+    "height": ["-1", "0", "1", str(10**30), "", "nan"],
+    "width_px": ["-1", "0", "1", str(10**30), "", "1.0"],
+    "schemes": ["", ",", "conv3d", "bogus", "CONV3D,par1d2d", "res3_1d,res3_1d_l1",
+                "conv3d,seq1d,seq1d2d", "res3_1dx3,res3_2d,res3_1d_l2"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_VALUES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_bench_exit_code_contract(key, data):
+    check_exit_code_contract("bench", BENCH_VALUES, key, data)
 
 
 @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))

@@ -34,6 +34,7 @@ from resset.schemes import (
     expected_weight_shapes,
 )
 
+from conftest import FreshArrays
 from conv_oracles import tap_loop_conv, tap_loop_set, tap_loop_weight_grad, tap_placement_matrix
 
 ALL_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "seq1d", "seq1d2d", "par1d2d"]
@@ -339,10 +340,16 @@ class TestTapLoopOracle:
         ((3, 1, 1), 2, (2, 28, 32, 32), "block_multiple"),
     ]
     # Each case at the default block size (bare id) and with blocks of one
-    # and of seven columns, so every case crosses block edges.
+    # and of seven columns, so every case crosses block edges; each also on
+    # a workspace that hands out NaN-filled arrays (``-fresh``), so a read of
+    # a scratch or gradient column that nothing wrote shows up.
     BRANCH_CASES = [
-        pytest.param(extents, out_ch, shape, block, id=name if block is None else f"{name}-block{block}")
+        pytest.param(
+            extents, out_ch, shape, block, fresh,
+            id=name + ("" if block is None else f"-block{block}") + ("-fresh" if fresh else ""),
+        )
         for extents, out_ch, shape, name in BRANCH_SHAPES
+        for fresh in (False, True)
         for block in (None, 1, 7)
     ]
 
@@ -358,28 +365,32 @@ class TestTapLoopOracle:
         assert several > 2 * ad.BLOCK_COLUMNS and several % ad.BLOCK_COLUMNS
         assert multiple > ad.BLOCK_COLUMNS and multiple % (7 * ad.BLOCK_COLUMNS) == 0
 
-    @pytest.mark.parametrize("extents, out_ch, shape, block", BRANCH_CASES)
-    def test_branch_conv_matches_tap_loop(self, rng, monkeypatch, extents, out_ch, shape, block):
+    @pytest.mark.parametrize("extents, out_ch, shape, block, fresh", BRANCH_CASES)
+    def test_branch_conv_matches_tap_loop(
+        self, rng, monkeypatch, extents, out_ch, shape, block, fresh
+    ):
         if block is not None:
             monkeypatch.setattr(ad, "BLOCK_COLUMNS", block)
+        ws = FreshArrays() if fresh else ad.Workspace()
         w = rng.standard_normal((out_ch, shape[0]) + tuple(e for e in extents if e > 1))
         x = rng.standard_normal(shape)
-        out = ad.branch_conv(ad.Node(w), ad.Node(x), extents).data
+        out = ad.branch_conv(ad.Node(w, ws=ws), ad.Node(x, ws=ws), extents).data
         assert out.shape == (out_ch,) + shape[1:]
         assert np.max(np.abs(out - tap_loop_conv(x, w, extents))) <= 1e-12
 
-    @pytest.mark.parametrize("extents, out_ch, shape, block", BRANCH_CASES)
+    @pytest.mark.parametrize("extents, out_ch, shape, block, fresh", BRANCH_CASES)
     def test_branch_conv_gradients_match_tap_loop(
-        self, rng, monkeypatch, extents, out_ch, shape, block
+        self, rng, monkeypatch, extents, out_ch, shape, block, fresh
     ):
         """Whole gradients: the input gradient satisfies the adjoint identity
         <conv(x), g> == <x, gx>, and the weight gradient equals the tap loop's."""
         if block is not None:
             monkeypatch.setattr(ad, "BLOCK_COLUMNS", block)
+        ws = FreshArrays() if fresh else ad.Workspace()
         w = rng.standard_normal((out_ch, shape[0]) + tuple(e for e in extents if e > 1))
         x = rng.standard_normal(shape)
         g = rng.standard_normal((out_ch,) + shape[1:])
-        wn, xn = ad.Node(w), ad.Node(x)
+        wn, xn = ad.Node(w, ws=ws), ad.Node(x, ws=ws)
         out = ad.branch_conv(wn, xn, extents)
         out.backward(g)
         assert xn.grad.shape == x.shape and wn.grad.shape == w.shape
