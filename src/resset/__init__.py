@@ -45,9 +45,11 @@ from .schemes import (
     build_kernel_matrix,
     compression_param_count,
     conv_forward,
+    kernel_matrices,
     param_count,
     parse_scheme_token,
     random_kernel_set,
+    random_weights,
     valid_column_count,
     valid_columns,
     zero_kernel_set,

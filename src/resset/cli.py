@@ -366,7 +366,7 @@ GRAD_CHECK_SCHEMA = {
     "width": Option(int, 4, "channel width for the network check", low=1),
     "num_blocks": Option(int, 2, "blocks for the network check", low=1),
     "samples": Option(int, 20, "sampled parameters for finite differences", low=1),
-    "tol": Option(float, 1e-4, "max allowed relative error"),
+    "tol": Option(float, 1e-4, "max allowed relative error", low=0),
     "sabotage": Option(bool, False, "flip analytic gradient signs (self-test hook)"),
 }
 

@@ -185,10 +185,23 @@ class KernelSet:
         object.__setattr__(self, "weights", tuple(frozen))
 
 
+def random_weights(
+    scheme: KernelScheme, m: int, c: int, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, ...]:
+    """Standard-normal weights for a batch of draws: one array per branch (or
+    stage) with a leading draw axis. Draw ``s`` takes all its weights from
+    ``rngs[s]``, branch by branch in table order, which is the order that
+    defines ``random_kernel_set``."""
+    stacks = tuple(np.empty((len(rngs),) + shape) for shape in expected_weight_shapes(scheme, m, c))
+    for row, rng in enumerate(rngs):
+        for stack in stacks:
+            rng.standard_normal(out=stack[row])
+    return stacks
+
+
 def random_kernel_set(scheme: KernelScheme, m: int, c: int, rng: np.random.Generator) -> KernelSet:
     """Draw a kernel set with standard-normal weights."""
-    weights = tuple(rng.standard_normal(shape) for shape in expected_weight_shapes(scheme, m, c))
-    return KernelSet(scheme, m, c, weights)
+    return KernelSet(scheme, m, c, tuple(w[0] for w in random_weights(scheme, m, c, [rng])))
 
 
 def zero_kernel_set(scheme: KernelScheme, m: int, c: int) -> KernelSet:
@@ -201,41 +214,67 @@ def _window(extents: tuple[int, ...], k: int) -> tuple[slice, ...]:
     return tuple(slice((k - e) // 2, (k + e) // 2) for e in extents)
 
 
-def build_kernel_matrix(ks: KernelSet) -> UnfoldedMatrix:
-    """Assemble the joint zero-replenished kernel matrix of shape rows x k^3*C.
+def _support(scheme: KernelScheme) -> np.ndarray:
+    """The taps of the k x k x k grid that any row block of the joint kernel
+    matrix spans: the union of the branch windows, or a chain's one window
+    spanning every axis a stage spans."""
+    k, blocks = scheme.k, branch_extents(scheme)
+    if scheme.chained:
+        blocks = (tuple(map(max, zip(*blocks))),)
+    support = np.zeros((k, k, k), dtype=bool)
+    for extents in blocks:
+        support[_window(extents, k)] = True
+    return support
+
+
+def kernel_matrices(
+    scheme: KernelScheme, weights: tuple[np.ndarray, ...], valid_only: bool = False
+) -> np.ndarray:
+    """Joint zero-replenished kernel matrices of a batch of draws, shape
+    (draws, rows, k^3*C), from one weight array per branch or stage with a
+    leading draw axis.
 
     Each row block is one (out, C, *extents) kernel embedded, centred, in a
     zero k x k x k window: a parallel branch's weights, in branch order, or a
     whole chain. A chain's stages act on disjoint axes, so their composition
     is their per-axis product and the chain is one same-padded convolution
-    with it, borders included. Columns follow ``tensor.unfold_patches``.
+    with it, borders included. Columns follow ``tensor.unfold_patches``. With
+    ``valid_only`` only the ``valid_columns`` are built, in the same order;
+    the others are zero for any weights.
     """
-    scheme, k = ks.scheme, ks.scheme.k
-    kernels = [w.reshape(w.shape[:2] + e) for w, e in zip(ks.weights, branch_extents(scheme))]
+    k = scheme.k
+    kernels = [w.reshape(w.shape[:3] + e) for w, e in zip(weights, branch_extents(scheme))]
     if scheme.chained:
         composed = kernels[0]
         for stage in kernels[1:]:
-            composed = (stage[:, :, None] * composed[None]).sum(axis=1)
+            composed = (stage[:, :, :, None] * composed[:, None]).sum(axis=2)
         kernels = [composed]
-    blocks = [np.zeros(kernel.shape[:2] + (k, k, k)) for kernel in kernels]
-    for block, kernel in zip(blocks, kernels):
-        block[(...,) + _window(kernel.shape[2:], k)] = kernel
-    joint = np.concatenate(blocks)
-    return UnfoldedMatrix(joint.reshape(len(joint), -1))
+    taps = _support(scheme) if valid_only else np.ones((k, k, k), dtype=bool)
+    column = np.cumsum(taps).reshape(taps.shape) - 1  # each kept tap's column within a channel
+    draws, _, c = kernels[0].shape[:3]
+    rows = sum(kernel.shape[1] for kernel in kernels)
+    joint = np.zeros((draws, rows, c, int(taps.sum())))
+    row = 0
+    for kernel in kernels:
+        out = kernel.shape[1]
+        block = column[_window(kernel.shape[3:], k)].ravel()
+        joint[:, row : row + out, :, block] = kernel.reshape(draws, out, c, -1)
+        row += out
+    return joint.reshape(draws, rows, -1)
+
+
+def build_kernel_matrix(ks: KernelSet) -> UnfoldedMatrix:
+    """The joint kernel matrix of one kernel set, rows x k^3*C: see
+    ``kernel_matrices``."""
+    return UnfoldedMatrix(kernel_matrices(ks.scheme, tuple(w[None] for w in ks.weights))[0])
 
 
 def valid_columns(scheme: KernelScheme, c: int) -> np.ndarray:
     """Boolean mask of the joint kernel matrix's columns with any structurally
-    nonzero entry: the union of the row blocks' windows in the k x k x k
-    grid, tiled over the C input channels in ``build_kernel_matrix``'s
-    channel-major column order. Every other column is zero for any weights."""
-    k, blocks = scheme.k, branch_extents(scheme)
-    if scheme.chained:  # one row block, spanning every axis a stage spans
-        blocks = (tuple(map(max, zip(*blocks))),)
-    support = np.zeros((k, k, k), dtype=bool)
-    for extents in blocks:
-        support[_window(extents, k)] = True
-    return np.tile(support.ravel(), c)
+    nonzero entry: the window support tiled over the C input channels in
+    ``kernel_matrices``'s channel-major column order. Every other column is
+    zero for any weights."""
+    return np.tile(_support(scheme).ravel(), c)
 
 
 def valid_column_count(scheme: KernelScheme, c: int) -> int:

@@ -113,6 +113,13 @@ class TestGradCheckCommand:
     def test_seed_override_keeps_passing(self, tmp_path):
         assert run_cli(tmp_path, "grad-check", "matrices=3", "samples=5", "seed=7") == 0
 
+    def test_negative_tolerance_leaves_no_run_directory(self, tmp_path, capsys):
+        """No error can be below a negative tolerance, so it is refused before
+        any check runs instead of failing the check."""
+        assert run_cli(tmp_path, "grad-check", "matrices=1", "samples=1", "tol=-1") == 2
+        assert "usage error: tol must be >= 0" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
 
 class TestBenchCommand:
     def test_param_ratios(self, tmp_path):
@@ -449,16 +456,28 @@ RANK_AUDIT_VALUES = {
 }
 
 
-def check_exit_code_contract(command, values, key, data):
-    """Every boundary value of ``key``, over the defaults and up to two other
+def is_negative(value: str) -> bool:
+    try:
+        return float(value) < 0
+    except ValueError:
+        return False
+
+
+def check_exit_code_contract(command, values, key, data, base=()):
+    """Every boundary value of ``key``, over ``base`` and up to two other
     boundary values, exits 0, 1, 2 or 3 without a traceback, and a usage
-    error leaves no run directory."""
+    error leaves no run directory. No key of these commands takes a negative
+    number, so one in the resolved settings is a usage error."""
     pairs = [f"{k}={v}" for k, vs in values.items() for v in vs]
     others = data.draw(st.lists(st.sampled_from(pairs), max_size=2))
     probe = data.draw(st.sampled_from(values[key]))
+    overrides = [*base, *others, f"{key}={probe}"]
+    resolved = dict(pair.split("=", 1) for pair in overrides)  # the last one of a key wins
     with tempfile.TemporaryDirectory() as out_dir:
-        code = main([command, *others, f"{key}={probe}", f"out_dir={out_dir}"])
+        code = main([command, *overrides, f"out_dir={out_dir}"])
         assert code in (0, 1, 2, 3)
+        if any(is_negative(value) for value in resolved.values()):
+            assert code == 2, f"{overrides} exited {code}"
         if code == 2:
             assert not list(Path(out_dir).iterdir())
 
@@ -489,6 +508,34 @@ BENCH_VALUES = {
 @given(data=st.data())
 def test_bench_exit_code_contract(key, data):
     check_exit_code_contract("bench", BENCH_VALUES, key, data)
+
+
+# Boundary values per grad-check key, over a tiny base configuration.
+# matrices, max_rows, max_cols, samples, width and num_blocks scale the work
+# (finite differences per matrix entry and per sample), so they come only
+# from small values; seed and tol are cheap at any size.
+GRAD_CHECK_VALUES = {
+    "seed": ["-1", "0", "1", str(2**64), str(10**30), "", "x"],
+    "matrices": ["-1", "0", "1", "2", "", "x", "1.5"],
+    "max_rows": ["-1", "0", "1", "2", "3", "", "nan"],
+    "max_cols": ["-1", "0", "1", "2", "4", "", "x"],
+    "net_scheme": ["", "bogus", "conv3d", "CONV3D", "seq1d2d", "par1d2d", "res3_1dx3"],
+    "width": ["-1", "0", "1", "2", "", "x"],
+    "num_blocks": ["-1", "0", "1", "2", "", "1e3"],
+    "samples": ["-1", "0", "1", "3", "", "x"],
+    "tol": ["-1", "-1e-300", "0", "1e-300", "1e-4", "1", str(10**30), "1e400", "nan", "-inf",
+            "", "x"],
+    "sabotage": ["true", "false", "1", "0", "", "maybe"],
+}
+GRAD_CHECK_TINY = ("matrices=1", "max_rows=3", "max_cols=3", "samples=2", "width=1",
+                   "num_blocks=1")
+
+
+@pytest.mark.parametrize("key", sorted(GRAD_CHECK_VALUES))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_grad_check_exit_code_contract(key, data):
+    check_exit_code_contract("grad-check", GRAD_CHECK_VALUES, key, data, base=GRAD_CHECK_TINY)
 
 
 @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))

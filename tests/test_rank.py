@@ -109,6 +109,34 @@ class TestAuditKernelRank:
             full.append(numeric_rank(draw, rel_tol=rank.AUDIT_RANK_TOL))
         assert audit.seed_ranks == tuple(full)
 
+    @pytest.mark.parametrize("token", sorted(_TOKENS))
+    @pytest.mark.parametrize("zero_weights", [False, True])
+    def test_batched_draws_match_the_per_draw_oracle(self, monkeypatch, token, zero_weights):
+        """Each audited matrix is, bit for bit, the one its seed's own
+        generator gives through ``random_kernel_set`` and ``build_kernel_matrix``
+        masked by ``valid_columns``, across more seeds than one batch holds."""
+        scheme = parse_scheme_token(token)
+        seeds = 2 * rank.AUDIT_BATCH + 3
+        audited = []
+        real = rank.numeric_rank
+
+        def recording(mat, rel_tol):
+            audited.append(mat.data.copy())
+            return real(mat, rel_tol=rel_tol)
+
+        monkeypatch.setattr(rank, "numeric_rank", recording)
+        audit_kernel_rank(zero_kernel_set(scheme, 4, 3), seeds=seeds, rng_seed=5,
+                          zero_weights=zero_weights)
+        mask = valid_columns(scheme, 3)
+        assert len(audited) == seeds
+        for s, matrix in enumerate(audited):
+            if zero_weights:
+                ks = zero_kernel_set(scheme, 4, 3)
+            else:
+                rng = np.random.default_rng(np.random.SeedSequence((5, s)))
+                ks = random_kernel_set(scheme, 4, 3, rng)
+            assert matrix.tobytes() == build_kernel_matrix(ks).data[:, mask].tobytes()
+
     @pytest.mark.parametrize("token", ["conv3d", "res3_1dx3", "seq1d2d", "par1d2d"])
     def test_decomposes_only_valid_columns(self, monkeypatch, token):
         """One rank per draw, each of the rows x valid-columns submatrix."""

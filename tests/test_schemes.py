@@ -15,10 +15,12 @@ from resset import (
     compression_param_count,
     conv_forward,
     fold_channels,
+    kernel_matrices,
     matmul,
     param_count,
     parse_scheme_token,
     random_kernel_set,
+    random_weights,
     unfold_patches,
     valid_column_count,
     valid_columns,
@@ -217,6 +219,34 @@ class TestBuildKernelMatrix:
             mat = build_kernel_matrix(random_kernel_set(scheme, 3, c, rng)).data
             assert not np.any(mat[:, ~mask])
             assert np.all(np.any(mat[:, mask] != 0.0, axis=0))
+
+    @pytest.mark.parametrize("token", sorted(_TOKENS))
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_batch_rows_match_the_per_set_construction(self, rng, token, k):
+        """Row s of a batch is draw s's own matrix, bit for bit, in the full
+        layout and, with ``valid_only``, in the valid-column layout."""
+        scheme = parse_scheme_token(token, k=k)
+        sets = [random_kernel_set(scheme, 3, 2, rng) for _ in range(5)]
+        stacked = tuple(np.stack(ws) for ws in zip(*(ks.weights for ks in sets)))
+        full = kernel_matrices(scheme, stacked)
+        valid = kernel_matrices(scheme, stacked, valid_only=True)
+        mask = valid_columns(scheme, 2)
+        assert full.shape == (5, rank_upper_bound(scheme, 3), k**3 * 2)
+        assert valid.shape == (5, rank_upper_bound(scheme, 3), int(mask.sum()))
+        for ks, row, valid_row in zip(sets, full, valid):
+            per_set = build_kernel_matrix(ks).data
+            assert row.tobytes() == per_set.tobytes()
+            assert valid_row.tobytes() == per_set[:, mask].tobytes()
+
+    @pytest.mark.parametrize("token", sorted(_TOKENS))
+    def test_random_weights_keep_the_per_draw_order(self, token):
+        """Draw s of a batch is what its generator yields branch by branch."""
+        scheme = parse_scheme_token(token)
+        stacks = random_weights(scheme, 4, 3, [np.random.default_rng(s) for s in range(3)])
+        for s in range(3):
+            rng = np.random.default_rng(s)
+            for stack, shape in zip(stacks, expected_weight_shapes(scheme, 4, 3)):
+                assert stack[s].tobytes() == rng.standard_normal(shape).tobytes()
 
     def test_valid_columns_per_scheme(self):
         expected = {"conv3d": 27, "res3_2d": 19, "res3_1d": 7, "res3_1d_l2": 7,
