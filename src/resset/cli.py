@@ -19,9 +19,7 @@ import csv
 import hashlib
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteLoss, NumericError, RessetError
 from .hsdata import SSIM_WINDOW, NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
 from .network import Network
+from .options import Option, options
 from .rank import Spectrum, audit_kernel_rank, feature_spectrum, rank_upper_bound, tail_mass
 from .regularizer import da_reg_grad, da_reg_value
 from .schemes import (
@@ -54,17 +53,6 @@ EXIT_NUMERIC = 3
 # configuration handling
 
 
-@dataclass(frozen=True)
-class Option:
-    """One config key: its type, default, help line and, for numbers, the
-    lowest value ``resolve_config`` accepts (``low=None``: no bound)."""
-
-    type: type
-    default: object
-    help: str = ""
-    low: int | None = None
-
-
 def _parse_value(raw: str, typ: type):
     raw = raw.strip()
     if typ is bool:
@@ -80,8 +68,6 @@ def _parse_value(raw: str, typ: type):
         value = typ(raw)
     except ValueError as err:
         raise ConfigError(f"cannot parse {raw!r} as {typ.__name__}") from err
-    if typ is float and not math.isfinite(value):
-        raise ConfigError(f"expected a finite number, got {raw!r}")
     return value
 
 
@@ -117,8 +103,7 @@ def resolve_config(
     resolved = {}
     for key, opt in schema.items():
         value = _parse_value(merged[key], opt.type) if key in merged else opt.default
-        if opt.low is not None and value < opt.low:
-            raise ConfigError(f"{key} must be >= {opt.low}, got {value}")
+        opt.check(key, value)
         resolved[key] = value
     return resolved
 
@@ -141,11 +126,11 @@ def canonical_config_text(command: str, cfg: dict) -> str:
 
 
 def _schema_help(schema: dict[str, Option]) -> str:
-    """The config keys of one command, one line each: key, type, lowest
-    accepted value ("-" for none), default, help."""
-    rows = [("key", "type", "min", "default", "help")]
-    rows += [(key, opt.type.__name__, "-" if opt.low is None else str(opt.low),
-              _config_value_text(opt.default) or '""', opt.help)
+    """The config keys of one command, one line each: key, type, accepted
+    range ("-" for any value), default, help."""
+    rows = [("key", "type", "range", "default", "help")]
+    rows += [(key, opt.type.__name__, opt.range_text(), _config_value_text(opt.default) or '""',
+              opt.help)
              for key, opt in schema.items()]
     widths = [max(len(row[i]) for row in rows) for i in range(4)]
     lines = ["config keys (key=value, in the --config file or as overrides):"]
@@ -184,29 +169,16 @@ _COMMON = {
 }
 
 _TASK = {
-    "width": Option(int, 8, "channel width M carried between blocks", low=1),
-    "num_blocks": Option(int, 2, "number of residual blocks", low=1),
+    **options(TrainConfig),
     "k": Option(int, 3, "kernel extent"),
-    "lam": Option(float, 5e-5, "diversity penalty weight"),
-    "learning_rate": Option(float, 2e-4, "Adam learning rate"),
-    "beta1": Option(float, 0.9, "Adam first-moment decay"),
-    "beta2": Option(float, 0.999, "Adam second-moment decay"),
-    "epochs": Option(int, 300, "training epochs", low=0),
-    "batch_size": Option(int, 1, "pairs per optimizer step", low=1),
-    "seed": Option(int, 0, "master seed for init/shuffling", low=0),
     "bands": Option(int, 31, "cube bands", low=1),
-    "height": Option(int, 32, "cube height", low=1),
-    "width_px": Option(int, 32, "cube width", low=1),
+    "height": Option(int, 32, "cube height, at least the MSSIM window", low=SSIM_WINDOW),
+    "width_px": Option(int, 32, "cube width, at least the MSSIM window", low=SSIM_WINDOW),
     "endmembers": Option(int, 4, "synthetic endmember count", low=1),
     "train_pairs": Option(int, 1, "number of training pairs", low=1),
     "data_seed": Option(int, 100, "seed for synthetic cube content", low=0),
     "noise_kind": Option(str, "gaussian", "gaussian|gaussian_blind|non_iid|stripe|deadline|impulse|mixture"),
-    "sigma": Option(float, 50.0, "noise level on the 0-255 scale"),
-    "sigma_min": Option(float, 30.0, "lower noise level for blind/non-iid"),
-    "sigma_max": Option(float, 70.0, "upper noise level for blind/non-iid"),
-    "fraction": Option(float, 0.1, "column/voxel fraction for structured noise"),
-    "magnitude": Option(float, 0.25, "stripe offset bound"),
-    "band_fraction": Option(float, 1.0 / 3.0, "share of bands hit by structured noise"),
+    **options(NoiseSpec),
     "noise_seed": Option(int, 200, "seed for the noise draws", low=0),
 }
 
@@ -217,16 +189,7 @@ def _noise_spec(cfg: dict, seed: int) -> NoiseSpec:
     except ValueError as err:
         valid = ", ".join(k.value for k in NoiseKind)
         raise ConfigError(f"unknown noise_kind {cfg['noise_kind']!r}; valid: {valid}") from err
-    return NoiseSpec(
-        kind=kind,
-        sigma=cfg["sigma"],
-        sigma_min=cfg["sigma_min"],
-        sigma_max=cfg["sigma_max"],
-        fraction=cfg["fraction"],
-        magnitude=cfg["magnitude"],
-        band_fraction=cfg["band_fraction"],
-        seed=seed,
-    )
+    return NoiseSpec(kind=kind, seed=seed, **{key: cfg[key] for key in options(NoiseSpec)})
 
 
 def build_training_data(cfg: dict, seed_shift: int = 0) -> TrainingData:
@@ -246,31 +209,16 @@ def build_training_data(cfg: dict, seed_shift: int = 0) -> TrainingData:
 
 
 def _check_grid(cfg: dict, schemes: list[KernelScheme]) -> None:
-    """Reject a cube grid that the holdout MSSIM window does not fit, or that
-    a branch window outgrows, before any training time is spent on it."""
-    if min(cfg["height"], cfg["width_px"]) < SSIM_WINDOW:
-        raise ConfigError(
-            f"height and width_px must be >= the {SSIM_WINDOW}-pixel MSSIM window, "
-            f"got {cfg['height']}x{cfg['width_px']}"
-        )
+    """Reject a cube grid that a branch window outgrows, before any training
+    time is spent on it."""
     for scheme in schemes:
         for extents in branch_extents(scheme):
             check_extents(extents, (cfg["bands"], cfg["height"], cfg["width_px"]))
 
 
 def train_config_from(cfg: dict, scheme: KernelScheme, seed: int, lam: float) -> TrainConfig:
-    return TrainConfig(
-        scheme=scheme,
-        width=cfg["width"],
-        num_blocks=cfg["num_blocks"],
-        lam=lam,
-        learning_rate=cfg["learning_rate"],
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        epochs=cfg["epochs"],
-        batch_size=cfg["batch_size"],
-        seed=seed,
-    )
+    values = {**cfg, "seed": seed, "lam": lam}
+    return TrainConfig(scheme=scheme, **{key: values[key] for key in options(TrainConfig)})
 
 
 def _distinct_schemes(command: str, cfg: dict) -> list[KernelScheme]:
@@ -419,7 +367,7 @@ def network_grad_max_error(
     num_blocks: int,
     samples: int,
     seed: int,
-    lam: float = 5e-5,
+    lam: float = TrainConfig.lam,
     step: float = 1e-4,
     sabotage: bool = False,
 ) -> float:
@@ -560,7 +508,7 @@ def cmd_train(cfg: dict) -> int:
 
 COMPARE_SCHEMA = {
     **_COMMON,
-    **_TASK,
+    **{key: opt for key, opt in _TASK.items() if key != "seed"},  # cells use seeds 0..seeds-1
     "schemes": Option(list, ["conv3d", "seq1d", "seq1d2d", "par1d2d", "res3_1d"],
                       "comma-separated scheme tokens to train and compare"),
     "seeds": Option(int, 3, "matched seeds per scheme", low=1),
@@ -573,7 +521,6 @@ def cmd_compare(cfg: dict) -> int:
     schemes = _distinct_schemes("compare", cfg)
     _check_grid(cfg, schemes)
     schemes.sort(key=lambda s: (rank_upper_bound(s, cfg["width"]), s.token))
-    train_config_from(cfg, schemes[0], 0, cfg["lam"])  # training settings fail here, not per cell
     data = [build_training_data(cfg, seed_shift=seed) for seed in range(cfg["seeds"])]
     run_dir = make_run_dir("compare", cfg)
     cells = [(scheme, seed) for scheme in schemes for seed in range(cfg["seeds"])]

@@ -15,6 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError, WindowTooLarge
+from .options import check_settings, setting
 from .tensor import FeatureMap
 
 PSNR_CAP_DB = 100.0
@@ -60,33 +61,23 @@ class NoiseKind(Enum):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Which corruption to apply and with what parameters.
-
-    ``sigma`` / ``sigma_min`` / ``sigma_max`` are on the 0-255 scale.
-    ``fraction`` is the share of columns (stripe, deadline) or voxels
-    (impulse) hit inside each affected band; ``band_fraction`` is the share
-    of bands affected by the structured corruptions. ``magnitude`` bounds the
-    per-stripe constant offset.
-    """
+    """Which corruption to apply and with what parameters."""
 
     kind: NoiseKind = NoiseKind.GAUSSIAN
-    sigma: float = 50.0
-    sigma_min: float = 30.0
-    sigma_max: float = 70.0
-    fraction: float = 0.1
-    magnitude: float = 0.25
-    band_fraction: float = 1.0 / 3.0
+    sigma: float = setting(50.0, "noise level on the 0-255 scale", low=0)
+    sigma_min: float = setting(30.0, "lower noise level for blind/non-iid/mixture", low=0)
+    sigma_max: float = setting(70.0, "upper noise level for blind/non-iid/mixture", low=0)
+    fraction: float = setting(0.1, "share of columns (stripe/deadline) or voxels (impulse) per band",
+                              low=0, high=1)
+    # at most the unit cube's full range; far larger bounds overflow the offset draw
+    magnitude: float = setting(0.25, "bound of the per-stripe constant offset", low=0, high=1)
+    band_fraction: float = setting(1.0 / 3.0, "share of bands hit by structured noise", low=0, high=1)
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0 or self.sigma_min < 0 or self.sigma_max < self.sigma_min:
-            raise ConfigError("noise levels must satisfy 0 <= sigma_min <= sigma_max")
-        for name in ("fraction", "band_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-        if not 0.0 <= self.magnitude < float("inf"):
-            raise ConfigError(f"magnitude must be finite and >= 0, got {self.magnitude}")
+        check_settings(self)
+        if self.sigma_max < self.sigma_min:
+            raise ConfigError(f"sigma_min must be <= sigma_max, got {self.sigma_min} > {self.sigma_max}")
 
 
 @dataclass(frozen=True)
@@ -296,7 +287,11 @@ def sam(pred, ref) -> float:
 
 
 def metrics_report(pred, ref) -> MetricsReport:
-    return MetricsReport(mpsnr=mpsnr(pred, ref), mssim=mssim(pred, ref), sam=sam(pred, ref))
+    """All three metrics; NumericError if one is not finite (an overflowing error)."""
+    report = MetricsReport(mpsnr=mpsnr(pred, ref), mssim=mssim(pred, ref), sam=sam(pred, ref))
+    if not np.all(np.isfinite(list(report.as_dict().values()))):
+        raise NumericError(f"non-finite metrics {report.as_dict()}")
+    return report
 
 
 def cube_to_feature(cube: HSCube) -> FeatureMap:

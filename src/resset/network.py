@@ -157,6 +157,8 @@ class Network:
         loaded: dict[str, np.ndarray] = {}
         for line in lines:
             if line.startswith("param "):
+                if len(line.split()) != 3:
+                    raise ConfigError(f"checkpoint manifest line {line!r} is not 'param <name> <file>'")
                 _, name, fname = line.split()
                 if name not in self.params:
                     raise ConfigError(f"checkpoint has unknown parameter {name!r}")

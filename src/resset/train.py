@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .errors import ConfigError, NonFiniteLoss, NumericError, ShapeError
 from .hsdata import MetricsReport, feature_to_cube, metrics_report
 from .network import Network
+from .options import check_settings, setting
 from .rank import Spectrum, feature_spectrum
 from .schemes import KernelScheme
 from .tensor import FeatureMap
@@ -28,25 +29,18 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class TrainConfig:
     scheme: KernelScheme
-    width: int = 8  # channel width M carried between blocks
-    num_blocks: int = 2
-    lam: float = 5e-5
-    learning_rate: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epochs: int = 300
-    batch_size: int = 1
-    seed: int = 0
+    width: int = setting(8, "channel width M carried between blocks", low=1)
+    num_blocks: int = setting(2, "number of residual blocks", low=1)
+    lam: float = setting(5e-5, "diversity penalty weight", low=0)
+    learning_rate: float = setting(2e-4, "Adam learning rate", low=0, open_low=True)
+    beta1: float = setting(0.9, "Adam first-moment decay", low=0, high=1, open_low=True, open_high=True)
+    beta2: float = setting(0.999, "Adam second-moment decay", low=0, high=1, open_low=True, open_high=True)
+    epochs: int = setting(300, "training epochs", low=0)
+    batch_size: int = setting(1, "pairs per optimizer step", low=1)
+    seed: int = setting(0, "master seed for init/shuffling", low=0)
 
     def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ConfigError("beta1 and beta2 must lie in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
-        if self.epochs < 0 or self.batch_size < 1 or self.num_blocks < 1 or self.width < 1:
-            raise ConfigError("epochs >= 0, batch_size >= 1, num_blocks >= 1, width >= 1 required")
+        check_settings(self)
 
 
 @dataclass

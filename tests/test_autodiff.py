@@ -428,6 +428,15 @@ class TestNetworkTape:
         for name, value in before.items():  # nothing was loaded
             np.testing.assert_array_equal(other.params[name], value)
 
+    @pytest.mark.parametrize("bad", ["param lift", "param lift lift.rst extra"])
+    def test_malformed_param_line_names_the_line(self, tmp_path, bad):
+        self._net().save_checkpoint(tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / "manifest.txt"
+        manifest.write_text(manifest.read_text() + bad + "\n")
+        with pytest.raises(ConfigError, match="is not 'param <name> <file>'") as err:
+            self._net().load_checkpoint(tmp_path / "ckpt")
+        assert repr(bad) in str(err.value)
+
     @pytest.mark.parametrize(
         "line, other_line",
         [

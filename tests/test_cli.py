@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,8 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resset import Network, cli, synth_cube, write_tensor
+from resset import (
+    ConfigError,
+    Network,
+    NoiseSpec,
+    TrainConfig,
+    cli,
+    parse_scheme_token,
+    synth_cube,
+    write_tensor,
+)
 from resset.cli import main
+from resset.options import options
 
 
 def run_cli(tmp_path, *args):
@@ -225,6 +236,15 @@ class TestTrainCommand:
         assert report["error"] == "non_finite_loss"
         assert isinstance(report["epoch"], int)
 
+    def test_non_finite_metrics_exit_3(self, tmp_path, capsys):
+        """Noise of level 1e308 overflows the holdout's squared error: the run
+        is a numeric failure, not a report of mpsnr=-inf and mssim=nan."""
+        code = run_cli(tmp_path, "train", "epochs=1", "width=2", "height=11", "width_px=11",
+                       "bands=3", "sigma=1e308")
+        assert code == 3
+        assert "non-finite metrics" in capsys.readouterr().err
+        assert not list(Path(tmp_path).rglob("report.json"))
+
     def test_non_finite_penalized_loss_writes_report(self, tmp_path):
         code = run_cli(tmp_path, "train", *self.SMALL, "epochs=3", "learning_rate=1e300")
         assert code == 3
@@ -271,6 +291,20 @@ class TestCompareCommand:
         assert run_cli(tmp_path, "compare", f"schemes={schemes}", "seeds=1") == 2
         assert "more than once" in capsys.readouterr().err
         assert not list(Path(tmp_path).iterdir())
+
+    def test_seed_is_unknown_key(self, tmp_path, capsys):
+        """Each cell trains seeds 0..seeds-1, so compare has no seed key."""
+        assert run_cli(tmp_path, "compare", "schemes=conv3d,res3_1d", "seeds=1", "seed=3") == 2
+        assert "unknown config keys: seed" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
+    def test_non_finite_metrics_fail_the_cell(self, tmp_path):
+        code = run_cli(tmp_path, "compare", "schemes=conv3d,res3_1d", "seeds=1", "epochs=1",
+                       "width=2", "height=11", "width_px=11", "bands=3", "sigma=1e308")
+        assert code == 1
+        rows = read_rows(only_run_dir(tmp_path, "compare") / "results.csv")
+        assert [row["status"] for row in rows] == ["failed:NumericError"] * 2
+        assert [row["mpsnr"] for row in rows] == ["", ""]
 
     def test_rerun_reproduces_results_bytes(self, tmp_path):
         args = ["compare", "schemes=conv3d,res3_1d", "seeds=2", "bands=8", "height=12",
@@ -420,6 +454,23 @@ class TestExitCodes:
         assert "magnitude must be" in capsys.readouterr().err
         assert not list(Path(tmp_path).iterdir())
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("noise_kind", ["stripe", "mixture"])
+    def test_stripe_magnitude_above_unit_range_is_usage_error(self, tmp_path, capsys, command,
+                                                              noise_kind):
+        """A bound of 1e308 used to overflow the stripe offset draw."""
+        extra = ["schemes=conv3d,res3_1d"] if command == "compare" else []
+        assert run_cli(tmp_path, command, *self.QUICK[command], *extra, f"noise_kind={noise_kind}",
+                       "magnitude=1e308") == 2
+        assert "magnitude must be in [0, 1], got 1e+308" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
+    def test_sigma_min_above_sigma_max_is_usage_error(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "train", *self.QUICK["train"], "noise_kind=non_iid",
+                       "sigma_min=80") == 2
+        assert "sigma_min must be <= sigma_max" in capsys.readouterr().err
+        assert not list(Path(tmp_path).iterdir())
+
     def test_non_utf8_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "audit.cfg"
         cfg.write_bytes(b"schemes=conv3d\nseeds=\xff\xfe2\n")
@@ -439,6 +490,44 @@ class TestExitCodes:
         assert run_cli(tmp_path, "compare", *self.SMALL, "height=12",
                        "schemes=conv3d,res3_1d", "seeds=1", bad) == 2
         assert not list(Path(tmp_path).iterdir())
+
+
+def values_outside(option):
+    """The first values past each end of ``option``'s range: an open end
+    itself, else the next integer or float beyond it."""
+    def beyond(bound, direction):
+        return bound + direction if option.type is int else math.nextafter(bound, direction * math.inf)
+
+    out = []
+    if option.low is not None:
+        out.append(option.low if option.open_low else beyond(option.low, -1))
+    if option.high is not None:
+        out.append(option.high if option.open_high else beyond(option.high, 1))
+    return [option.type(value) for value in out]
+
+
+RES3_1D = parse_scheme_token("res3_1d")
+LIBRARY_SETTINGS = {TrainConfig: {"scheme": RES3_1D}, NoiseSpec: {}}
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [pytest.param(cls, key, value, id=f"{key}={value!r}")
+     for cls in LIBRARY_SETTINGS for key, option in options(cls).items()
+     for value in values_outside(option)]
+    + [pytest.param(NoiseSpec, "fraction", 1.0000001, id="fraction=1.0000001"),
+       pytest.param(TrainConfig, "lam", -1e-300, id="lam=-1e-300")],
+)
+def test_setting_outside_its_range_is_rejected_by_cli_and_library(tmp_path, capsys, cls, key,
+                                                                  value):
+    """Each training and noise setting's one declared range is what the CLI,
+    its --help and the library type all use, with the same message."""
+    assert cli.TRAIN_SCHEMA[key] is options(cls)[key]
+    assert run_cli(tmp_path, "train", *TestExitCodes.QUICK["train"], f"{key}={value!r}") == 2
+    assert f"usage error: {key} must be " in capsys.readouterr().err
+    assert not list(Path(tmp_path).iterdir())
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        cls(**LIBRARY_SETTINGS[cls], **{key: value})
 
 
 # Boundary values per rank-audit key. k stays small: the joint matrix holds
@@ -463,11 +552,25 @@ def is_negative(value: str) -> bool:
         return False
 
 
+def non_finite_outputs(out_dir) -> list[str]:
+    """Every NaN or infinity written into a .json or .csv file under ``out_dir``."""
+    found = []
+    for path in Path(out_dir).rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=found.append)
+        elif path.suffix == ".csv":
+            with open(path, newline="") as fh:
+                found += [cell for row in csv.reader(fh) for cell in row
+                          if cell.lower() in ("nan", "inf", "-inf")]
+    return found
+
+
 def check_exit_code_contract(command, values, key, data, base=()):
     """Every boundary value of ``key``, over ``base`` and up to two other
-    boundary values, exits 0, 1, 2 or 3 without a traceback, and a usage
-    error leaves no run directory. No key of these commands takes a negative
-    number, so one in the resolved settings is a usage error."""
+    boundary values, exits 0, 1, 2 or 3 without a traceback, a usage error
+    leaves no run directory, and a success writes only finite numbers. No
+    key of these commands takes a negative number, so one in the resolved
+    settings is a usage error."""
     pairs = [f"{k}={v}" for k, vs in values.items() for v in vs]
     others = data.draw(st.lists(st.sampled_from(pairs), max_size=2))
     probe = data.draw(st.sampled_from(values[key]))
@@ -480,6 +583,8 @@ def check_exit_code_contract(command, values, key, data, base=()):
             assert code == 2, f"{overrides} exited {code}"
         if code == 2:
             assert not list(Path(out_dir).iterdir())
+        if code == 0:
+            assert not non_finite_outputs(out_dir), f"{overrides} wrote non-finite numbers"
 
 
 @pytest.mark.parametrize("key", sorted(RANK_AUDIT_VALUES))
@@ -538,6 +643,85 @@ def test_grad_check_exit_code_contract(key, data):
     check_exit_code_contract("grad-check", GRAD_CHECK_VALUES, key, data, base=GRAD_CHECK_TINY)
 
 
+# Boundary values per training and noise key, shared by train and compare.
+# Every float key gets its range's ends and the float just past each, plus
+# nan, inf and 1e308. epochs, width, num_blocks, k, bands, height, width_px,
+# endmembers and train_pairs scale the work, so they come only from small
+# values over a tiny base run; batch_size and the seeds are cheap at any size.
+FLOAT_EDGES = ["nan", "inf", "-inf", "1e308", ""]
+TASK_VALUES = {
+    "width": ["-1", "0", "1", "2", "x"],
+    "num_blocks": ["-1", "0", "1", "2", "1.5"],
+    "k": ["-1", "0", "1", "2", "3", "5", "25"],
+    "lam": ["-1e-300", "0", "5e-324", "5e-5", "1", *FLOAT_EDGES],
+    "learning_rate": ["-0.0", "0", "5e-324", "2e-4", "1", *FLOAT_EDGES],
+    "beta1": ["0", "5e-324", "0.9", "0.9999999999999999", "1", *FLOAT_EDGES],
+    "beta2": ["0", "5e-324", "0.999", "0.9999999999999999", "1", *FLOAT_EDGES],
+    "epochs": ["-1", "0", "1", "", "x"],
+    "batch_size": ["-1", "0", "1", "2", str(2**64)],
+    "bands": ["-1", "0", "1", "2", "3"],
+    "height": ["-1", "0", "1", "10", "11", "12"],
+    "width_px": ["-1", "0", "10", "11", "12", "1.0"],
+    "endmembers": ["-1", "0", "1", "2", "x"],
+    "train_pairs": ["-1", "0", "1", "2", ""],
+    "data_seed": ["-1", "0", str(2**64), "x"],
+    "noise_seed": ["-1", "0", str(2**64), ""],
+    "noise_kind": ["gaussian", "gaussian_blind", "non_iid", "stripe", "deadline", "impulse",
+                   "mixture", "MIXTURE", "", "foo"],
+    "sigma": ["-5e-324", "0", "50", *FLOAT_EDGES],
+    "sigma_min": ["-5e-324", "0", "30", "80", *FLOAT_EDGES],
+    "sigma_max": ["-5e-324", "0", "20", "70", *FLOAT_EDGES],
+    "fraction": ["-5e-324", "0", "0.1", "1", "1.0000000000000002", *FLOAT_EDGES],
+    "magnitude": ["-5e-324", "0", "0.25", "1", "1.0000000000000002", *FLOAT_EDGES],
+    "band_fraction": ["-5e-324", "0", "0.5", "1", "1.0000000000000002", *FLOAT_EDGES],
+}
+# mixture noise reads sigma_min, sigma_max, fraction and magnitude
+TASK_TINY = ("epochs=1", "bands=3", "height=11", "width_px=11", "width=2", "num_blocks=1",
+             "noise_kind=mixture")
+TRAIN_VALUES = {**TASK_VALUES, "seed": ["-1", "0", str(2**64), "x"],
+                "scheme": ["res3_1d", "conv3d", "par1d2d", "seq1d2d", "bogus", ""]}
+COMPARE_VALUES = {**TASK_VALUES, "seeds": ["-1", "0", "1", "2", "x"],
+                  "schemes": ["", "conv3d", "conv3d,res3_1d", "par1d2d,seq1d", "conv3d,CONV3D",
+                              "res3_1d,bogus"]}
+
+
+@pytest.mark.parametrize("key", sorted(TRAIN_VALUES))
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_train_exit_code_contract(key, data):
+    check_exit_code_contract("train", TRAIN_VALUES, key, data, base=TASK_TINY)
+
+
+@pytest.mark.parametrize("key", sorted(COMPARE_VALUES))
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compare_exit_code_contract(key, data):
+    check_exit_code_contract("compare", COMPARE_VALUES, key, data,
+                             base=(*TASK_TINY, "schemes=conv3d,res3_1d", "seeds=1"))
+
+
+@pytest.fixture(scope="module")
+def spectrum_inputs(tmp_path_factory) -> list[str]:
+    """Tensor files, written once: valid, wrong rank, truncated, non-finite,
+    zero-extent, a directory and a missing path."""
+    root = tmp_path_factory.mktemp("spectrum_inputs")
+    write_tensor(root / "rank4.rst", np.random.default_rng(0).standard_normal((2, 2, 3, 3)))
+    write_tensor(root / "rank3.rst", np.ones((2, 3, 3)))
+    (root / "short.rst").write_bytes(b"RST1" + (4).to_bytes(4, "little") + b"\x02\x00")
+    write_tensor(root / "nan.rst", np.full((2, 2, 3, 3), np.nan))
+    write_tensor(root / "empty.rst", np.zeros((2, 0, 3, 3)))
+    names = ["rank4.rst", "rank3.rst", "short.rst", "nan.rst", "empty.rst", "", "missing.rst"]
+    return [str(root / name) for name in names]
+
+
+@pytest.mark.parametrize("key", ["head", "input"])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_spectrum_exit_code_contract(spectrum_inputs, key, data):
+    values = {"input": [*spectrum_inputs, ""], "head": ["-1", "0", "1", "8", str(2**64), "", "x"]}
+    check_exit_code_contract("spectrum", values, key, data)
+
+
 @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
 def test_help_lists_every_config_key(capsys, command):
     assert main([command, "--help"]) == 0
@@ -546,5 +730,5 @@ def test_help_lists_every_config_key(capsys, command):
     for key, option in schema.items():
         row = next(line.split() for line in lines if line.split()[:1] == [key])
         assert row[1] == option.type.__name__
-        assert row[2] == ("-" if option.low is None else str(option.low))
+        assert row[2] == option.range_text()
         assert option.help and " ".join(row[4:]) == option.help

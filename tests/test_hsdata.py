@@ -8,11 +8,13 @@ from resset import (
     HSCube,
     NoiseKind,
     NoiseSpec,
+    NumericError,
     ShapeError,
     WindowTooLarge,
     add_noise,
     cube_to_feature,
     feature_to_cube,
+    metrics_report,
     mpsnr,
     mssim,
     sam,
@@ -109,6 +111,17 @@ class TestAddNoise:
     def test_magnitude_outside_finite_non_negative_rejected(self, magnitude):
         with pytest.raises(ConfigError, match="magnitude"):
             NoiseSpec(kind=NoiseKind.STRIPE, magnitude=magnitude)
+
+    @pytest.mark.parametrize("magnitude", [np.nextafter(1.0, 2.0), 1e308])
+    def test_magnitude_above_unit_range_rejected(self, magnitude):
+        """1e308 used to pass here and overflow the offset draw in add_noise."""
+        with pytest.raises(ConfigError, match=r"magnitude must be in \[0, 1\]"):
+            NoiseSpec(kind=NoiseKind.STRIPE, magnitude=magnitude)
+
+    def test_unit_magnitude_stripes_stay_within_bound(self):
+        cube = synth_cube(10, 4, 12, 12)
+        out = add_noise(cube, NoiseSpec(kind=NoiseKind.STRIPE, magnitude=1.0, seed=11))
+        assert 0 < np.max(np.abs(out.data - cube.data)) <= 1.0
 
     def test_zero_magnitude_stripes_leave_cube_unchanged(self):
         cube = synth_cube(10, 4, 12, 12)
@@ -207,6 +220,15 @@ class TestMetricSymmetry:
         a = synth_cube(22, 4, 16, 16)
         b = HSCube(a.data + 0.05)
         assert mpsnr(a, b) == pytest.approx(mpsnr(b, a), rel=1e-12)
+
+
+class TestMetricsReport:
+    def test_overflowing_error_is_numeric_error(self):
+        """A squared error past the float range gives mpsnr=-inf and
+        mssim=nan, which no report may carry as a result."""
+        ref = synth_cube(23, 2, 12, 12)
+        with pytest.raises(NumericError, match="non-finite metrics"):
+            metrics_report(HSCube(ref.data + 1e200), ref)
 
 
 class TestFeatureBridges:
