@@ -493,6 +493,9 @@ def cmd_train(cfg: dict) -> int:
         write_json(run_dir / "report.json", {"error": "non_finite_loss", "epoch": err.epoch})
         print(f"train: non-finite loss at epoch {err.epoch}")
         return EXIT_NUMERIC
+    except NumericError as err:  # non-finite holdout metrics or feature volume
+        write_json(run_dir / "report.json", {"error": "numeric", "message": str(err)})
+        raise
     write_json(run_dir / "report.json", report.as_dict())
     write_csv(run_dir / "spectrum.csv", ["index", "normalized_value"], _spectrum_rows(report.spectrum))
     net.save_checkpoint(run_dir / "checkpoint")

@@ -26,7 +26,7 @@ from .schemes import (
     rank_upper_bound,
     valid_column_count,
 )
-from .tensor import FeatureMap, UnfoldedMatrix, numeric_rank
+from .tensor import FeatureMap, UnfoldedMatrix, numeric_rank, singular_values
 
 AUDIT_RANK_TOL = 1e-6
 # Most draws an audit builds at once. A batch removes the per-draw Python
@@ -127,7 +127,7 @@ def feature_spectrum(fmap: FeatureMap) -> Spectrum:
         raise NumericError("cannot decompose a matrix with non-finite entries")
     if not np.any(mat):
         return Spectrum(values=np.empty(0))
-    s = np.linalg.svd(mat, compute_uv=False)
+    s = singular_values(mat)
     return Spectrum(values=s / s[0])
 
 

@@ -119,13 +119,22 @@ def matmul(a: UnfoldedMatrix, b: UnfoldedMatrix) -> UnfoldedMatrix:
     return UnfoldedMatrix(a.data @ b.data)
 
 
+def singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values of a 2-D array, non-increasing. A wide matrix is
+    decomposed as its transpose, which has the same values: LAPACK's path
+    for tall matrices (QR first) is faster than its path for wide ones (LQ
+    first): 10.6 against 26.8 ms on a 24 x 31744 matrix, 36 against 56 us
+    on an 8 x 216 one (2-core Xeon VM, OpenBLAS 0.3.31, medians)."""
+    return np.linalg.svd(mat.T if mat.shape[0] < mat.shape[1] else mat, compute_uv=False)
+
+
 def numeric_rank(m: UnfoldedMatrix, rel_tol: float = 1e-9) -> int:
     """Number of singular values above ``rel_tol`` times the largest one."""
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if not np.all(np.isfinite(m.data)):
         raise NumericError("cannot rank a matrix with non-finite entries")
-    s = np.linalg.svd(m.data, compute_uv=False)
+    s = singular_values(m.data)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))

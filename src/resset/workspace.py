@@ -24,7 +24,8 @@ class Workspace:
     silently overwrite each other.
 
     ``autodiff.Node.backward`` gives back each interior node's arrays once
-    its backward has run. Only ``train.train_denoiser`` keeps one workspace
+    its backward has run, and a gradient buffer lent to other nodes once the
+    last of them has let it go. Only ``train.train_denoiser`` keeps one workspace
     across forward passes, reclaiming it between steps; every other tape
     gets a private one.
     """

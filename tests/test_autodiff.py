@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resset import (
     ConfigError,
@@ -13,7 +15,7 @@ from resset import (
     parse_scheme_token,
 )
 from resset import autodiff as ad
-from resset.schemes import LEAKY_SLOPE, branch_extents, expected_weight_shapes
+from resset.schemes import _TOKENS, LEAKY_SLOPE, branch_extents, expected_weight_shapes
 from resset.train import training_loss
 
 from conftest import FreshArrays
@@ -281,7 +283,13 @@ class TestWorkspace:
         assert mid.grad is None
         assert root.grad is not None and w.grad is not None and x.grad is not None
 
-    @pytest.mark.parametrize("token, lam", [("conv3d", 0.0), ("res3_1d", 5e-5), ("seq1d2d", 5e-5)])
+    # Every distinct scheme with the penalty (res3_1d_l1 is res3_1d), and the
+    # plain conv3d run of the benchmark.
+    DISTINCT_TOKENS = [t for t in _TOKENS if parse_scheme_token(t).token == t]
+
+    @pytest.mark.parametrize(
+        "token, lam", [("conv3d", 0.0)] + [(token, 5e-5) for token in DISTINCT_TOKENS]
+    )
     def test_shared_workspace_matches_fresh_arrays(self, rng, token, lam):
         """Steps through one recycling workspace, as in training, give
         bit-identical parameter gradients to graphs that never reuse an array,
@@ -303,6 +311,191 @@ class TestWorkspace:
             for name in net.params:
                 np.testing.assert_array_equal(shared[name], fresh[name], err_msg=name)
                 net.params[name] -= 1e-2 * fresh[name]  # the next step sees new weights
+
+
+def spy_backward(node, log):
+    """Record, as ``node``'s backward starts, its gradient and the buffer it
+    views: ``(grad copy, grad, lender, lender's buffer or None)``."""
+    backward = node._backward
+
+    def spied(g):
+        lender = node._lender
+        log.append((g.copy(), g, lender, None if lender is None else lender.grad))
+        backward(g)
+
+    node._backward = spied
+
+
+class TestGradientLending:
+    """add and concat_channels lend their gradient to interior parents as a
+    read-only view; the first further contribution makes a private sum."""
+
+    def test_borrowed_gradient_is_a_read_only_view_of_the_lender(self, rng):
+        x = ad.Node(rng.standard_normal((2, 2, 3, 3)))
+        p, q = ad.scale(x, 2.0), ad.scale(x, 3.0)
+        s = ad.add(p, q)
+        root = ad.scale(s, 1.0)
+        log = []
+        spy_backward(p, log)
+        root.backward(rng.standard_normal(x.data.shape))
+        g, view, lender, buffer = log[0]
+        assert lender is s and np.shares_memory(view, buffer)
+        assert not view.flags.writeable
+        assert p.grad is None and s.grad is None and s._holds == 0
+        np.testing.assert_array_equal(x.grad, 2.0 * g + 3.0 * g)
+
+    def test_materializing_leaves_the_lender_untouched(self, rng):
+        """p borrows t's gradient twice, directly and through s; its second
+        contribution sums into a buffer of its own, and q still reads t's
+        gradient unchanged."""
+        x = ad.Node(rng.standard_normal((2, 2, 3, 3)))
+        p, q = ad.scale(x, 2.0), ad.scale(x, 3.0)
+        t = ad.add(ad.add(p, q), p)
+        root = ad.scale(t, 1.0)
+        p_log, q_log = [], []
+        spy_backward(p, p_log)
+        spy_backward(q, q_log)
+        seed = rng.standard_normal(x.data.shape)
+        root.backward(seed)
+        (p_sum, p_view, p_lender, _), (q_g, q_view, q_lender, q_buffer) = p_log[0], q_log[0]
+        assert p_lender is None and p_view.flags.writeable
+        assert not np.shares_memory(p_view, q_buffer)
+        np.testing.assert_array_equal(p_sum, seed + seed)
+        assert q_lender is t and np.shares_memory(q_view, q_buffer)
+        np.testing.assert_array_equal(q_g, seed)
+        np.testing.assert_array_equal(x.grad, 2.0 * p_sum + 3.0 * seed)
+
+    def test_lending_through_an_add_chain_lends_the_first_owner(self, rng):
+        x = ad.Node(rng.standard_normal((1, 2, 2, 2)))
+        parts = [ad.scale(x, f) for f in (1.0, 2.0, 4.0)]
+        inner = ad.add(parts[0], parts[1])
+        outer = ad.add(inner, parts[2])
+        root = ad.scale(outer, 1.0)
+        logs = [[] for _ in parts]
+        for node, log in zip(parts, logs):
+            spy_backward(node, log)
+        seed = rng.standard_normal(x.data.shape)
+        root.backward(seed)
+        for log in logs:
+            g, view, lender, buffer = log[0]
+            assert lender is outer and np.shares_memory(view, buffer)
+            np.testing.assert_array_equal(g, seed)
+        assert outer.grad is None and outer._holds == 0 and inner.grad is None
+        np.testing.assert_array_equal(x.grad, 7.0 * seed)
+
+    def test_concat_lends_row_blocks(self, rng):
+        x = ad.Node(rng.standard_normal((1, 2, 2, 2)))
+        a, b = ad.scale(x, 2.0), ad.scale(x, 3.0)
+        cat = ad.concat_channels([a, b])
+        root = ad.scale(cat, 1.0)
+        logs = [[], []]
+        spy_backward(a, logs[0])
+        spy_backward(b, logs[1])
+        seed = rng.standard_normal(cat.data.shape)
+        root.backward(seed)
+        for i, log in enumerate(logs):
+            g, view, lender, buffer = log[0]
+            assert lender is cat and np.shares_memory(view, buffer)
+            np.testing.assert_array_equal(g, seed[i : i + 1])
+        np.testing.assert_array_equal(x.grad, 2.0 * seed[:1] + 3.0 * seed[1:])
+
+    def test_leaves_and_root_never_borrow(self, rng):
+        g = rng.standard_normal((2, 2, 2, 2))
+        a, b, c = (ad.Node(rng.standard_normal(g.shape)) for _ in range(3))
+        s = ad.add(a, b)
+        cat = ad.concat_channels([s, c])
+        root = ad.scale(cat, 1.0)
+        log = []
+        spy_backward(s, log)
+        root.backward(np.concatenate([g, g]))
+        view = log[0][1]
+        for leaf in (a, b, c):
+            assert leaf._lender is None and leaf.grad.flags.writeable
+            assert not np.shares_memory(leaf.grad, view)
+            np.testing.assert_array_equal(leaf.grad, g)
+        assert root._lender is None and root.grad is not None
+
+    def test_nothing_is_lent_after_backward_but_root_and_leaf_arrays(self, rng):
+        """Each interior buffer goes back to the workspace once its last
+        borrower has run; what stays lent is the root's and the leaves'."""
+        net = Network(parse_scheme_token("res3_1d"), channels=1, width=4, num_blocks=2, seed=7)
+        ws = ad.Workspace()
+        tape = net.forward_tape(rng.standard_normal((1, 5, 6, 7)), ws)
+        loss = training_loss(tape.output, tape.feature, rng.standard_normal((1, 5, 6, 7)), 5e-5)[0]
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        leaves = [n for n in nodes.values() if n._backward is None]
+        interior = [n for n in nodes.values() if n._backward is not None and n is not loss]
+        assert len(leaves) == len(tape.params) + 1  # the parameters and the input
+        assert {id(a) for a in ws._lent.values()} == {
+            id(a) for a in (loss.grad, *loss._owned, *(n.grad for n in leaves))
+        }
+        for node in interior:
+            assert node.grad is None and node._lender is None and node._holds == 0
+        ws.reclaim()
+        assert not ws._lent
+
+    OPS = ("add", "concat", "scale", "leaky", "mix")
+
+    @staticmethod
+    def random_graph(ops, seed, ws):
+        """A DAG over two leaves: each op reads the node made just before it
+        and, for add and concat, a second node of its shape picked by the
+        op's integer, so every op is an ancestor of the root and nodes are
+        shared across ops."""
+        gen = np.random.default_rng(seed)
+        x = ad.Node(gen.standard_normal((2, 2, 3, 3)), ws=ws)
+        leaves = [x, ad.Node(gen.standard_normal((2, 2, 3, 3)), ws=ws)]
+        nodes = list(leaves)
+        for op, j in ops:
+            a = nodes[-1]
+            same = [n for n in nodes if n.data.shape == a.data.shape]
+            b = same[j % len(same)]
+            if op == "add":
+                node = ad.add(a, b)
+            elif op == "concat":
+                node = ad.concat_channels([a, b])
+            elif op == "scale":
+                node = ad.scale(a, 0.5 + j % 3)
+            elif op == "leaky":
+                node = ad.leaky_relu(a, LEAKY_SLOPE)
+            else:
+                w = ad.Node(gen.standard_normal((1 + j % 3, a.data.shape[0])), ws=ws)
+                leaves.append(w)
+                node = ad.channel_mix(w, a)
+            nodes.append(node)
+        return nodes[-1], leaves, gen.standard_normal(nodes[-1].data.shape)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(OPS), st.integers(0, 99)),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_random_graphs_match_fresh_arrays_bitwise(self, ops, seed):
+        """The same graph twice on one recycling workspace and once on arrays
+        that are never reused gives bit-identical leaf gradients."""
+        ws = ad.Workspace()
+        grads = []
+        for workspace in (ws, ws, FreshArrays()):
+            root, leaves, g = self.random_graph(ops, seed, workspace)
+            root.backward(g)
+            grads.append([None if leaf.grad is None else leaf.grad.copy() for leaf in leaves])
+            del root, leaves
+            workspace.reclaim()
+        for run in grads[:2]:
+            for got, want in zip(run, grads[2]):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestNetworkTape:

@@ -242,8 +242,11 @@ class TestTrainCommand:
         code = run_cli(tmp_path, "train", "epochs=1", "width=2", "height=11", "width_px=11",
                        "bands=3", "sigma=1e308")
         assert code == 3
-        assert "non-finite metrics" in capsys.readouterr().err
-        assert not list(Path(tmp_path).rglob("report.json"))
+        err = capsys.readouterr().err
+        assert "non-finite metrics" in err
+        report = json.loads((only_run_dir(tmp_path, "train") / "report.json").read_text())
+        assert report["error"] == "numeric" and "non-finite metrics" in report["message"]
+        assert report["message"] in err
 
     def test_non_finite_penalized_loss_writes_report(self, tmp_path):
         code = run_cli(tmp_path, "train", *self.SMALL, "epochs=3", "learning_rate=1e300")

@@ -180,6 +180,14 @@ class TestFeatureSpectrum:
         assert np.all(spectrum.values[:-1] >= spectrum.values[1:])
         assert np.all((spectrum.values >= 0) & (spectrum.values <= 1))
 
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 5), (50, 1, 2, 3), (6, 1, 2, 3)])
+    def test_matches_untransposed_svd(self, rng, shape):
+        """Wide, tall and square unfoldings: the values are the untransposed
+        SVD's, scaled by its largest, to within 1e-12 relative."""
+        data = rng.standard_normal(shape)
+        s = np.linalg.svd(data.reshape(shape[0], -1), compute_uv=False)
+        np.testing.assert_allclose(feature_spectrum(FeatureMap(data)).values, s / s[0], rtol=1e-12)
+
     def test_all_zero_map_flagged_empty(self):
         spectrum = feature_spectrum(FeatureMap(np.zeros((3, 2, 2, 2))))
         assert spectrum.is_empty

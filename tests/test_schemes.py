@@ -352,8 +352,10 @@ class TestTapLoopOracle:
 
     # Grids with one band or one row, and extents at the 2*dim+1 bound, are
     # where a tap's flattened offset would wrap into the next row or plane.
-    # The last two span several column blocks of the default size: 10498
-    # columns, and 28672 = 7 * 4096, a multiple of every block size below.
+    # "several_blocks" and "block_multiple" span several column blocks of the
+    # default size: 10498 columns, and 28672 = 7 * 4096, a multiple of every
+    # block size below. The three 2-D windows, each padding two axes and not
+    # the third, run just past one default block.
     BRANCH_SHAPES = [
         ((3, 3, 3), 4, (3, 5, 6, 7), "extents0"),
         ((3, 1, 1), 4, (3, 5, 6, 7), "extents1"),
@@ -368,6 +370,9 @@ class TestTapLoopOracle:
         ((3, 3, 3), 2, (3, 1, 1, 1), "single_voxel_at_bound"),
         ((3, 3, 3), 2, (2, 6, 40, 40), "several_blocks"),
         ((3, 1, 1), 2, (2, 28, 32, 32), "block_multiple"),
+        ((1, 3, 3), 2, (2, 4, 30, 32), "e133_two_blocks"),
+        ((3, 1, 3), 2, (2, 5, 28, 30), "e313_two_blocks"),
+        ((3, 3, 1), 2, (2, 5, 30, 28), "e331_two_blocks"),
     ]
     # Each case at the default block size (bare id) and with blocks of one
     # and of seven columns, so every case crosses block edges; each also on
@@ -394,6 +399,8 @@ class TestTapLoopOracle:
         multiple = columns(*cases["block_multiple"])
         assert several > 2 * ad.BLOCK_COLUMNS and several % ad.BLOCK_COLUMNS
         assert multiple > ad.BLOCK_COLUMNS and multiple % (7 * ad.BLOCK_COLUMNS) == 0
+        for name in ("e133_two_blocks", "e313_two_blocks", "e331_two_blocks"):
+            assert ad.BLOCK_COLUMNS < columns(*cases[name]) < 2 * ad.BLOCK_COLUMNS, name
 
     @pytest.mark.parametrize("extents, out_ch, shape, block, fresh", BRANCH_CASES)
     def test_branch_conv_matches_tap_loop(

@@ -20,6 +20,7 @@ from resset import (
     unfold_patches,
     write_tensor,
 )
+from resset import tensor
 from resset.regularizer import nuclear_penalty
 
 
@@ -193,6 +194,27 @@ class TestSvdInvariance:
         np.testing.assert_allclose(s, s_t, atol=1e-10)
         s_c = singular_values(scale * mat)
         np.testing.assert_allclose(s_c, abs(scale) * s, atol=1e-10)
+
+
+# Wide, tall and square draws; the widest has the toy feature volume's shape.
+SPECTRUM_SHAPES = [(6, 40), (40, 6), (9, 9), (24, 31744)]
+
+
+class TestTallSideSvd:
+    @pytest.mark.parametrize("shape", SPECTRUM_SHAPES)
+    def test_matches_untransposed_svd(self, rng, shape):
+        """Decomposing a wide matrix's transpose gives its singular values to
+        within 1e-12 relative, each one."""
+        mat = rng.standard_normal(shape)
+        want = np.linalg.svd(mat, compute_uv=False)
+        np.testing.assert_allclose(tensor.singular_values(mat), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("shape", SPECTRUM_SHAPES[:3])
+    def test_numeric_rank_unchanged_on_low_rank_draws(self, rng, shape):
+        rows, cols = shape
+        mat = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, cols))
+        s = np.linalg.svd(mat, compute_uv=False)
+        assert numeric_rank(UnfoldedMatrix(mat)) == int(np.sum(s > 1e-9 * s[0])) == 3
 
 
 class TestNumericRank:
