@@ -19,12 +19,26 @@ core's L2 cache across all taps (``BLOCK_COLUMNS``). The im2col unfold in
 ``tensor.unfold_patches`` is kept only as an independent check of this
 kernel, in acceptance criterion 1 and the oracle tests.
 
-Memory comes from a ``Workspace``, a shape-keyed pool of float64 arrays (the
-caching-allocator pattern of Paszke et al. 2019, "PyTorch", scoped to one
-run). Every node carries the workspace of the op input it was made from; a
-node made without one gets a private workspace. Each op takes its output,
-the arrays its backward keeps, its scratch and every gradient buffer from
-that workspace and writes through ``out=``. Lifetime contract:
+Memory comes from a ``Workspace``, a pool of arrays keyed by shape and dtype
+(the caching-allocator pattern of Paszke et al. 2019, "PyTorch", scoped to
+one run). Every node carries the workspace of the op input it was made from;
+a node made without one gets a private float64 workspace. Each op takes its
+output, the arrays its backward keeps, its scratch and every gradient buffer
+from that workspace and writes through ``out=``.
+
+The workspace's dtype is the tape's precision: a node's value and gradient
+are in it, and ``Node(data, ws=...)`` casts to it. Training runs its tapes on
+a float32 workspace (``train.TRAIN_DTYPE``); everything else, grad-check and
+the oracle tests included, runs on float64 ones. The one op that does not
+compute in the tape's dtype is ``diversity_penalty``: it decomposes a float64
+copy of the feature matrix, so the penalty's spectral arithmetic is float64
+whatever the tape's precision.
+
+A leaf made with ``requires_grad=False`` (the network input) takes no
+gradient: contributions to it are dropped, and ``channel_mix`` skips its
+input-gradient product when its input asks for none.
+
+Lifetime contract:
 
 - An op gives its scratch back before it returns.
 - Gradients are lent, not copied, where an op passes its upstream gradient
@@ -63,14 +77,19 @@ from .workspace import Workspace
 # Columns of the flattened padded grid per block of the branch convolution's
 # tap loops. One block's working set is its stacked window, (kw*in) x
 # (block + span) with span = (kb-1)*Hp*Wp + (kh-1)*Wp, plus the (out, block)
-# accumulator and product: at width 8 and 4096 columns about 1.9 MB for the
-# 3x3x3 branch on the 31x32x32 toy cube (span 2380), inside a 2 MB per-core
-# L2. Forward plus backward per call on that cube at width 8 (2-core Xeon,
-# OpenBLAS, medians of 15-25 calls, four alternating runs): the 3x3x3 branch
-# took 22.7-24.4 ms at 2048 columns, 16.8-21.7 at 3072, 15.9-20.8 at 4096,
-# 18.2-21.2 at 6144 and 19.4-23.4 at 8192; the 3x1x1 branch 4.3-4.8, 3.1-3.6,
-# 2.7-4.2, 2.7-3.3 and 3.1-3.7. The machine's speed drifts by more than the
-# differences among 3072-6144; 4096 stays.
+# accumulator and product: at width 8 and 4096 columns about 1.9 MB in
+# float64 and 0.95 MB in float32 for the 3x3x3 branch on the 31x32x32 toy
+# cube (span 2380), inside a 2 MB per-core L2. Forward plus backward per call
+# on that cube at width 8 (2-core Xeon, OpenBLAS, medians of 15-25 calls,
+# four alternating runs), float64: the 3x3x3 branch took 22.7-24.4 ms at 2048
+# columns, 16.8-21.7 at 3072, 15.9-20.8 at 4096, 18.2-21.2 at 6144 and
+# 19.4-23.4 at 8192; the 3x1x1 branch 4.3-4.8, 3.1-3.6, 2.7-4.2, 2.7-3.3 and
+# 3.1-3.7. Re-swept on the float32 training tape (medians of 28 calls, three
+# alternating runs) at 2048/3072/4096/6144/8192/12288/16384 columns: the
+# 3x3x3 branch 11.0-12.9, 8.7-10.5, 7.4-9.7, 11.9-12.9, 11.5-12.0,
+# 11.4-12.7 and 16.6-20.3 ms; the 3x1x1 branch 2.3-2.5, 1.9-2.1, 1.7-1.8,
+# 1.5-1.8, 1.4-1.7, 1.4-1.6 and 1.9-2.3 ms. Wider blocks save the 3x1x1
+# branch about 0.2 ms a call and cost the 3x3x3 branch 2-4 ms; 4096 stays.
 BLOCK_COLUMNS = 4096
 
 
@@ -78,7 +97,9 @@ class Node:
     """A value in the computation graph with its gradient accumulator.
 
     ``ws`` is the workspace that the node's gradient and the arrays of the
-    op that made it come from; ``_owned`` lists the workspace arrays the
+    op that made it come from; ``data`` and ``grad`` are in its dtype. A
+    node with ``requires_grad`` false takes no gradient contribution and
+    keeps ``grad`` at None. ``_owned`` lists the workspace arrays the
     node's value and backward closure hold. ``grad`` is either a buffer the
     node holds (``_holds`` counts the node and every borrower of it) or a
     read-only view of the buffer of ``_lender``, which is never itself a
@@ -88,13 +109,17 @@ class Node:
     """
 
     __slots__ = (
-        "data", "grad", "ws", "_parents", "_backward", "_owned", "_lender", "_holds", "__weakref__"
+        "data", "grad", "ws", "requires_grad", "_parents", "_backward", "_owned", "_lender",
+        "_holds", "__weakref__",
     )
 
-    def __init__(self, data, parents=(), ws: Workspace | None = None, owned=()):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
+    def __init__(
+        self, data, parents=(), ws: Workspace | None = None, owned=(), requires_grad=True
+    ):
         self.ws = Workspace() if ws is None else ws
+        self.data = np.asarray(data, dtype=self.ws.dtype)
+        self.grad = None
+        self.requires_grad = requires_grad
         self._parents = tuple(parents)
         self._backward = None
         self._owned = owned
@@ -119,6 +144,8 @@ class Node:
         """Add a gradient contribution that the caller keeps. The first one is
         copied; one added to a borrowed gradient is summed with it into a
         buffer of this node's own in one pass."""
+        if not self.requires_grad:
+            return
         if self.grad is None:
             self._own(self.ws.take(self.data.shape))
             np.copyto(self.grad, g)  # a copy: callers share g
@@ -134,7 +161,9 @@ class Node:
         """Add a gradient contribution taken from this node's workspace for
         this node alone; the first one becomes the gradient without a copy,
         and so does one added to a borrowed gradient."""
-        if self.grad is None:
+        if not self.requires_grad:
+            self.ws.give(g)
+        elif self.grad is None:
             self._own(g)
         elif self._lender is not None:
             np.add(self.grad, g, out=g)
@@ -160,7 +189,7 @@ class Node:
     def backward(self, seed=None):
         """Push gradients from this node to every ancestor. ``seed`` (ones by
         default) must have this node's shape."""
-        seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=np.float64)
+        seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.data.dtype)
         if seed.shape != self.data.shape:
             raise ShapeError(f"seed shape {seed.shape} != value shape {self.data.shape}")
         topo = []
@@ -345,9 +374,10 @@ def channel_mix(w: Node, x: Node) -> Node:
         # faster with the wider operand on the left: 0.61 against 0.99 ms for
         # the 8x24 compress map over 31744 positions (2-core Xeon VM).
         w._accumulate((x2 @ g2.T).T if out_ch < c else g2 @ x2.T)
-        gx = ws.take(x.data.shape)
-        _mix_into(w.data.T, g2, gx.reshape(c, -1))
-        x._adopt(gx)
+        if x.requires_grad:
+            gx = ws.take(x.data.shape)
+            _mix_into(w.data.T, g2, gx.reshape(c, -1))
+            x._adopt(gx)
 
     out._backward = _backward
     return out
@@ -461,16 +491,30 @@ def diversity_penalty(x: Node) -> Node:
     matrix product, written straight into the input's gradient array. A
     non-contiguous ``x`` (a convolution's cropped output) is unfolded into a
     workspace array that the node owns, not into a fresh copy.
+
+    The decomposition always runs in float64, so ``GRAM_MIN_RATIO``'s
+    derivation holds on a float32 tape too: there the unfolding is copied
+    into float64 workspace scratch, which goes back before the op returns.
+    The factors the node keeps, and the gradient, are in the tape's dtype.
     """
     ws = x.ws
     rows = x.data.shape[0]
     if x.data.flags.c_contiguous:
-        mat, owned = x.data.reshape(rows, -1), ()
+        flat, owned = x.data.reshape(rows, -1), ()
     else:
-        mat = ws.take((rows, x.data.size // rows))
-        np.copyto(mat.reshape(x.data.shape), x.data)
-        owned = (mat,)
+        flat = ws.take((rows, x.data.size // rows))
+        np.copyto(flat.reshape(x.data.shape), x.data)
+        owned = (flat,)
+    mat = flat
+    if flat.dtype != np.float64:
+        mat = ws.take(flat.shape, np.float64)
+        np.copyto(mat, flat)
     value, (left, right), _ = nuclear_penalty(mat)
+    left = left.astype(flat.dtype, copy=False)
+    # The Gram path's right factor is F itself: keep the unfolding on the tape.
+    right = flat if right is mat else right.astype(flat.dtype, copy=False)
+    if mat is not flat:
+        ws.give(mat)
     y = ws.take(())
     y[...] = value
     out = Node(y, parents=(x,), ws=ws, owned=(y, *owned))

@@ -107,12 +107,14 @@ class Network:
     def forward_tape(self, x: np.ndarray, ws: ad.Workspace | None = None) -> ForwardTape:
         """Run the taped forward pass on a raw (C, B, H, W) array. Every array
         of the tape comes from ``ws``, or from a private workspace without one
-        (see ``autodiff`` for the lifetime contract)."""
+        (see ``autodiff`` for the lifetime contract). The input and the
+        parameter nodes are in the workspace's dtype; the parameter nodes are
+        copies unless that is float64. The input takes no gradient."""
         if x.ndim != 4 or x.shape[0] != self.channels:
             raise ShapeError(
                 f"expected (C={self.channels}, B, H, W) input, got shape {x.shape}"
             )
-        xin = ad.Node(x, ws=ws)
+        xin = ad.Node(x, ws=ws, requires_grad=False)
         nodes = {name: ad.Node(value, ws=xin.ws) for name, value in self.params.items()}
         h = ad.channel_mix(nodes["lift"], xin)
         feature = None

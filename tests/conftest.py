@@ -5,12 +5,12 @@ from resset.workspace import Workspace
 
 
 class FreshArrays(Workspace):
-    """A workspace that never recycles: every take is a new array full of NaN,
-    so an op that reads a buffer before writing it, or an array given back
-    while still in use, shows up against it."""
+    """A workspace that never recycles: every take is a new array full of NaN
+    in the requested dtype, so an op that reads a buffer before writing it,
+    or an array given back while still in use, shows up against it."""
 
-    def take(self, shape):
-        return np.full(shape, np.nan)
+    def take(self, shape, dtype=None):
+        return np.full(shape, np.nan, self.dtype if dtype is None else dtype)
 
     def give(self, *arrays):
         pass

@@ -274,6 +274,27 @@ class TestWorkspace:
         with pytest.raises(KeyError):
             ws.give(np.empty(4))
 
+    def test_pool_is_keyed_by_dtype(self):
+        ws = ad.Workspace(np.float32)
+        a = ws.take((2, 3))
+        b = ws.take((2, 3), np.float64)
+        assert a.dtype == np.float32 and b.dtype == np.float64
+        ws.give(a, b)
+        assert ws.take((2, 3), np.float64) is b
+        assert ws.take((2, 3)) is a
+        assert ad.Workspace().take((1,)).dtype == np.float64
+
+    def test_node_takes_its_workspace_dtype(self, rng):
+        w64 = rng.standard_normal((3, 2))
+        ws = ad.Workspace(np.float32)
+        w, x = ad.Node(w64, ws=ws), ad.Node(rng.standard_normal((2, 2, 3, 3)), ws=ws)
+        root = ad.mean_abs_error(ad.channel_mix(w, x), np.zeros((3, 2, 3, 3), np.float32))
+        root.backward(np.float64(1.0))
+        assert w.data.dtype == x.data.dtype == root.data.dtype == np.float32
+        assert w.grad.dtype == x.grad.dtype == root.grad.dtype == np.float32
+        np.testing.assert_array_equal(w.data, w64.astype(np.float32))
+        assert ad.Node(w64.astype(np.float32)).data.dtype == np.float64  # no workspace: float64
+
     def test_backward_gives_back_interior_arrays_only(self, rng):
         w = ad.Node(rng.standard_normal((3, 2)))
         x = ad.Node(rng.standard_normal((2, 2, 3, 3)), ws=w.ws)
@@ -417,7 +438,8 @@ class TestGradientLending:
 
     def test_nothing_is_lent_after_backward_but_root_and_leaf_arrays(self, rng):
         """Each interior buffer goes back to the workspace once its last
-        borrower has run; what stays lent is the root's and the leaves'."""
+        borrower has run; what stays lent is the root's and the parameters'.
+        The input leaf takes no gradient, so it holds no array."""
         net = Network(parse_scheme_token("res3_1d"), channels=1, width=4, num_blocks=2, seed=7)
         ws = ad.Workspace()
         tape = net.forward_tape(rng.standard_normal((1, 5, 6, 7)), ws)
@@ -431,9 +453,10 @@ class TestGradientLending:
                 stack.extend(node._parents)
         leaves = [n for n in nodes.values() if n._backward is None]
         interior = [n for n in nodes.values() if n._backward is not None and n is not loss]
-        assert len(leaves) == len(tape.params) + 1  # the parameters and the input
+        params = [n for n in leaves if n.requires_grad]
+        assert len(params) == len(tape.params) and len(leaves) == len(params) + 1
         assert {id(a) for a in ws._lent.values()} == {
-            id(a) for a in (loss.grad, *loss._owned, *(n.grad for n in leaves))
+            id(a) for a in (loss.grad, *loss._owned, *(n.grad for n in params))
         }
         for node in interior:
             assert node.grad is None and node._lender is None and node._holds == 0
@@ -651,3 +674,115 @@ class TestNetworkTape:
         net = self._net("conv3d")
         out = net.forward_tape(rng.standard_normal((1, 5, 6, 6))).output
         assert out.data.shape == (1, 5, 6, 6)
+
+
+class TestPrecisionSplit:
+    """The float32 training tape against the float64 one, and the float64
+    path against the parent's arithmetic."""
+
+    DISTINCT_TOKENS = TestWorkspace.DISTINCT_TOKENS
+
+    @staticmethod
+    def _step(net, x, clean, ws):
+        tape = net.forward_tape(x, ws)
+        loss = training_loss(tape.output, tape.feature, clean, 5e-5)[0]
+        loss.backward(np.float64(1.0))
+        feature = tape.feature.data.astype(np.float64).reshape(tape.feature.data.shape[0], -1)
+        results = {"output": tape.output.data, "loss": loss.data}
+        results.update({name: node.grad for name, node in tape.params.items()})
+        return {k: np.asarray(v, np.float64) for k, v in results.items()}, feature
+
+    def test_input_takes_no_gradient(self, rng):
+        """The network input is a leaf that asks for no gradient: backward
+        neither copies the global residual's gradient into it nor runs the
+        lift's input-gradient product."""
+        net = Network(parse_scheme_token("res3_1d"), channels=1, width=4, num_blocks=2, seed=7)
+        tape = net.forward_tape(rng.standard_normal((1, 5, 6, 7)))
+        loss = training_loss(tape.output, tape.feature, rng.standard_normal((1, 5, 6, 7)), 5e-5)[0]
+        loss.backward()
+        params = set(map(id, tape.params.values()))
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        (xin,) = [n for n in nodes.values() if n._backward is None and id(n) not in params]
+        assert not xin.requires_grad and xin.grad is None
+        assert all(node.grad is not None for node in tape.params.values())
+
+    @pytest.mark.parametrize("token", DISTINCT_TOKENS)
+    def test_float32_tape_matches_float64(self, token):
+        """One penalized training step (lam=5e-5) on a float32 workspace
+        against the same step in float64: the output, the loss and every
+        parameter gradient agree within ``eps * (1 + kappa)`` in norm, with
+        ``eps = 1e-5`` and ``kappa = s_1 / s_r`` the condition number of the
+        float64 feature matrix over its numeric rank r.
+
+        Derivation. float32 rounds with unit roundoff u = 2^-24 = 6.0e-8.
+        The tape has at most D = 50 ops, forward and backward (two blocks of
+        at most three branch convolutions, a concat, two channel maps, the
+        rectifier and the residual add, plus the lift, projection, loss and
+        penalty), and its longest sum has K = 27 * 4 = 108 terms (the 3x3x3
+        branch at width 4). A sum of K rounded terms is off by about
+        sqrt(K) u (Higham and Mary 2019, probabilistic rounding error
+        analysis), and independent errors of D ops add in quadrature:
+        sqrt(D K) u = 4.4e-6, under eps. The penalty's gradient is the polar
+        factor of the feature matrix F over its rank r; a relative error e of
+        F moves it by about e * kappa (Li 1995, perturbation bounds for the
+        unitary polar factor), so its part of each gradient is off by at most
+        eps * kappa. Here the largest error is 3.2e-6 against a bound of
+        3.0e-3 (res3_1d_l2, kappa = 301), and at most 4e-7 elsewhere."""
+        net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=2, seed=7)
+        gen = np.random.default_rng(11)
+        for _ in range(2):
+            x = gen.standard_normal((1, 5, 6, 7)).astype(np.float32)
+            clean = gen.standard_normal(x.shape).astype(np.float32)
+            want, feature = self._step(net, x, clean, ad.Workspace())
+            got, _ = self._step(net, x, clean, ad.Workspace(np.float32))
+            s = np.linalg.svd(feature, compute_uv=False)
+            kappa = s[0] / s[s > 1e-9 * s[0]][-1]
+            bound = 1e-5 * (1.0 + kappa)
+            for name in want:
+                err = np.linalg.norm(got[name] - want[name]) / np.linalg.norm(want[name])
+                assert err <= bound, (name, err, bound)
+            for name in net.params:
+                net.params[name] -= 1e-2 * want[name]  # the next step sees new weights
+
+    def test_float32_penalty_decomposes_in_float64(self, rng):
+        """On a float32 tape the penalty decomposes a float64 copy of the
+        feature. So its value is the float64 penalty of the same entries,
+        rounded once to float32, and its gradient differs from the float64
+        one only by the rounding of the kept factor G^(-1/2) and of the final
+        product: about sqrt(rows) * kappa * u in norm (u = 2^-24, kappa =
+        s_1 / s_rows), 2.9e-4 here, where about 5e-6 is seen. A Gram matrix
+        formed in float32 would be off by about kappa^2 * u = 6e-2 instead."""
+        rows, cols = 24, 600
+        left, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+        right, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+        kappa = 1e3  # lam_min / lam_max = 1e-6 keeps it on the Gram path
+        f = ((left * np.logspace(0, -3, rows)) @ right.T).astype(np.float32)
+        results = []
+        for dtype in (np.float64, np.float32):
+            x = ad.Node(f.reshape(rows, 4, 10, 15), ws=ad.Workspace(dtype))
+            out = ad.diversity_penalty(x)
+            out.backward(np.float64(1.0))
+            assert x.grad.dtype == dtype
+            results.append((float(out.data), x.grad.astype(np.float64)))
+        (value64, grad64), (value32, grad32) = results
+        assert value32 == float(np.float32(value64))
+        err = np.linalg.norm(grad32 - grad64) / np.linalg.norm(grad64)
+        assert err <= np.sqrt(rows) * kappa * 2.0**-24, err
+
+    @pytest.mark.parametrize("token", DISTINCT_TOKENS)
+    def test_float64_workspace_matches_private_workspaces_bitwise(self, rng, token):
+        """A float64 workspace runs the same arithmetic as nodes made without
+        one (each op on a private float64 workspace): every result is
+        bit-identical."""
+        net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=2, seed=7)
+        x = rng.standard_normal((1, 5, 6, 7))
+        clean = rng.standard_normal(x.shape)
+        shared, _ = self._step(net, x, clean, ad.Workspace(np.float64))
+        private, _ = self._step(net, x, clean, None)
+        for name in private:
+            assert np.array_equal(shared[name].view(np.uint64), private[name].view(np.uint64)), name

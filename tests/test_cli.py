@@ -237,16 +237,29 @@ class TestTrainCommand:
         assert isinstance(report["epoch"], int)
 
     def test_non_finite_metrics_exit_3(self, tmp_path, capsys):
-        """Noise of level 1e308 overflows the holdout's squared error: the run
-        is a numeric failure, not a report of mpsnr=-inf and mssim=nan."""
+        """Noise of level 1e308 does not fit the float32 training tape (and
+        would overflow the holdout's squared error): the run is a numeric
+        failure, not a report of mpsnr=-inf and mssim=nan."""
         code = run_cli(tmp_path, "train", "epochs=1", "width=2", "height=11", "width_px=11",
                        "bands=3", "sigma=1e308")
         assert code == 3
         err = capsys.readouterr().err
-        assert "non-finite metrics" in err
+        assert "training data is not finite in float32" in err
         report = json.loads((only_run_dir(tmp_path, "train") / "report.json").read_text())
-        assert report["error"] == "numeric" and "non-finite metrics" in report["message"]
+        assert report["error"] == "numeric"
+        assert "training data is not finite in float32" in report["message"]
         assert report["message"] in err
+
+    def test_overflowing_noise_exits_3_before_epoch_1(self, tmp_path, monkeypatch):
+        """Data that overflows the training dtype is refused before any
+        network is built or any forward pass runs."""
+        def no_network(*_args, **_kwargs):
+            raise AssertionError("training started on data that overflows float32")
+
+        monkeypatch.setattr("resset.train.Network", no_network)
+        code = run_cli(tmp_path, "train", "epochs=5", "width=2", "height=11", "width_px=11",
+                       "bands=3", "sigma=1e308")
+        assert code == 3
 
     def test_non_finite_penalized_loss_writes_report(self, tmp_path):
         code = run_cli(tmp_path, "train", *self.SMALL, "epochs=3", "learning_rate=1e300")

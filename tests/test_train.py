@@ -1,11 +1,16 @@
 """Adam updates, the denoising loss, and the training loop contracts."""
 
+import os
+import subprocess
+import sys
 import weakref
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resset
 from resset import (
     KernelScheme,
     SchemeVariant,
@@ -20,7 +25,7 @@ from resset import (
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature
 from resset.schemes import rank_upper_bound
 from resset import autodiff as ad
-from resset.train import AdamState, training_loss
+from resset.train import TRAIN_DTYPE, AdamState, training_loss
 
 RES3 = KernelScheme(SchemeVariant.RES3_1D, k=3, L=1)
 
@@ -170,7 +175,8 @@ class TestTrainDenoiser:
 
     def test_zero_weight_penalty_trajectory_matches_unhooked_loop(self):
         """With lam=0 the trained parameters are bit-identical to a loop that
-        never builds the penalty at all."""
+        never builds the penalty at all: a tape on a ``TRAIN_DTYPE``
+        workspace, its gradients summed into float64, float64 Adam."""
         from resset import Network
 
         data = identity_task()
@@ -181,13 +187,17 @@ class TestTrainDenoiser:
                             num_blocks=cfg.num_blocks, seed=cfg.seed)
         shuffle = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
         state = AdamState()
-        noisy, clean = data.pairs[0]
+        ws = ad.Workspace(TRAIN_DTYPE)
+        noisy, clean = (fmap.data.astype(TRAIN_DTYPE) for fmap in data.pairs[0])
         for _ in range(cfg.epochs):
             shuffle.permutation(1)
-            tape = reference.forward_tape(noisy.data)
-            loss = ad.mean_abs_error(tape.output, clean.data)
+            tape = reference.forward_tape(noisy, ws)
+            loss = ad.mean_abs_error(tape.output, clean)
             loss.backward(np.float64(1.0))
-            grads = {k: n.grad for k, n in tape.params.items() if n.grad is not None}
+            grads = {k: n.grad.astype(np.float64) for k, n in tape.params.items()
+                     if n.grad is not None}
+            del tape, loss
+            ws.reclaim()
             adam_step(reference.params, grads, state, cfg)
         for name in trained.params:
             np.testing.assert_array_equal(trained.params[name], reference.params[name])
@@ -225,8 +235,9 @@ class TestTrainingWorkspace:
         misses: list[int] = []
         take, forward = ad.Workspace.take, Network.forward_tape
 
-        def counted_take(self, shape):
-            array = take(self, shape)
+        def counted_take(self, shape, dtype=None):
+            assert self.dtype == TRAIN_DTYPE
+            array = take(self, shape, dtype)
             if id(array) not in seen:
                 seen[id(array)] = array
                 misses[-1] += 1
@@ -245,48 +256,110 @@ class TestTrainingWorkspace:
 
     @pytest.mark.parametrize("token", ["conv3d", "seq1d", "seq1d2d", "res3_1d", "par1d2d"])
     def test_penalty_reads_a_workspace_array(self, monkeypatch, token):
-        """Every matrix the penalty decomposes lies in an array the run's
-        workspace lent: the feature itself when it is contiguous, else the
-        copy of a convolution's cropped output that the penalty node owns."""
+        """Every matrix the penalty decomposes on the float32 tape is float64
+        scratch that the run's workspace lent for that call, asked for by
+        dtype, and given back before the op returns. The arrays the penalty
+        node keeps are lent too: its value, and the float32 copy of a
+        convolution's cropped output that it unfolds."""
         lent: dict[int, np.ndarray] = {}  # keeps every array alive, so ids stay unique
+        float64_takes: set[int] = set()
         unfolded: list[np.ndarray] = []
-        take, penalty = ad.Workspace.take, ad.nuclear_penalty
+        take, penalty, taped = ad.Workspace.take, ad.nuclear_penalty, ad.diversity_penalty
 
-        def recorded_take(self, shape):
-            array = take(self, shape)
+        def recorded_take(self, shape, dtype=None):
+            array = take(self, shape, dtype)
             lent[id(array)] = array
+            if dtype == np.float64:
+                float64_takes.add(id(array))
             return array
 
         def recorded_penalty(mat):
             unfolded.append(mat)
             return penalty(mat)
 
+        def checked_penalty(x):
+            out = taped(x)
+            assert id(unfolded[-1]) not in x.ws._lent  # the scratch is back
+            assert len(out._owned) == (1 if x.data.flags.c_contiguous else 2)
+            assert all(id(a) in x.ws._lent for a in out._owned)
+            return out
+
         monkeypatch.setattr(ad.Workspace, "take", recorded_take)
         monkeypatch.setattr(ad, "nuclear_penalty", recorded_penalty)
+        monkeypatch.setattr(ad, "diversity_penalty", checked_penalty)
         train_denoiser(small_config(epochs=3, lam=5e-5, scheme=parse_scheme_token(token)),
                        identity_task())
         assert len(unfolded) == 3
         for mat in unfolded:
-            owner = mat if mat.base is None else mat.base
-            assert id(owner) in lent
+            assert mat.dtype == np.float64 and mat.flags.c_contiguous
+            assert id(mat) in lent and id(mat) in float64_takes
 
     def test_penalty_takes_no_unfolded_feature_array(self, monkeypatch):
-        """Penalized res3_1d steps never take an array shaped like the
+        """Penalized res3_1d steps never take a tape array shaped like the
         unfolded feature (rows, B*H*W): the penalty's gradient stays factored
-        until its backward writes it into the feature's gradient."""
+        until its backward writes it into the feature's gradient. The one
+        array of that shape is the float64 copy the penalty decomposes, one
+        per step."""
         data = identity_task()
         cfg = small_config(epochs=3, lam=5e-5)
         noisy = data.pairs[0][0].data
         unfolded = (rank_upper_bound(RES3, cfg.width), prod(noisy.shape[1:]))
-        shapes: list[tuple[int, ...]] = []
+        shapes: list[tuple[tuple[int, ...], np.dtype]] = []
         take = ad.Workspace.take
 
-        def recorded_take(self, shape):
-            shapes.append(tuple(shape))
-            return take(self, shape)
+        def recorded_take(self, shape, dtype=None):
+            array = take(self, shape, dtype)
+            shapes.append((tuple(shape), array.dtype))
+            return array
 
         monkeypatch.setattr(ad.Workspace, "take", recorded_take)
         report = train_denoiser(cfg, data)
         assert all(r < 0.0 for r in report.reg_terms)  # the penalty ran every step
-        assert (unfolded[0], *noisy.shape[1:]) in shapes  # the feature itself is taped
-        assert unfolded not in shapes
+        feature = ((unfolded[0], *noisy.shape[1:]), np.dtype(TRAIN_DTYPE))
+        assert feature in shapes  # the feature itself is taped
+        assert [s for s in shapes if s[0] == unfolded] == [(unfolded, np.dtype(np.float64))] * 3
+
+
+# Trains a tiny float32 run of each training workload's scheme and prints one
+# SHA-256 over its losses, holdout metrics and spectrum, final weights and
+# feature volume. The 16 x 24 x 24 cube spans more than one 4096-column block,
+# so the tap GEMMs have the toy run's shapes.
+HASH_SCRIPT = """
+import hashlib
+import numpy as np
+from resset import TrainConfig, TrainingData, parse_scheme_token, synth_cube, train_denoiser
+from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature
+
+clean = synth_cube(3, 16, 24, 24)
+noisy = add_noise(clean, NoiseSpec(kind=NoiseKind.GAUSSIAN, sigma=50.0, seed=3))
+pair = (cube_to_feature(noisy), cube_to_feature(clean))
+data = TrainingData(pairs=(pair,), holdout=pair)
+digest = hashlib.sha256()
+for token, lam in (("res3_1d", 5e-5), ("conv3d", 0.0)):
+    cfg = TrainConfig(scheme=parse_scheme_token(token), lam=lam, epochs=3, seed=3)
+    report, net, feature = train_denoiser(cfg, data, return_network=True)
+    digest.update(repr(report.as_dict()).encode())
+    for name in sorted(net.params):
+        digest.update(net.params[name].tobytes())
+    digest.update(feature.tobytes())
+print(digest.hexdigest())
+"""
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_float32_training_does_not_depend_on_blas_threads():
+    """The same float32 training, each run in a fresh process, gives one hash
+    at one BLAS thread and at the default threading: a BLAS that split its
+    sums by thread count would show here."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(resset.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    hashes = []
+    for threads in ("1", None):
+        run_env = dict(env, **({"OPENBLAS_NUM_THREADS": threads} if threads else {}))
+        proc = subprocess.run([sys.executable, "-c", HASH_SCRIPT], env=run_env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        hashes.append(proc.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
