@@ -30,9 +30,11 @@ The workspace's dtype is the tape's precision: a node's value and gradient
 are in it, and ``Node(data, ws=...)`` casts to it. Training runs its tapes on
 a float32 workspace (``train.TRAIN_DTYPE``); everything else, grad-check and
 the oracle tests included, runs on float64 ones. The one op that does not
-compute in the tape's dtype is ``diversity_penalty``: it decomposes a float64
-copy of the feature matrix, so the penalty's spectral arithmetic is float64
-whatever the tape's precision.
+compute in the tape's dtype is ``diversity_penalty``: it forms the feature
+matrix's Gram matrix in float64, casting one column block at a time into
+block-sized float64 scratch, and decomposes it in float64, so the penalty's
+spectral arithmetic is float64 whatever the tape's precision and no float64
+copy of the feature is made.
 
 A leaf made with ``requires_grad=False`` (the network input) takes no
 gradient: contributions to it are dropped, and ``channel_mix`` skips its
@@ -72,6 +74,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .regularizer import nuclear_penalty
+from .tensor import matmul_nt
 from .workspace import Workspace
 
 # Columns of the flattened padded grid per block of the branch convolution's
@@ -90,6 +93,8 @@ from .workspace import Workspace
 # 11.4-12.7 and 16.6-20.3 ms; the 3x1x1 branch 2.3-2.5, 1.9-2.1, 1.7-1.8,
 # 1.5-1.8, 1.4-1.7, 1.4-1.6 and 1.9-2.3 ms. Wider blocks save the 3x1x1
 # branch about 0.2 ms a call and cost the 3x3x3 branch 2-4 ms; 4096 stays.
+# ``channel_mix``'s weight gradient and the penalty's Gram matrix sum their
+# long-K products over blocks of the same width (``tensor.matmul_nt``).
 BLOCK_COLUMNS = 4096
 
 
@@ -360,7 +365,9 @@ def _mix_into(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 
 def channel_mix(w: Node, x: Node) -> Node:
-    """1x1x1 map: mix channels with a (out, in) matrix at every position."""
+    """1x1x1 map: mix channels with a (out, in) matrix at every position. The
+    weight gradient, a product over every position, is summed over
+    ``BLOCK_COLUMNS``-wide blocks of positions (``tensor.matmul_nt``)."""
     ws = x.ws
     c, out_ch = x.data.shape[0], w.data.shape[0]
     x2 = x.data.reshape(c, -1)
@@ -370,10 +377,9 @@ def channel_mix(w: Node, x: Node) -> Node:
 
     def _backward(g):
         g2 = g.reshape(out_ch, -1)
-        # With fewer outputs than inputs, OpenBLAS runs this long-K product
-        # faster with the wider operand on the left: 0.61 against 0.99 ms for
-        # the 8x24 compress map over 31744 positions (2-core Xeon VM).
-        w._accumulate((x2 @ g2.T).T if out_ch < c else g2 @ x2.T)
+        gw = ws.take(w.data.shape)
+        w._accumulate(matmul_nt(g2, x2, gw, BLOCK_COLUMNS))
+        ws.give(gw)
         if x.requires_grad:
             gx = ws.take(x.data.shape)
             _mix_into(w.data.T, g2, gx.reshape(c, -1))
@@ -492,10 +498,13 @@ def diversity_penalty(x: Node) -> Node:
     non-contiguous ``x`` (a convolution's cropped output) is unfolded into a
     workspace array that the node owns, not into a fresh copy.
 
-    The decomposition always runs in float64, so ``GRAM_MIN_RATIO``'s
-    derivation holds on a float32 tape too: there the unfolding is copied
-    into float64 workspace scratch, which goes back before the op returns.
-    The factors the node keeps, and the gradient, are in the tape's dtype.
+    The Gram matrix and its decomposition are always float64, so
+    ``GRAM_MIN_RATIO``'s derivation holds on a float32 tape too. The Gram
+    matrix is summed over ``BLOCK_COLUMNS``-wide column blocks of the
+    unfolding; on a float32 tape each block is cast into one rows x block
+    float64 scratch array, lent by the workspace and given back before the
+    op returns, and on a float64 tape each block is a view. The factors the
+    node keeps, and the gradient, are in the tape's dtype.
     """
     ws = x.ws
     rows = x.data.shape[0]
@@ -505,16 +514,11 @@ def diversity_penalty(x: Node) -> Node:
         flat = ws.take((rows, x.data.size // rows))
         np.copyto(flat.reshape(x.data.shape), x.data)
         owned = (flat,)
-    mat = flat
-    if flat.dtype != np.float64:
-        mat = ws.take(flat.shape, np.float64)
-        np.copyto(mat, flat)
-    value, (left, right), _ = nuclear_penalty(mat)
-    left = left.astype(flat.dtype, copy=False)
-    # The Gram path's right factor is F itself: keep the unfolding on the tape.
-    right = flat if right is mat else right.astype(flat.dtype, copy=False)
-    if mat is not flat:
-        ws.give(mat)
+    scratch = ws.take((rows, min(BLOCK_COLUMNS, flat.shape[1])), np.float64)
+    value, (left, right), _ = nuclear_penalty(flat, scratch)
+    ws.give(scratch)
+    # The Gram path's right factor is the unfolding itself, kept as it is.
+    left, right = (f.astype(flat.dtype, copy=False) for f in (left, right))
     y = ws.take(())
     y[...] = value
     out = Node(y, parents=(x,), ws=ws, owned=(y, *owned))

@@ -158,43 +158,45 @@ def _tape_inputs(
     return pairs, cast(data.holdout[0])
 
 
-def _evaluate(
-    net: Network, noisy: np.ndarray, clean: FeatureMap, ws: ad.Workspace
-) -> tuple[MetricsReport, Spectrum, np.ndarray]:
-    """Metrics and feature spectrum on the holdout, plus the feature volume,
-    all in float64."""
+def _step(
+    net: Network,
+    noisy: np.ndarray,
+    clean: np.ndarray,
+    lam: float,
+    weight: float,
+    grads: dict[str, np.ndarray],
+    ws: ad.Workspace,
+) -> tuple[float, float]:
+    """One taped forward and backward pass on ``ws``: adds the parameter
+    gradients of ``weight`` times the loss into ``grads`` and returns the
+    (data, penalty) terms. The tape dies when this returns."""
     tape = net.forward_tape(noisy, ws)
-    denoised = feature_to_cube(FeatureMap(tape.output.data))
-    reference = feature_to_cube(clean)
-    feature = FeatureMap(tape.feature.data)
-    return metrics_report(denoised, reference), feature_spectrum(feature), feature.data
+    loss, d_term, r_term = training_loss(tape.output, tape.feature, clean, lam)
+    loss.backward(np.float64(weight))
+    for name, node in tape.params.items():
+        if node.grad is not None:
+            grads[name] += node.grad
+    return d_term, r_term
 
 
-def train_denoiser(
-    cfg: TrainConfig, data: TrainingData, return_network: bool = False
-) -> TrainReport | tuple[TrainReport, Network, np.ndarray]:
-    """Minibatch Adam over the paired cubes; reports losses, metrics, spectrum.
-    With ``return_network`` it also returns the trained network and the
-    last block's pre-compression feature volume on the holdout.
+def _fit(
+    cfg: TrainConfig, net: Network, pairs: list[tuple[np.ndarray, np.ndarray]], holdout: np.ndarray
+) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
+    """Train ``net`` in place; returns the per-epoch (data, penalty) terms and
+    the holdout's output and feature arrays from one more forward pass.
 
-    Every forward pass of the run, the final evaluation included, draws its
-    arrays from one ``TRAIN_DTYPE`` workspace. Each step's tape and loss are
-    dropped and the workspace reclaimed before the next forward, so one tape
-    is alive at a time and the steps after the first reuse the first step's
-    arrays. Each step's parameter nodes are ``TRAIN_DTYPE`` copies of the
-    float64 parameters, and their gradients are summed into float64.
+    Every pass draws its arrays from one ``TRAIN_DTYPE`` workspace, reclaimed
+    after each step, so one tape is alive at a time and the steps after the
+    first reuse the first step's arrays. The workspace lives in this call
+    only: once it returns, only the two holdout arrays are left of it.
     """
-    start = time.perf_counter()
-    pairs, holdout = _tape_inputs(data)
-    channels = data.pairs[0][0].channels
-    net = Network(cfg.scheme, channels, cfg.width, cfg.num_blocks, seed=cfg.seed)
     ws = ad.Workspace(TRAIN_DTYPE)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
     state = AdamState()
     data_terms: list[float] = []
     reg_terms: list[float] = []
     for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(data.pairs))
+        order = shuffle_rng.permutation(len(pairs))
         epoch_data = 0.0
         epoch_reg = 0.0
         for batch_start in range(0, len(order), cfg.batch_size):
@@ -202,16 +204,10 @@ def train_denoiser(
             grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in net.params.items()}
             for idx in batch:
                 noisy, clean = pairs[idx]
-                tape = net.forward_tape(noisy, ws)
                 try:
-                    loss, d_term, r_term = training_loss(tape.output, tape.feature, clean, cfg.lam)
+                    d_term, r_term = _step(net, noisy, clean, cfg.lam, 1.0 / len(batch), grads, ws)
                 except NumericError as err:  # the penalty met a non-finite feature volume
                     raise NonFiniteLoss(epoch) from err
-                loss.backward(np.float64(1.0 / len(batch)))
-                for name, node in tape.params.items():
-                    if node.grad is not None:
-                        grads[name] += node.grad
-                del tape, loss
                 ws.reclaim()
                 epoch_data += d_term
                 epoch_reg += r_term
@@ -222,7 +218,34 @@ def train_denoiser(
             raise NonFiniteLoss(epoch)
         data_terms.append(epoch_data)
         reg_terms.append(epoch_reg)
-    metrics, spectrum, feature = _evaluate(net, holdout, data.holdout[1], ws)
+    tape = net.forward_tape(holdout, ws)
+    return data_terms, reg_terms, tape.output.data, tape.feature.data
+
+
+def train_denoiser(
+    cfg: TrainConfig, data: TrainingData, return_network: bool = False
+) -> TrainReport | tuple[TrainReport, Network, np.ndarray]:
+    """Minibatch Adam over the paired cubes; reports losses, metrics, spectrum.
+    With ``return_network`` it also returns the trained network and the
+    last block's pre-compression feature volume on the holdout.
+
+    Every forward pass of the run, the holdout's included, draws its arrays
+    from one ``TRAIN_DTYPE`` workspace (see ``_fit``). Each step's parameter
+    nodes are ``TRAIN_DTYPE`` copies of the float64 parameters, and their
+    gradients are summed into float64. The float64 evaluation (metrics and
+    spectrum) runs after the workspace and every tape are gone, on the
+    holdout's output and feature arrays alone, so the run's peak memory is
+    that of its training tape.
+    """
+    start = time.perf_counter()
+    pairs, holdout = _tape_inputs(data)
+    channels = data.pairs[0][0].channels
+    net = Network(cfg.scheme, channels, cfg.width, cfg.num_blocks, seed=cfg.seed)
+    data_terms, reg_terms, output, feature = _fit(cfg, net, pairs, holdout)
+    denoised = feature_to_cube(FeatureMap(output))
+    feature = FeatureMap(feature)
+    metrics = metrics_report(denoised, feature_to_cube(data.holdout[1]))
+    spectrum = feature_spectrum(feature)
     report = TrainReport(
         scheme_token=cfg.scheme.token,
         parameter_count=net.parameter_count(),
@@ -234,5 +257,5 @@ def train_denoiser(
         wall_seconds=time.perf_counter() - start,
     )
     if return_network:
-        return report, net, feature
+        return report, net, feature.data
     return report

@@ -4,10 +4,17 @@
 contract is in the ``autodiff`` module docstring. A workspace has one dtype,
 the precision of the tape it serves: float64 by default, float32 for the
 training tape (``train.TRAIN_DTYPE``). An op asks for another dtype only for
-scratch that must keep float64 arithmetic, such as the penalty's copy of the
-feature matrix. ``regularizer`` takes nothing from it: the penalty's gradient
-stays factored until the taped op's backward writes the product into a
-gradient buffer taken from here.
+scratch that must keep float64 arithmetic: the one rows x ``BLOCK_COLUMNS``
+float64 block that the penalty casts the feature into, one column block at a
+time, to sum its Gram matrix. ``regularizer`` takes nothing from it itself:
+the taped penalty lends it that block, and the penalty's gradient stays
+factored until the taped op's backward writes the product into a gradient
+buffer taken from here.
+
+A workspace holds every array it ever lent, so a run's peak memory is the
+size of its pool. ``train.train_denoiser`` keeps its workspace only while
+it trains and runs the holdout's forward pass; the float64 evaluation runs
+after the pool is gone.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ class Workspace:
     gets a private one.
     """
 
-    __slots__ = ("dtype", "_free", "_lent")
+    __slots__ = ("dtype", "_free", "_lent", "__weakref__")
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)

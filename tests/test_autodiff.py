@@ -91,6 +91,24 @@ class TestOpGradients:
         for got, want in expected:
             assert np.array_equal(got.reshape(want.shape).view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-13), (np.float32, 1e-5)])
+    def test_channel_mix_weight_gradient_sums_column_blocks(self, rng, monkeypatch, dtype, tol):
+        """Over several column blocks the weight gradient is the sum of one
+        product per block: the one-call product's value up to the rounding
+        of that sum, in the tape's dtype."""
+        monkeypatch.setattr(ad, "BLOCK_COLUMNS", 16)  # 60 positions: blocks of 16, 16, 16, 12
+        w = rng.standard_normal((3, 4))
+        x = rng.standard_normal((4, 3, 4, 5))
+        g = rng.standard_normal((3, 3, 4, 5))
+        ws = ad.Workspace(dtype)
+        wn, xn = ad.Node(w, ws=ws), ad.Node(x, ws=ws)
+        ad.channel_mix(wn, xn).backward(g)
+        x2, g2 = xn.data.reshape(4, -1), g.astype(dtype).reshape(3, -1)
+        blocks = sum(g2[:, lo : lo + 16] @ x2[:, lo : lo + 16].T for lo in range(0, 60, 16))
+        assert wn.grad.dtype == dtype
+        np.testing.assert_array_equal(wn.grad, blocks)
+        np.testing.assert_allclose(wn.grad, g2 @ x2.T, rtol=tol, atol=tol)
+
     def test_leaky_relu(self, rng):
         x = rng.standard_normal((2, 3, 3, 3)) + 0.05  # keep clear of the kink
         self.check_op(rng, lambda xn: ad.leaky_relu(xn, LEAKY_SLOPE), [x])
@@ -750,8 +768,9 @@ class TestPrecisionSplit:
                 net.params[name] -= 1e-2 * want[name]  # the next step sees new weights
 
     def test_float32_penalty_decomposes_in_float64(self, rng):
-        """On a float32 tape the penalty decomposes a float64 copy of the
-        feature. So its value is the float64 penalty of the same entries,
+        """On a float32 tape the penalty forms a float64 Gram matrix of the
+        feature's entries, cast block by block, and decomposes it in float64.
+        So its value is the float64 penalty of the same entries,
         rounded once to float32, and its gradient differs from the float64
         one only by the rounding of the kept factor G^(-1/2) and of the final
         product: about sqrt(rows) * kappa * u in norm (u = 2^-24, kappa =

@@ -16,7 +16,7 @@ from resset import (
     da_reg_value,
 )
 from resset import autodiff as ad
-from resset import regularizer
+from resset import regularizer, tensor
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature, synth_cube
 from resset.train import AdamState, TrainConfig, adam_step, training_loss
 
@@ -256,6 +256,73 @@ class TestCombined:
         np.testing.assert_array_equal(grad, da_reg_grad(UnfoldedMatrix(mat)).data)
         np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False), rtol=1e-12)
         assert value == pytest.approx(-np.sum(s), rel=1e-12)
+
+
+class TestBlockedGram:
+    """The Gram matrix is float64 and summed over column blocks; a float32
+    matrix is cast one block at a time into lent scratch."""
+
+    COLS = 4096  # autodiff.BLOCK_COLUMNS, the block the taped penalty lends
+
+    def test_float32_gram_over_blocks_matches_float64_product(self, rng):
+        """A float32 matrix wider than two blocks: the blocked float64 Gram
+        matrix matches ``F64 @ F64.T`` within ``eps * lam_max``, the error
+        the ``GRAM_MIN_RATIO`` derivation allows (eps = sqrt(N) * 2^-53)."""
+        rows, n = 24, 2 * self.COLS + 1000
+        f = rng.standard_normal((rows, n)).astype(np.float32)
+        f64 = f.astype(np.float64)
+        scratch = np.full((rows, self.COLS), np.nan)
+        gram = tensor.matmul_nt(f, f, np.empty((rows, rows)), self.COLS, scratch)
+        exact = f64 @ f64.T
+        eps = np.sqrt(n) * 2.0**-53
+        assert gram.dtype == np.float64
+        assert np.max(np.abs(gram - exact)) <= eps * np.linalg.eigvalsh(exact)[-1]
+        np.testing.assert_array_equal(gram, gram.T)
+
+    def test_one_block_is_one_product(self, rng):
+        """A matrix no wider than a block gives the one-call product, bit for
+        bit: the float64 regularizer API and grad-check at default sizes do
+        not move."""
+        f = rng.standard_normal((6, 50))
+        gram = tensor.matmul_nt(f, f, np.empty((6, 6)), 50)
+        assert np.array_equal(gram.view(np.uint64), (f @ f.T).view(np.uint64))
+
+    def test_float32_penalty_keeps_the_unfolding_as_its_factor(self, rng, svd_calls):
+        """On the Gram path a float32 matrix is decomposed without an SVD and
+        without a float64 copy: the right factor is the matrix itself, and the
+        value is the float64 matrix's within the blocked-sum rounding."""
+        rows, n = 24, 2 * self.COLS + 1000
+        f = rng.standard_normal((rows, n)).astype(np.float32)
+        value, (left, right), s = regularizer.nuclear_penalty(f, np.empty((rows, self.COLS)))
+        assert svd_calls == []
+        assert right is f and left.dtype == np.float64 and s.dtype == np.float64
+        value64, _, s64 = regularizer.nuclear_penalty(f.astype(np.float64))
+        assert value == pytest.approx(value64, rel=1e-13)
+        np.testing.assert_allclose(s, s64, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, spectrum", [((6, 40), [3.0, 1.0, 0.5]), ((10, 4), [2.0, 1.0, 0.5, 0.25])],
+        ids=["rank_deficient", "tall"],
+    )
+    def test_svd_fallback_decomposes_float64(self, rng, monkeypatch, shape, spectrum):
+        """Off the Gram path a float32 matrix is cast whole to float64 for the
+        SVD, and its factors are float64."""
+        dtypes = []
+        original = np.linalg.svd
+
+        def recorded_svd(a, *args, **kwargs):
+            dtypes.append(np.asarray(a).dtype)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded_svd)
+        f = with_spectrum(rng, *shape, spectrum).astype(np.float32)
+        scratch = np.empty((shape[0], 16))  # several blocks on the wide matrix
+        value, (left, right), _ = regularizer.nuclear_penalty(f, scratch)
+        assert dtypes == [np.float64]
+        assert left.dtype == right.dtype == np.float64
+        oracle_value, oracle_grad = svd_oracle(f.astype(np.float64))
+        assert value == pytest.approx(oracle_value, rel=1e-12)
+        np.testing.assert_allclose(-(left @ right), oracle_grad, atol=1e-12)
 
 
 class TestInvariances:

@@ -1,5 +1,6 @@
 """Adam updates, the denoising loss, and the training loop contracts."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -256,30 +257,36 @@ class TestTrainingWorkspace:
 
     @pytest.mark.parametrize("token", ["conv3d", "seq1d", "seq1d2d", "res3_1d", "par1d2d"])
     def test_penalty_reads_a_workspace_array(self, monkeypatch, token):
-        """Every matrix the penalty decomposes on the float32 tape is float64
-        scratch that the run's workspace lent for that call, asked for by
-        dtype, and given back before the op returns. The arrays the penalty
-        node keeps are lent too: its value, and the float32 copy of a
+        """On the float32 tape every float64 array a penalized step takes is
+        taken inside the penalty and holds at most rows x BLOCK_COLUMNS
+        values: the one block that the Gram matrix's column blocks are cast
+        into, lent by the run's workspace for that call, passed to the
+        decomposition, and given back before the op returns. The arrays the
+        penalty node keeps are lent too: its value, and the float32 copy of a
         convolution's cropped output that it unfolds."""
-        lent: dict[int, np.ndarray] = {}  # keeps every array alive, so ids stay unique
-        float64_takes: set[int] = set()
-        unfolded: list[np.ndarray] = []
+        monkeypatch.setattr(ad, "BLOCK_COLUMNS", 512)  # the 8x12x12 feature spans three blocks
+        float64_takes: list[list[tuple]] = [[]]  # (workspace, array), outside the penalty, then per call
+        scratches: list[np.ndarray] = []  # keeps every scratch alive, so ids stay unique
         take, penalty, taped = ad.Workspace.take, ad.nuclear_penalty, ad.diversity_penalty
 
         def recorded_take(self, shape, dtype=None):
             array = take(self, shape, dtype)
-            lent[id(array)] = array
-            if dtype == np.float64:
-                float64_takes.add(id(array))
+            if array.dtype == np.float64:
+                float64_takes[-1].append((self, array))
             return array
 
-        def recorded_penalty(mat):
-            unfolded.append(mat)
-            return penalty(mat)
+        def recorded_penalty(mat, scratch=None):
+            assert mat.dtype == TRAIN_DTYPE  # no float64 copy of the unfolding
+            scratches.append(scratch)
+            return penalty(mat, scratch)
 
         def checked_penalty(x):
+            float64_takes.append([])
             out = taped(x)
-            assert id(unfolded[-1]) not in x.ws._lent  # the scratch is back
+            [(lender, scratch)] = float64_takes.pop()
+            assert lender is x.ws and scratch is scratches[-1]
+            assert scratch.shape == (x.data.shape[0], 512)
+            assert id(scratch) not in x.ws._lent  # the scratch is back
             assert len(out._owned) == (1 if x.data.flags.c_contiguous else 2)
             assert all(id(a) in x.ws._lent for a in out._owned)
             return out
@@ -289,21 +296,22 @@ class TestTrainingWorkspace:
         monkeypatch.setattr(ad, "diversity_penalty", checked_penalty)
         train_denoiser(small_config(epochs=3, lam=5e-5, scheme=parse_scheme_token(token)),
                        identity_task())
-        assert len(unfolded) == 3
-        for mat in unfolded:
-            assert mat.dtype == np.float64 and mat.flags.c_contiguous
-            assert id(mat) in lent and id(mat) in float64_takes
+        assert len(scratches) == 3
+        assert float64_takes == [[]]  # nothing else in the run takes a float64 array
 
     def test_penalty_takes_no_unfolded_feature_array(self, monkeypatch):
-        """Penalized res3_1d steps never take a tape array shaped like the
-        unfolded feature (rows, B*H*W): the penalty's gradient stays factored
-        until its backward writes it into the feature's gradient. The one
-        array of that shape is the float64 copy the penalty decomposes, one
-        per step."""
+        """Penalized res3_1d steps never take an array shaped like the
+        unfolded feature (rows, B*H*W), in any dtype: the penalty's gradient
+        stays factored until its backward writes it into the feature's
+        gradient, and its Gram matrix reads the float32 unfolding through one
+        (rows, BLOCK_COLUMNS) float64 block per step."""
+        monkeypatch.setattr(ad, "BLOCK_COLUMNS", 512)  # the feature spans three column blocks
         data = identity_task()
         cfg = small_config(epochs=3, lam=5e-5)
         noisy = data.pairs[0][0].data
-        unfolded = (rank_upper_bound(RES3, cfg.width), prod(noisy.shape[1:]))
+        rows = rank_upper_bound(RES3, cfg.width)
+        unfolded = (rows, prod(noisy.shape[1:]))
+        assert unfolded[1] > 2 * 512
         shapes: list[tuple[tuple[int, ...], np.dtype]] = []
         take = ad.Workspace.take
 
@@ -315,9 +323,49 @@ class TestTrainingWorkspace:
         monkeypatch.setattr(ad.Workspace, "take", recorded_take)
         report = train_denoiser(cfg, data)
         assert all(r < 0.0 for r in report.reg_terms)  # the penalty ran every step
-        feature = ((unfolded[0], *noisy.shape[1:]), np.dtype(TRAIN_DTYPE))
+        feature = ((rows, *noisy.shape[1:]), np.dtype(TRAIN_DTYPE))
         assert feature in shapes  # the feature itself is taped
-        assert [s for s in shapes if s[0] == unfolded] == [(unfolded, np.dtype(np.float64))] * 3
+        assert [s for s in shapes if s[0] == unfolded] == []
+        float64 = [s for s in shapes if s[1] == np.float64]
+        assert float64 == [((rows, 512), np.dtype(np.float64))] * 3
+
+    @pytest.mark.parametrize("lam, epochs", [(0.0, 2), (5e-5, 2), (5e-5, 0)])
+    def test_workspace_is_gone_before_the_float64_evaluation(self, monkeypatch, lam, epochs):
+        """When the holdout's arrays are converted to float64 and the metrics
+        and the spectrum run, the run's float32 workspace is dead: no node,
+        tape or local variable holds it, and it is freed without the cycle
+        collector, so its pool is not alive beside the float64 work."""
+        from resset import train as train_module
+
+        workspaces: list[weakref.ref] = []
+        evaluated: list[str] = []
+        init = ad.Workspace.__init__
+
+        def recorded_init(self, dtype=np.float64):
+            init(self, dtype)
+            if self.dtype == TRAIN_DTYPE:
+                workspaces.append(weakref.ref(self))
+
+        def checked(name):
+            fn = getattr(train_module, name)
+
+            def wrapper(*args, **kwargs):
+                assert len(workspaces) == 1 and workspaces[0]() is None, name
+                evaluated.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(train_module, name, wrapper)
+
+        monkeypatch.setattr(ad.Workspace, "__init__", recorded_init)
+        for name in ("FeatureMap", "metrics_report", "feature_spectrum"):
+            checked(name)
+        gc.disable()
+        try:
+            report = train_denoiser(small_config(epochs=epochs, lam=lam), identity_task())
+        finally:
+            gc.enable()
+        assert report.epochs == epochs
+        assert evaluated == ["FeatureMap", "FeatureMap", "metrics_report", "feature_spectrum"]
 
 
 # Trains a tiny float32 run of each training workload's scheme and prints one
