@@ -51,15 +51,26 @@ Lifetime contract:
   first further contribution to a borrowed gradient sums the two into a
   buffer of the node's own in one pass. Leaves and the root never borrow:
   their gradients are arrays of their own.
-- ``Node.backward`` gives back the arrays an interior node owns (its value
-  included) right after the node's own backward has run, and drops the
-  node's hold on its gradient buffer. A buffer goes back once its owner's
-  backward has run and every borrower has run its backward or summed into a
-  buffer of its own; each node counts the holds on its buffer. The root and
-  the leaves keep their values and gradients; an interior node's value is
-  readable after ``backward`` only until its workspace hands that array out
-  again. Ops reach their own node from the backward closure through a weak
-  reference, so a tape holds no reference cycle.
+- A value that no backward reads goes back as soon as its last forward
+  reader has run: ``Node.release_value`` gives the array that holds it back
+  to the workspace and leaves a read-only NaN placeholder of its shape. Of
+  the ops, only ``channel_mix``, ``leaky_relu`` and ``diversity_penalty``
+  read a node's value in their backward, each its input's (``branch_conv``
+  and ``mean_abs_error`` read copies of their own; ``add``, ``scale`` and
+  ``concat_channels`` read none). So ``schemes.set_forward`` releases a
+  parallel set's branch outputs once they are concatenated, and
+  ``network.Network`` releases each block's aggregate map output and input
+  after the block's residual add.
+- ``Node.backward`` gives back the arrays an interior node still owns (its
+  value included, unless released) right after the node's own backward has
+  run, and drops the node's hold on its gradient buffer. A buffer goes back
+  once its owner's backward has run and every borrower has run its backward
+  or summed into a buffer of its own; each node counts the holds on its
+  buffer. The root and the leaves keep their values and gradients; an
+  interior node's value is readable after ``backward`` only until its
+  workspace hands that array out again. Ops reach their own node from the
+  backward closure through a weak reference, so a tape holds no reference
+  cycle.
 - ``Workspace.reclaim`` takes back everything still lent out. Only
   ``train.train_denoiser`` shares one workspace across forward passes: it
   drops each step's tape and loss, reclaims, and runs the next forward on
@@ -109,8 +120,9 @@ class Node:
     node holds (``_holds`` counts the node and every borrower of it) or a
     read-only view of the buffer of ``_lender``, which is never itself a
     borrower. After the node's backward has run, ``backward`` gives its
-    arrays back and drops its hold unless the node is the root (see the
-    module docstring). A graph is walked backward once.
+    arrays back and drops its hold unless the node is the root;
+    ``release_value`` gives back its value's array earlier (see the module
+    docstring). A graph is walked backward once.
     """
 
     __slots__ = (
@@ -130,6 +142,20 @@ class Node:
         self._owned = owned
         self._lender = None
         self._holds = 0
+
+    def release_value(self):
+        """Give the owned array that holds this node's value back to the
+        workspace before the node's backward has run, for a value that no
+        backward reads and whose forward readers have all run (see the
+        module docstring). ``data`` becomes a read-only NaN placeholder of
+        the same shape and dtype, so shapes stay readable and a backward
+        that reads the value anyway poisons its gradients."""
+        held = self.data if self.data.base is None else self.data.base
+        if not any(a is held for a in self._owned):
+            raise ValueError("the node owns no array that holds its value")
+        self._owned = tuple(a for a in self._owned if a is not held)
+        self.ws.give(held)
+        self.data = np.broadcast_to(np.array(np.nan, self.data.dtype), self.data.shape)
 
     def _own(self, buffer):
         self.grad, self._holds = buffer, 1
@@ -493,18 +519,23 @@ def diversity_penalty(x: Node) -> Node:
     The gradient stays factored as ``-(left @ right)`` (see
     ``regularizer.nuclear_penalty``). The node keeps only the factors: on the
     Gram path a rows x rows matrix and the unfolding of ``x``, which is on
-    the tape already. Its backward forms ``(-g * left) @ right`` in one
-    matrix product, written straight into the input's gradient array. A
-    non-contiguous ``x`` (a convolution's cropped output) is unfolded into a
-    workspace array that the node owns, not into a fresh copy.
+    the tape already. A non-contiguous ``x`` (a convolution's cropped output)
+    is unfolded into a workspace array that the node owns, not into a fresh
+    copy. Its backward forms ``(-g * left) @ right`` one ``BLOCK_COLUMNS``-wide
+    column block at a time. When the input already holds a gradient buffer
+    of its own, each block goes through one rows x block scratch array and
+    is summed into that buffer; otherwise it is written straight into a new
+    gradient array. Both paths run the same block products, so they give the
+    same bits.
 
     The Gram matrix and its decomposition are always float64, so
     ``GRAM_MIN_RATIO``'s derivation holds on a float32 tape too. The Gram
     matrix is summed over ``BLOCK_COLUMNS``-wide column blocks of the
     unfolding; on a float32 tape each block is cast into one rows x block
     float64 scratch array, lent by the workspace and given back before the
-    op returns, and on a float64 tape each block is a view. The factors the
-    node keeps, and the gradient, are in the tape's dtype.
+    op returns, and on a float64 tape each block is a view and no scratch is
+    taken. The factors the node keeps, and the gradient, are in the tape's
+    dtype.
     """
     ws = x.ws
     rows = x.data.shape[0]
@@ -514,19 +545,35 @@ def diversity_penalty(x: Node) -> Node:
         flat = ws.take((rows, x.data.size // rows))
         np.copyto(flat.reshape(x.data.shape), x.data)
         owned = (flat,)
-    scratch = ws.take((rows, min(BLOCK_COLUMNS, flat.shape[1])), np.float64)
-    value, (left, right), _ = nuclear_penalty(flat, scratch)
-    ws.give(scratch)
+    n = flat.shape[1]
+    block = min(BLOCK_COLUMNS, n)
+    if flat.dtype == np.float64:  # float64 blocks are views of the unfolding
+        value, (left, right), _ = nuclear_penalty(flat, cols=block)
+    else:
+        scratch = ws.take((rows, block), np.float64)
+        value, (left, right), _ = nuclear_penalty(flat, scratch)
+        ws.give(scratch)
     # The Gram path's right factor is the unfolding itself, kept as it is.
     left, right = (f.astype(flat.dtype, copy=False) for f in (left, right))
     y = ws.take(())
     y[...] = value
     out = Node(y, parents=(x,), ws=ws, owned=(y, *owned))
+    bounds = [*range(0, n, block), n]
 
     def _backward(g):
-        gx = ws.take(x.data.shape)
-        np.matmul(np.multiply(left, -float(g)), right, out=gx.reshape(rows, -1))
-        x._adopt(gx)
+        scaled = np.multiply(left, -float(g))
+        if x.grad is None or x._lender is not None:
+            gx = ws.take(x.data.shape)
+            gx2 = gx.reshape(rows, -1)
+            for lo, hi in zip(bounds, bounds[1:]):
+                np.matmul(scaled, right[:, lo:hi], out=gx2[:, lo:hi])
+            x._adopt(gx)
+            return
+        gx2 = x.grad.reshape(rows, -1)  # a buffer of x's own: sum into it
+        part = ws.take((rows, block))
+        for lo, hi in zip(bounds, bounds[1:]):
+            gx2[:, lo:hi] += np.matmul(scaled, right[:, lo:hi], out=part[:, : hi - lo])
+        ws.give(part)
 
     out._backward = _backward
     return out

@@ -96,20 +96,29 @@ class Network:
         return sum(v.size for v in self.params.values())
 
     def _block(self, nodes: dict[str, ad.Node], i: int, x: ad.Node) -> tuple[ad.Node, ad.Node]:
-        """Returns (block output, pre-compression feature volume)."""
+        """Returns (block output, pre-compression feature volume). The
+        aggregate map's output and the block's input ``x`` go back to the
+        workspace after the residual add: the convolutions keep padded copies
+        of ``x``, and the add reads no values in its backward."""
         weights = [nodes[f"b{i}.w{j}"] for j in range(len(branch_extents(self.scheme)))]
         feat = set_forward(self.scheme, weights, x)
         y = ad.channel_mix(nodes[f"b{i}.compress"], feat) if self.scheme.is_parallel else feat
         y = ad.leaky_relu(y, LEAKY_SLOPE)
-        y = ad.channel_mix(nodes[f"b{i}.aggregate"], y)
-        return ad.add(y, x), feat
+        mixed = ad.channel_mix(nodes[f"b{i}.aggregate"], y)
+        out = ad.add(mixed, x)
+        for dead in (mixed, x):  # the add read them last, and no backward reads them
+            dead.release_value()
+        return out, feat
 
     def forward_tape(self, x: np.ndarray, ws: ad.Workspace | None = None) -> ForwardTape:
         """Run the taped forward pass on a raw (C, B, H, W) array. Every array
         of the tape comes from ``ws``, or from a private workspace without one
         (see ``autodiff`` for the lifetime contract). The input and the
         parameter nodes are in the workspace's dtype; the parameter nodes are
-        copies unless that is float64. The input takes no gradient."""
+        copies unless that is float64. The input takes no gradient. The
+        lift's output and every block output but the last, which the
+        projection's backward reads, go back to the workspace once the next
+        block has run (see ``_block``)."""
         if x.ndim != 4 or x.shape[0] != self.channels:
             raise ShapeError(
                 f"expected (C={self.channels}, B, H, W) input, got shape {x.shape}"

@@ -55,7 +55,7 @@ GRAM_MIN_RATIO = 1e-8
 
 
 def nuclear_penalty(
-    mat: np.ndarray, scratch: np.ndarray | None = None
+    mat: np.ndarray, scratch: np.ndarray | None = None, cols: int | None = None
 ) -> tuple[float, tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Value ``-||F||_*``, its (sub)gradient as factors ``(left, right)`` with
     ``grad = -(left @ right)``, and the singular values of ``F``.
@@ -72,18 +72,19 @@ def nuclear_penalty(
     to ``s_max / s_min``. Singular values come back non-increasing.
 
     The Gram matrix and every decomposition are float64. The Gram matrix is
-    summed over column blocks as wide as ``scratch``, a float64 array of
-    ``rows`` rows that blocks of a narrower ``mat`` are cast into; without
-    it, which needs a float64 ``mat``, it is one product. The Gram path's
-    ``F`` factor is ``mat`` in its own dtype; the SVD fallback decomposes a
-    float64 cast of ``mat``.
+    summed over column blocks ``cols`` wide, by default as wide as
+    ``scratch``, a float64 array of ``rows`` rows that blocks of a narrower
+    ``mat`` are cast into; a float64 ``mat`` needs no scratch, and without
+    either it is one product. The Gram path's ``F`` factor is ``mat`` in its
+    own dtype; the SVD fallback decomposes a float64 cast of ``mat``.
     """
-    rows, cols = mat.shape
-    if 0 < rows <= cols:
+    rows, width = mat.shape
+    if 0 < rows <= width:
         gram = np.empty((rows, rows))
-        block = cols if scratch is None else scratch.shape[1]
+        if cols is None:
+            cols = width if scratch is None else scratch.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back below
-            matmul_nt(mat, mat, gram, block, scratch)
+            matmul_nt(mat, mat, gram, cols, scratch)
         if np.all(np.isfinite(gram)):
             lam, u = np.linalg.eigh(gram)
             if lam[0] > GRAM_MIN_RATIO * lam[-1]:

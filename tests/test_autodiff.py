@@ -182,6 +182,31 @@ class TestOpGradients:
             assert abs(fd - node.grad[idx]) <= 1e-5
 
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("positions", [60, 49])  # last blocks of 12 and 1 columns
+    def test_penalty_gradient_summed_into_an_own_buffer_is_bitwise(
+        self, rng, monkeypatch, dtype, positions
+    ):
+        """Added block by block into a gradient buffer the input already
+        owns, the penalty's gradient gives the bits of the gradient array it
+        makes when the input has no gradient yet, added to that buffer, with
+        a last block of one column too."""
+        monkeypatch.setattr(ad, "BLOCK_COLUMNS", 16)
+        x = rng.standard_normal((24, 1, 1, positions))
+        prior = rng.standard_normal(x.shape).astype(dtype)
+        grads = []
+        for owned in (True, False):
+            ws = ad.Workspace(dtype)
+            feature = ad.scale(ad.Node(x, ws=ws), 1.0)  # interior, so it may own a buffer
+            penalty = ad.diversity_penalty(feature)
+            if owned:
+                feature._own(ws.take(x.shape))
+                feature.grad[...] = prior
+            penalty._backward(np.float64(0.75))
+            grads.append(feature.grad if owned else feature.grad + prior)
+        assert grads[0].dtype == dtype
+        assert np.array_equal(grads[0], grads[1])
+
 class TestSingleBlockGradient:
     def test_block_gradients_match_finite_differences_of_untaped_block(self, rng):
         """Taped gradients of the scalar block-output sum vs central
@@ -350,6 +375,84 @@ class TestWorkspace:
             for name in net.params:
                 np.testing.assert_array_equal(shared[name], fresh[name], err_msg=name)
                 net.params[name] -= 1e-2 * fresh[name]  # the next step sees new weights
+
+
+class TestReleasedValues:
+    """A value that no backward reads goes back to the workspace once its
+    last forward reader has run: a parallel set's branch outputs, each
+    block's aggregate map output and every block input but the network's."""
+
+    def test_release_gives_back_the_array_that_holds_the_value(self, rng):
+        """The released array leaves the node's owned arrays and goes back to
+        the workspace; the value reads as a read-only NaN array of its shape;
+        the backward gives back the rest once, with the same gradients."""
+        w64, x64 = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3, 4, 5))
+        g = rng.standard_normal((2, 3, 4, 5))
+        grads = []
+        for release in (False, True):
+            ws = ad.Workspace()
+            w, x = ad.Node(w64, ws=ws), ad.Node(x64, ws=ws)
+            out = ad.branch_conv(w, x, (3, 1, 1))
+            root = ad.scale(out, 2.0)
+            if release:
+                grid, shape = out.data.base, out.data.shape
+                out.release_value()
+                assert id(grid) not in ws._lent and len(out._owned) == 2
+                assert all(a is not grid for a in out._owned)
+                assert out.data.shape == shape and out.data.dtype == np.float64
+                assert not out.data.flags.writeable and np.isnan(out.data).all()
+                with pytest.raises(ValueError):
+                    x.release_value()  # a leaf owns no array
+            root.backward(g)
+            grads.append((w.grad.copy(), x.grad.copy()))
+        for got, want in zip(*grads):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("token", ["res3_1d", "conv3d"])
+    def test_forward_tape_releases_dead_values(self, rng, monkeypatch, token):
+        """After ``forward_tape`` the branch outputs of a parallel set, the
+        aggregate outputs, the lift's output and the first block's output
+        hold no workspace array and read as read-only NaN of their shape;
+        the feature, the last block's output and the input leaf keep their
+        values and arrays."""
+        made = {}  # id(node) -> (node, array holding its value, its shape)
+        for name in ("branch_conv", "channel_mix", "concat_channels", "add"):
+            op = getattr(ad, name)
+
+            def recorded(*args, _op=op):
+                node = _op(*args)
+                held = node.data if node.data.base is None else node.data.base
+                made[id(node)] = (node, held, node.data.shape)
+                return node
+
+            monkeypatch.setattr(ad, name, recorded)
+        net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=2, seed=7)
+        x = rng.standard_normal((1, 5, 6, 7))
+        ws = ad.Workspace()
+        tape = net.forward_tape(x, ws)
+        nodes = [entry[0] for entry in made.values()]
+        mixes = {id(n._parents[0]): n for n in nodes if n._parents[0] in tape.params.values()}
+        mix = {name: mixes.get(id(node)) for name, node in tape.params.items()}
+        block_outputs = [n for n in nodes if n._parents and n._parents[0] in
+                         (mix["b0.aggregate"], mix["b1.aggregate"])]
+        concats = [n for n in nodes if len(n._parents) == 3]
+        branches = [p for c in concats for p in c._parents]
+        assert len(concats) == (2 if token == "res3_1d" else 0)
+        released = [*branches, mix["b0.aggregate"], mix["b1.aggregate"], mix["lift"],
+                    block_outputs[0]]
+        for node in released:
+            _, held, shape = made[id(node)]
+            assert all(a is not held for a in node._owned)
+            assert node._owned == () or node in branches  # a branch keeps xp and taps
+            assert node.data.shape == shape and node.data.dtype == np.float64
+            assert not node.data.flags.writeable and np.isnan(node.data).all()
+        xin = tape.output._parents[1]
+        assert xin._owned == () and np.array_equal(xin.data, x)
+        for node in (tape.feature, block_outputs[1]):
+            _, held, shape = made[id(node)]
+            assert any(a is held for a in node._owned) and id(held) in ws._lent
+            assert node.data.shape == shape and np.isfinite(node.data).all()
+            assert node.data.base is held or node.data is held
 
 
 def spy_backward(node, log):

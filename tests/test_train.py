@@ -329,6 +329,78 @@ class TestTrainingWorkspace:
         float64 = [s for s in shapes if s[1] == np.float64]
         assert float64 == [((rows, 512), np.dtype(np.float64))] * 3
 
+    @pytest.mark.parametrize("token", ["res3_1d", "conv3d"])
+    def test_penalty_sums_into_the_feature_gradient(self, monkeypatch, token):
+        """When the penalty's backward runs, the feature already holds a
+        gradient buffer of its own (from the compression map or the
+        rectifier), and the penalty adds its gradient into it through one
+        (rows, BLOCK_COLUMNS) array in the tape's dtype: it takes no array
+        the size of the feature."""
+        monkeypatch.setattr(ad, "BLOCK_COLUMNS", 512)  # the feature spans three column blocks
+        calls: list[tuple[bool, list]] = []  # per backward: (feature owned its gradient, takes)
+        recording: list[list] = []
+        take, taped = ad.Workspace.take, ad.diversity_penalty
+
+        def recorded_take(self, shape, dtype=None):
+            array = take(self, shape, dtype)
+            if recording:
+                recording[-1].append((tuple(shape), array.dtype))
+            return array
+
+        def watched_penalty(x):
+            out = taped(x)
+            backward = out._backward
+
+            def watched(g):
+                calls.append((x.grad is not None and x._lender is None, []))
+                recording.append(calls[-1][1])
+                backward(g)
+                recording.pop()
+
+            out._backward = watched
+            return out
+
+        monkeypatch.setattr(ad.Workspace, "take", recorded_take)
+        monkeypatch.setattr(ad, "diversity_penalty", watched_penalty)
+        cfg = small_config(epochs=3, lam=5e-5, scheme=parse_scheme_token(token))
+        train_denoiser(cfg, identity_task())
+        rows = rank_upper_bound(cfg.scheme, cfg.width) if cfg.scheme.is_parallel else cfg.width
+        assert calls == [(True, [((rows, 512), np.dtype(TRAIN_DTYPE))])] * 3
+
+    # Bytes of every array that the workspace of a two-epoch run on the
+    # 8x12x12 identity task (1152 positions, width 8, two blocks) hands out,
+    # float32 unless marked, as count x (shape):
+    # res3_1d, lam > 0: 3 x (24,8,12,12) 331776 + 7 x (8,8,12,12) 258048
+    #   + 6 x (8,1344) 258048 + 3 x (8,1440) 138240 + (24,1342) 128832
+    #   + float64 (24,1152) 221184 + (24,1152) 110592 + 2 x (8,1152) 73728
+    #   + (8,1342) 42944 + (8,1320) 42240 + 4 x (1,8,12,12) 18432
+    #   + weights, their gradients, taps and scalars 14740 = 1638804.
+    # conv3d, lam = 0: 3 x (8,1960) 188160 + (24,1958) 187968
+    #   + 5 x (8,8,12,12) 184320 + 3 x (8,1568) 150528 + (8,1538) 49216
+    #   + 4 x (1,8,12,12) 18432 + weights, their gradients, taps and scalars
+    #   42376 = 821000.
+    # Holding the released values until backward, and a feature-sized
+    # penalty gradient, took 1995156 and 931592 bytes.
+    POOL_BYTES = {"res3_1d": 1_638_804, "conv3d": 821_000}
+
+    @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0)])
+    def test_pool_size(self, monkeypatch, token, lam):
+        """The training workspace's pool is as large as the tape needs once
+        each dead value is given back; a change that holds one again grows
+        it."""
+        pool: dict[int, np.ndarray] = {}
+        take = ad.Workspace.take
+
+        def recorded_take(self, shape, dtype=None):
+            array = take(self, shape, dtype)
+            pool[id(array)] = array  # keeps every array alive, so ids stay unique
+            return array
+
+        monkeypatch.setattr(ad.Workspace, "take", recorded_take)
+        cfg = small_config(epochs=2, lam=lam, scheme=parse_scheme_token(token))
+        train_denoiser(cfg, identity_task())
+        assert sum(a.nbytes for a in pool.values()) == self.POOL_BYTES[token]
+
     @pytest.mark.parametrize("lam, epochs", [(0.0, 2), (5e-5, 2), (5e-5, 0)])
     def test_workspace_is_gone_before_the_float64_evaluation(self, monkeypatch, lam, epochs):
         """When the holdout's arrays are converted to float64 and the metrics
