@@ -19,12 +19,13 @@ core's L2 cache across all taps (``BLOCK_COLUMNS``). The im2col unfold in
 ``tensor.unfold_patches`` is kept only as an independent check of this
 kernel, in acceptance criterion 1 and the oracle tests.
 
-Memory comes from a ``Workspace``, a pool of arrays keyed by shape and dtype
-(the caching-allocator pattern of Paszke et al. 2019, "PyTorch", scoped to
-one run). Every node carries the workspace of the op input it was made from;
-a node made without one gets a private float64 workspace. Each op takes its
-output, the arrays its backward keeps, its scratch and every gradient buffer
-from that workspace and writes through ``out=``.
+Memory comes from a ``Workspace``, a pool of byte buffers that lends each
+array as a view of a best-fit byte range (the caching allocator of Paszke et
+al. 2019, "PyTorch", which splits cached blocks and merges free neighbours,
+scoped to one run). Every node carries the workspace of the op input it was
+made from; a node made without one gets a private float64 workspace. Each op
+takes its output, the arrays its backward keeps, its scratch and every
+gradient buffer from that workspace and writes through ``out=``.
 
 The workspace's dtype is the tape's precision: a node's value and gradient
 are in it, and ``Node(data, ws=...)`` casts to it. Training runs its tapes on
@@ -54,13 +55,15 @@ Lifetime contract:
 - A value that no backward reads goes back as soon as its last forward
   reader has run: ``Node.release_value`` gives the array that holds it back
   to the workspace and leaves a read-only NaN placeholder of its shape. Of
-  the ops, only ``channel_mix``, ``leaky_relu`` and ``diversity_penalty``
-  read a node's value in their backward, each its input's (``branch_conv``
-  and ``mean_abs_error`` read copies of their own; ``add``, ``scale`` and
-  ``concat_channels`` read none). So ``schemes.set_forward`` releases a
-  parallel set's branch outputs once they are concatenated, and
-  ``network.Network`` releases each block's aggregate map output and input
-  after the block's residual add.
+  the ops, only ``channel_mix`` and ``diversity_penalty`` read a node's value
+  in their backward, each its input's (``branch_conv`` and
+  ``mean_abs_error`` read copies of their own, ``leaky_relu`` a one-byte
+  mask of its input's signs; ``add``, ``scale`` and ``concat_channels`` read
+  none). So ``schemes.set_forward`` releases a parallel set's branch outputs
+  once they are concatenated and a chain's intermediate stage outputs once
+  the next stage has run, and ``network.Network`` releases the rectifier's
+  input after the rectifier (unless it is the feature volume) and each
+  block's aggregate map output and input after the block's residual add.
 - ``Node.backward`` gives back the arrays an interior node still owns (its
   value included, unless released) right after the node's own backward has
   run, and drops the node's hold on its gradient buffer. A buffer goes back
@@ -68,7 +71,7 @@ Lifetime contract:
   or summed into a buffer of its own; each node counts the holds on its
   buffer. The root and the leaves keep their values and gradients; an
   interior node's value is readable after ``backward`` only until its
-  workspace hands that array out again. Ops reach their own node from the
+  workspace lends its bytes out again. Ops reach their own node from the
   backward closure through a weak reference, so a tape holds no reference
   cycle.
 - ``Workspace.reclaim`` takes back everything still lent out. Only
@@ -144,14 +147,16 @@ class Node:
         self._holds = 0
 
     def release_value(self):
-        """Give the owned array that holds this node's value back to the
+        """Give the owned array that holds this node's value, the one whose
+        bytes the value shares (every lent array is a view of a workspace
+        buffer, so ``.base`` names the buffer, not the array), back to the
         workspace before the node's backward has run, for a value that no
         backward reads and whose forward readers have all run (see the
         module docstring). ``data`` becomes a read-only NaN placeholder of
         the same shape and dtype, so shapes stay readable and a backward
         that reads the value anyway poisons its gradients."""
-        held = self.data if self.data.base is None else self.data.base
-        if not any(a is held for a in self._owned):
+        held = next((a for a in self._owned if np.may_share_memory(a, self.data)), None)
+        if held is None:
             raise ValueError("the node owns no array that holds its value")
         self._owned = tuple(a for a in self._owned if a is not held)
         self.ws.give(held)
@@ -436,18 +441,22 @@ def concat_channels(parts: list[Node]) -> Node:
 
 def leaky_relu(x: Node, slope: float) -> Node:
     """``max(x, slope*x)``, which is ``x`` where ``x >= 0`` and ``slope*x``
-    elsewhere, bit for bit, for ``0 <= slope <= 1``."""
+    elsewhere, bit for bit, for ``0 <= slope <= 1``. The node keeps the
+    one-byte mask ``x >= 0`` for its backward, which reads no value of
+    ``x``."""
     if not 0.0 <= slope <= 1.0:
         raise ConfigError(f"leaky_relu slope must lie in [0, 1], got {slope}")
     ws = x.ws
+    mask = ws.take(x.data.shape, np.bool_)
+    np.greater_equal(x.data, 0.0, out=mask)  # True where x >= 0 (False at NaN)
     y = ws.take(x.data.shape)
     np.multiply(x.data, slope, out=y)
     np.maximum(x.data, y, out=y)
-    out = Node(y, parents=(x,), ws=ws, owned=(y,))
+    out = Node(y, parents=(x,), ws=ws, owned=(y, mask))
 
     def _backward(g):
         gx = ws.take(g.shape)
-        np.greater_equal(x.data, 0.0, out=gx)  # 1 where x >= 0, else 0 (NaN too)
+        np.copyto(gx, mask)  # 1 where x >= 0, else 0
         np.maximum(gx, slope, out=gx)  # 1 where x >= 0, else slope
         np.multiply(gx, g, out=gx)  # g or slope*g, bit for bit
         x._adopt(gx)

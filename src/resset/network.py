@@ -96,15 +96,23 @@ class Network:
         return sum(v.size for v in self.params.values())
 
     def _block(self, nodes: dict[str, ad.Node], i: int, x: ad.Node) -> tuple[ad.Node, ad.Node]:
-        """Returns (block output, pre-compression feature volume). The
-        aggregate map's output and the block's input ``x`` go back to the
-        workspace after the residual add: the convolutions keep padded copies
-        of ``x``, and the add reads no values in its backward."""
+        """Returns (block output, pre-compression feature volume). Values that
+        no backward reads go back to the workspace once their last forward
+        reader has run. The rectifier's input goes back after the rectifier's
+        forward, since its backward reads only its mask: for a parallel
+        scheme that is the compression map's output, and otherwise the set
+        output of every block but the last, whose set output is the feature
+        volume that the penalty and the evaluation read. The aggregate map's
+        output and the block's input ``x`` go back after the residual add: the
+        convolutions keep padded copies of ``x``, and the add reads no values
+        in its backward."""
         weights = [nodes[f"b{i}.w{j}"] for j in range(len(branch_extents(self.scheme)))]
         feat = set_forward(self.scheme, weights, x)
         y = ad.channel_mix(nodes[f"b{i}.compress"], feat) if self.scheme.is_parallel else feat
-        y = ad.leaky_relu(y, LEAKY_SLOPE)
-        mixed = ad.channel_mix(nodes[f"b{i}.aggregate"], y)
+        rectified = ad.leaky_relu(y, LEAKY_SLOPE)
+        if y is not feat or i < self.num_blocks - 1:
+            y.release_value()
+        mixed = ad.channel_mix(nodes[f"b{i}.aggregate"], rectified)
         out = ad.add(mixed, x)
         for dead in (mixed, x):  # the add read them last, and no backward reads them
             dead.release_value()

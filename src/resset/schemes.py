@@ -286,8 +286,10 @@ def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.
     """Taped convolution set: parallel schemes concatenate their branches along
     the channel axis in the fixed branch order; sequential schemes chain their
     stages without intermediate nonlinearities. A parallel set gives each
-    branch output back to the workspace once it is concatenated: neither the
-    concatenation's backward nor a branch's reads it."""
+    branch output back to the workspace once it is concatenated, and a chain
+    each intermediate stage's output once the next stage's forward has run:
+    no backward reads them (a branch's reads only its own padded copy of its
+    input, the concatenation's none)."""
     extents = branch_extents(scheme)
     if not scheme.chained:
         parts = [ad.branch_conv(w, x, e) for w, e in zip(weights, extents)]
@@ -297,9 +299,13 @@ def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.
         for part in parts:
             part.release_value()
         return out
+    out = x
     for w, e in zip(weights, extents):
-        x = ad.branch_conv(w, x, e)
-    return x
+        stage = ad.branch_conv(w, out, e)
+        if out is not x:
+            out.release_value()
+        out = stage
+    return out
 
 
 def conv_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:

@@ -188,7 +188,10 @@ def _fit(
     Every pass draws its arrays from one ``TRAIN_DTYPE`` workspace, reclaimed
     after each step, so one tape is alive at a time and the steps after the
     first reuse the first step's arrays. The workspace lives in this call
-    only: once it returns, only the two holdout arrays are left of it.
+    only. Every lent array is a view of one of its buffers, so the holdout
+    arrays are returned as copies, made once the workspace is gone so that
+    they do not add to the pool's peak: nothing that outlives the call pins
+    a buffer of the pool.
     """
     ws = ad.Workspace(TRAIN_DTYPE)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
@@ -219,7 +222,9 @@ def _fit(
         data_terms.append(epoch_data)
         reg_terms.append(epoch_reg)
     tape = net.forward_tape(holdout, ws)
-    return data_terms, reg_terms, tape.output.data, tape.feature.data
+    output, feature = tape.output.data, tape.feature.data
+    del tape, ws  # frees every buffer but the ones these two views pin
+    return data_terms, reg_terms, output.copy(), feature.copy()
 
 
 def train_denoiser(
@@ -233,8 +238,8 @@ def train_denoiser(
     from one ``TRAIN_DTYPE`` workspace (see ``_fit``). Each step's parameter
     nodes are ``TRAIN_DTYPE`` copies of the float64 parameters, and their
     gradients are summed into float64. The float64 evaluation (metrics and
-    spectrum) runs after the workspace and every tape are gone, on the
-    holdout's output and feature arrays alone, so the run's peak memory is
+    spectrum) runs after the workspace and every tape are gone, on copies
+    of the holdout's output and feature arrays, so the run's peak memory is
     that of its training tape.
     """
     start = time.perf_counter()

@@ -17,6 +17,7 @@ from resset import (
 from resset import autodiff as ad
 from resset.schemes import _TOKENS, LEAKY_SLOPE, branch_extents, expected_weight_shapes
 from resset.train import training_loss
+from resset.workspace import ALIGN
 
 from conftest import FreshArrays
 from conv_oracles import tap_loop_set
@@ -296,17 +297,27 @@ class TestGraphMechanics:
         assert str(seed_shape) in str(info.value) and "(1, 5, 6, 6)" in str(info.value)
 
 
+def address(array):
+    return array.__array_interface__["data"][0]
+
+
 class TestWorkspace:
     def test_take_reuses_what_was_given_back(self):
+        """A range given back is lent again to any shape that fits it, as the
+        same array for the same shape; ``reclaim`` frees every range, and the
+        next cycle gets the last one's ranges back."""
         ws = ad.Workspace()
         a = ws.take((2, 3))
         b = ws.take((2, 3))
-        assert a is not b
+        assert a is not b and not np.may_share_memory(a, b)
         ws.give(a)
-        assert ws.take((3, 2)) is not a  # keyed by shape, not by size
+        c = ws.take((3, 2))  # the same bytes in another shape
+        assert c is not a and address(c) == address(a)
+        ws.give(c)
         assert ws.take((2, 3)) is a
         ws.reclaim()
         assert {id(ws.take((2, 3))), id(ws.take((2, 3)))} == {id(a), id(b)}
+        assert ws.nbytes == 2 * ALIGN
 
     def test_giving_back_twice_raises(self):
         ws = ad.Workspace()
@@ -318,14 +329,102 @@ class TestWorkspace:
             ws.give(np.empty(4))
 
     def test_pool_is_keyed_by_dtype(self):
+        """Arrays come in the workspace's dtype unless another is asked for.
+        One range serves every dtype, each through an array of its own: the
+        same shape in another dtype is another array on the same bytes."""
         ws = ad.Workspace(np.float32)
         a = ws.take((2, 3))
         b = ws.take((2, 3), np.float64)
         assert a.dtype == np.float32 and b.dtype == np.float64
         ws.give(a, b)
+        mask = ws.take((2, 3), np.bool_)
+        assert mask.dtype == np.bool_ and address(mask) == address(a)
         assert ws.take((2, 3), np.float64) is b
+        ws.give(mask)
         assert ws.take((2, 3)) is a
         assert ad.Workspace().take((1,)).dtype == np.float64
+
+    def test_best_fit_splits_and_merges_aligned_ranges(self):
+        """Each range starts on an ``ALIGN``-byte boundary and is rounded up to
+        a multiple of it. A take gets the smallest free range that fits, split
+        when larger; a range given back merges with its free neighbours; a
+        buffer is allocated only when no free range fits, of the range's
+        size."""
+        align = ALIGN
+        ws = ad.Workspace(np.float32)
+        big = ws.take((4 * align,))  # 4 * ALIGN float32 entries, 16 lines
+        assert ws.nbytes == 16 * align and address(big) % align == 0
+        ws.give(big)
+        parts = [ws.take((align // 4,)) for _ in range(4)]  # one line each
+        assert [address(p) - address(big) for p in parts] == [0, align, 2 * align, 3 * align]
+        small = ws.take((1,), np.bool_)  # rounded up to one line
+        assert address(small) == address(big) + 4 * align and ws.nbytes == 16 * align
+        ws.give(parts[1], parts[2])  # merged into two free lines; eleven free after small
+        other = ws.take((12 * align,), np.bool_)  # twelve lines: nothing fits
+        assert ws.nbytes == 28 * align and not np.may_share_memory(other, big)
+        two = ws.take((align // 4,), np.float64)  # best fit: the two merged lines
+        assert address(two) == address(big) + align
+        ws.give(parts[0], parts[3], small, two)  # the first buffer is whole again
+        assert address(ws.take((4 * align,))) == address(big) and ws.nbytes == 28 * align
+
+    SHAPES = [(), (3,), (2, 5), (4, 4, 3), (17,), (1, 130), (0, 4)]
+    DTYPES = [np.float32, np.float64, np.bool_]
+
+    @staticmethod
+    def run_cycle(ws, ops, fills):
+        """Run ``ops`` (take, give) on ``ws``, filling each array it takes with
+        the next fill value, and check after every call that the live arrays
+        are disjoint, aligned and hold what was written to them."""
+        live = []
+        for op in ops:
+            if op[0] == "take":
+                shape, dtype = TestWorkspace.SHAPES[op[1]], TestWorkspace.DTYPES[op[2]]
+                array = ws.take(shape, dtype)
+                assert array.shape == shape and array.dtype == dtype
+                assert address(array) % ALIGN == 0 or array.size == 0
+                value = next(fills)
+                array[...] = (np.arange(array.size) + value).reshape(shape) % 7 > 2 \
+                    if dtype == np.bool_ else (np.arange(array.size) + value).reshape(shape)
+                for other, _ in live:
+                    assert not np.may_share_memory(array, other)
+                live.append((array, array.copy()))
+            elif live:
+                array, _ = live.pop(op[1] % len(live))
+                ws.give(array)
+                with pytest.raises(KeyError):
+                    ws.give(array)
+            for array, contents in live:
+                np.testing.assert_array_equal(array, contents)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cycles=st.lists(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("take"), st.integers(0, 6), st.integers(0, 2)),
+                    st.tuples(st.just("give"), st.integers(0, 99)),
+                ),
+                max_size=30,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_random_take_give_reclaim_sequences(self, cycles):
+        """Random cycles of takes and gives of mixed shapes and dtypes,
+        reclaimed in between: live arrays never overlap and keep their
+        contents, a second give of an array raises, and a cycle replayed
+        right after its own reclaim allocates no new buffer and makes no new
+        array."""
+        ws = ad.Workspace(np.float32)
+        fills = iter(range(10**9))
+        for ops in cycles:
+            self.run_cycle(ws, ops, fills)
+            ws.reclaim()
+            held, views = ws.nbytes, len(ws._views)
+            self.run_cycle(ws, ops, fills)
+            assert ws.nbytes == held and len(ws._views) == views
+            ws.reclaim()
 
     def test_node_takes_its_workspace_dtype(self, rng):
         w64 = rng.standard_normal((3, 2))
@@ -377,15 +476,24 @@ class TestWorkspace:
                 net.params[name] -= 1e-2 * fresh[name]  # the next step sees new weights
 
 
+def holder(node):
+    """The array among ``node``'s owned ones that holds its value."""
+    (held,) = [a for a in node._owned if np.may_share_memory(a, node.data)]
+    return held
+
+
 class TestReleasedValues:
     """A value that no backward reads goes back to the workspace once its
-    last forward reader has run: a parallel set's branch outputs, each
-    block's aggregate map output and every block input but the network's."""
+    last forward reader has run: a parallel set's branch outputs, a chain's
+    intermediate stage outputs, the rectifier's input but the feature volume,
+    each block's aggregate map output and every block input but the
+    network's."""
 
     def test_release_gives_back_the_array_that_holds_the_value(self, rng):
-        """The released array leaves the node's owned arrays and goes back to
-        the workspace; the value reads as a read-only NaN array of its shape;
-        the backward gives back the rest once, with the same gradients."""
+        """The released array, found by the bytes it shares with the value,
+        leaves the node's owned arrays and goes back to the workspace; the
+        value reads as a read-only NaN array of its shape; the backward gives
+        back the rest once, with the same gradients."""
         w64, x64 = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3, 4, 5))
         g = rng.standard_normal((2, 3, 4, 5))
         grads = []
@@ -395,12 +503,15 @@ class TestReleasedValues:
             out = ad.branch_conv(w, x, (3, 1, 1))
             root = ad.scale(out, 2.0)
             if release:
-                grid, shape = out.data.base, out.data.shape
+                grid, shape = holder(out), out.data.shape
+                assert grid is out._owned[2] and id(grid) in ws._lent
                 out.release_value()
                 assert id(grid) not in ws._lent and len(out._owned) == 2
                 assert all(a is not grid for a in out._owned)
                 assert out.data.shape == shape and out.data.dtype == np.float64
                 assert not out.data.flags.writeable and np.isnan(out.data).all()
+                with pytest.raises(ValueError):
+                    out.release_value()  # the placeholder shares no owned bytes
                 with pytest.raises(ValueError):
                     x.release_value()  # a leaf owns no array
             root.backward(g)
@@ -408,21 +519,43 @@ class TestReleasedValues:
         for got, want in zip(*grads):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("token", ["res3_1d", "conv3d"])
+    def test_rectifier_backward_reads_only_its_mask(self, rng):
+        """The rectifier keeps a one-byte ``x >= 0`` mask from the workspace,
+        so its input may go back after its forward: the gradients are the
+        same bits as when the input is kept."""
+        x64 = rng.standard_normal((2, 3, 4, 5))
+        x64[0, 0, 0, :2] = (0.0, -0.0)
+        g = rng.standard_normal(x64.shape)
+        grads = []
+        for release in (False, True):
+            x = ad.Node(x64, ws=ad.Workspace(np.float32))
+            pre = ad.scale(x, 1.0)
+            out = ad.leaky_relu(pre, LEAKY_SLOPE)
+            mask = out._owned[1]
+            assert mask.dtype == np.bool_ and id(mask) in x.ws._lent
+            np.testing.assert_array_equal(mask, pre.data >= 0)
+            if release:
+                pre.release_value()
+            ad.scale(out, 1.0).backward(g)
+            grads.append(x.grad.copy())
+        assert np.array_equal(grads[0].view(np.uint32), grads[1].view(np.uint32))
+
+    @pytest.mark.parametrize("token", ["res3_1d", "conv3d", "seq1d"])
     def test_forward_tape_releases_dead_values(self, rng, monkeypatch, token):
-        """After ``forward_tape`` the branch outputs of a parallel set, the
-        aggregate outputs, the lift's output and the first block's output
-        hold no workspace array and read as read-only NaN of their shape;
-        the feature, the last block's output and the input leaf keep their
-        values and arrays."""
-        made = {}  # id(node) -> (node, array holding its value, its shape)
-        for name in ("branch_conv", "channel_mix", "concat_channels", "add"):
+        """After ``forward_tape`` every branch output but the feature volume
+        (a parallel set's branches, a chain's stages, the set output of the
+        first block), the compression and aggregate outputs, the lift's output
+        and the first block's output hold no workspace array and read as
+        read-only NaN of their shape; the feature, the concatenations, the
+        rectifier outputs, the last block's output and the input leaf keep
+        their values and arrays."""
+        made = {}  # id(node) -> (node, op, array holding its value, its shape)
+        for name in ("branch_conv", "channel_mix", "concat_channels", "leaky_relu", "add"):
             op = getattr(ad, name)
 
-            def recorded(*args, _op=op):
+            def recorded(*args, _op=op, _name=name):
                 node = _op(*args)
-                held = node.data if node.data.base is None else node.data.base
-                made[id(node)] = (node, held, node.data.shape)
+                made[id(node)] = (node, _name, holder(node), node.data.shape)
                 return node
 
             monkeypatch.setattr(ad, name, recorded)
@@ -430,29 +563,35 @@ class TestReleasedValues:
         x = rng.standard_normal((1, 5, 6, 7))
         ws = ad.Workspace()
         tape = net.forward_tape(x, ws)
-        nodes = [entry[0] for entry in made.values()]
-        mixes = {id(n._parents[0]): n for n in nodes if n._parents[0] in tape.params.values()}
+        by_op = {}
+        for node, name, _, _ in made.values():
+            by_op.setdefault(name, []).append(node)
+        mixes = {id(n._parents[0]): n for n in by_op["channel_mix"]}
         mix = {name: mixes.get(id(node)) for name, node in tape.params.items()}
-        block_outputs = [n for n in nodes if n._parents and n._parents[0] in
+        block_outputs = [n for n in by_op["add"] if n._parents[0] in
                          (mix["b0.aggregate"], mix["b1.aggregate"])]
-        concats = [n for n in nodes if len(n._parents) == 3]
-        branches = [p for c in concats for p in c._parents]
+        branches = by_op["branch_conv"]
+        concats = by_op.get("concat_channels", [])
         assert len(concats) == (2 if token == "res3_1d" else 0)
-        released = [*branches, mix["b0.aggregate"], mix["b1.aggregate"], mix["lift"],
-                    block_outputs[0]]
+        assert len(branches) == (6 if token in ("res3_1d", "seq1d") else 2)
+        released = [*(b for b in branches if b is not tape.feature), mix["b0.aggregate"],
+                    mix["b1.aggregate"], mix["lift"], block_outputs[0]]
+        if token == "res3_1d":
+            released += [mix["b0.compress"], mix["b1.compress"]]
         for node in released:
-            _, held, shape = made[id(node)]
-            assert all(a is not held for a in node._owned)
+            _, _, held, shape = made[id(node)]
+            assert all(a is not held for a in node._owned)  # its range may be lent again
             assert node._owned == () or node in branches  # a branch keeps xp and taps
             assert node.data.shape == shape and node.data.dtype == np.float64
             assert not node.data.flags.writeable and np.isnan(node.data).all()
         xin = tape.output._parents[1]
         assert xin._owned == () and np.array_equal(xin.data, x)
-        for node in (tape.feature, block_outputs[1]):
-            _, held, shape = made[id(node)]
+        assert len(by_op["leaky_relu"]) == 2
+        kept = {id(n): n for n in (tape.feature, *concats, *by_op["leaky_relu"], block_outputs[1])}
+        for node in kept.values():
+            _, _, held, shape = made[id(node)]
             assert any(a is held for a in node._owned) and id(held) in ws._lent
             assert node.data.shape == shape and np.isfinite(node.data).all()
-            assert node.data.base is held or node.data is held
 
 
 def spy_backward(node, log):
@@ -576,7 +715,7 @@ class TestGradientLending:
         interior = [n for n in nodes.values() if n._backward is not None and n is not loss]
         params = [n for n in leaves if n.requires_grad]
         assert len(params) == len(tape.params) and len(leaves) == len(params) + 1
-        assert {id(a) for a in ws._lent.values()} == {
+        assert set(ws._lent) == {
             id(a) for a in (loss.grad, *loss._owned, *(n.grad for n in params))
         }
         for node in interior:
@@ -807,9 +946,10 @@ class TestPrecisionSplit:
     def _step(net, x, clean, ws):
         tape = net.forward_tape(x, ws)
         loss = training_loss(tape.output, tape.feature, clean, 5e-5)[0]
+        output = tape.output.data.copy()  # an interior value: not kept after backward
         loss.backward(np.float64(1.0))
         feature = tape.feature.data.astype(np.float64).reshape(tape.feature.data.shape[0], -1)
-        results = {"output": tape.output.data, "loss": loss.data}
+        results = {"output": output, "loss": loss.data}
         results.update({name: node.grad for name, node in tape.params.items()})
         return {k: np.asarray(v, np.float64) for k, v in results.items()}, feature
 

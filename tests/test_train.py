@@ -226,34 +226,54 @@ class TestTrainingWorkspace:
         train_denoiser(small_config(epochs=3, lam=5e-5), identity_task())
         assert len(outputs) == 4  # three steps and the evaluation
 
-    @pytest.mark.parametrize("token, lam", [("conv3d", 0.0), ("conv3d", 5e-5), ("res3_1d", 5e-5)])
+    @staticmethod
+    def run_workspace(monkeypatch, cfg, data) -> ad.Workspace:
+        """Train ``cfg`` on ``data`` and return the run's workspace."""
+        made = []
+        init = ad.Workspace.__init__
+
+        def recorded_init(self, dtype=np.float64):
+            init(self, dtype)
+            made.append(self)
+
+        monkeypatch.setattr(ad.Workspace, "__init__", recorded_init)
+        train_denoiser(cfg, data)
+        (ws,) = [w for w in made if w.dtype == TRAIN_DTYPE]
+        return ws
+
+    @pytest.mark.parametrize(
+        "token, lam", [("conv3d", 0.0), ("conv3d", 5e-5), ("res3_1d", 5e-5), ("seq1d", 5e-5)]
+    )
     def test_no_new_arrays_after_first_step(self, monkeypatch, token, lam):
-        """Count workspace misses (a take that returns an array never handed
-        out before) per forward pass; only the first may have any."""
+        """The workspace's buffer bytes and its arrays, counted as each
+        forward pass starts and once the run is over: only the first step
+        allocates a buffer or makes an array, and every later pass takes the
+        first step's ranges. Every take of the run is made from that one
+        ``TRAIN_DTYPE`` workspace, so no op lends from a private workspace
+        whose buffers these counts would not see."""
         from resset import Network
 
-        seen: dict[int, np.ndarray] = {}  # keeps every array alive, so ids stay unique
-        misses: list[int] = []
+        counts: list[tuple[int, int]] = []  # (buffer bytes, arrays made) per forward pass
+        lenders: dict[int, ad.Workspace] = {}  # keeps every lender alive, so ids stay unique
         take, forward = ad.Workspace.take, Network.forward_tape
 
-        def counted_take(self, shape, dtype=None):
+        def checked_take(self, shape, dtype=None):
             assert self.dtype == TRAIN_DTYPE
-            array = take(self, shape, dtype)
-            if id(array) not in seen:
-                seen[id(array)] = array
-                misses[-1] += 1
-            return array
+            lenders[id(self)] = self
+            return take(self, shape, dtype)
 
-        def counted_forward(self, *args):
-            misses.append(0)
-            return forward(self, *args)
+        def counted_forward(self, x, ws):
+            counts.append((ws.nbytes, len(ws._views)))
+            return forward(self, x, ws)
 
-        monkeypatch.setattr(ad.Workspace, "take", counted_take)
+        monkeypatch.setattr(ad.Workspace, "take", checked_take)
         monkeypatch.setattr(Network, "forward_tape", counted_forward)
         cfg = small_config(epochs=4, lam=lam, scheme=parse_scheme_token(token))
-        train_denoiser(cfg, identity_task())
-        assert len(misses) == 5 and misses[0] > 0
-        assert misses[1:] == [0, 0, 0, 0]
+        ws = self.run_workspace(monkeypatch, cfg, identity_task())
+        counts.append((ws.nbytes, len(ws._views)))
+        assert list(lenders.values()) == [ws]
+        assert len(counts) == 6 and counts[0] == (0, 0) and counts[1][0] > 0
+        assert counts[2:] == [counts[1]] * 4
 
     @pytest.mark.parametrize("token", ["conv3d", "seq1d", "seq1d2d", "res3_1d", "par1d2d"])
     def test_penalty_reads_a_workspace_array(self, monkeypatch, token):
@@ -367,68 +387,80 @@ class TestTrainingWorkspace:
         rows = rank_upper_bound(cfg.scheme, cfg.width) if cfg.scheme.is_parallel else cfg.width
         assert calls == [(True, [((rows, 512), np.dtype(TRAIN_DTYPE))])] * 3
 
-    # Bytes of every array that the workspace of a two-epoch run on the
-    # 8x12x12 identity task (1152 positions, width 8, two blocks) hands out,
-    # float32 unless marked, as count x (shape):
-    # res3_1d, lam > 0: 3 x (24,8,12,12) 331776 + 7 x (8,8,12,12) 258048
-    #   + 6 x (8,1344) 258048 + 3 x (8,1440) 138240 + (24,1342) 128832
-    #   + float64 (24,1152) 221184 + (24,1152) 110592 + 2 x (8,1152) 73728
-    #   + (8,1342) 42944 + (8,1320) 42240 + 4 x (1,8,12,12) 18432
-    #   + weights, their gradients, taps and scalars 14740 = 1638804.
-    # conv3d, lam = 0: 3 x (8,1960) 188160 + (24,1958) 187968
-    #   + 5 x (8,8,12,12) 184320 + 3 x (8,1568) 150528 + (8,1538) 49216
-    #   + 4 x (1,8,12,12) 18432 + weights, their gradients, taps and scalars
-    #   42376 = 821000.
-    # Holding the released values until backward, and a feature-sized
-    # penalty gradient, took 1995156 and 931592 bytes.
-    POOL_BYTES = {"res3_1d": 1_638_804, "conv3d": 821_000}
+    # Buffer bytes of the workspace of a two-epoch run on the 8x12x12
+    # identity task (1152 positions, width 8, two blocks, float32 tape). The
+    # most bytes lent at once are 854080 (res3_1d), 685120 (conv3d) and
+    # 692160 (seq1d); the rest is ranges too small for what was taken
+    # later. A pool that reused whole arrays keyed by shape and
+    # dtype held 1638804 and 821000 bytes for res3_1d and conv3d, and
+    # holding a chain's stage outputs until backward took 1218708 bytes for
+    # seq1d in it.
+    POOL_BYTES = {"res3_1d": 1_110_784, "conv3d": 769_792, "seq1d": 887_104}
+
+    @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0), ("seq1d", 5e-5)])
+    def test_pool_size(self, monkeypatch, token, lam):
+        """The training workspace's buffers are as large as the tape needs
+        once each dead value is given back; a change that holds one again, or
+        places ranges worse, grows them."""
+        cfg = small_config(epochs=2, lam=lam, scheme=parse_scheme_token(token))
+        assert self.run_workspace(monkeypatch, cfg, identity_task()).nbytes == self.POOL_BYTES[token]
+
+    # Buffer bytes of the toy training run's workspace: the 31x32x32 cube of
+    # the benchmark (31744 positions), width 8, two blocks, two steps. These
+    # are the MiB figures that README "Peak memory" and ``workspace.py``
+    # quote: 21.58 MiB (res3_1d, lam=5e-5) and 12.22 MiB (conv3d, lam=0),
+    # where a pool of whole arrays keyed by shape and dtype held 27.49 and
+    # 12.86 MiB.
+    TOY_POOL_BYTES = {"res3_1d": 22_627_072, "conv3d": 12_810_240}
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0)])
-    def test_pool_size(self, monkeypatch, token, lam):
-        """The training workspace's pool is as large as the tape needs once
-        each dead value is given back; a change that holds one again grows
-        it."""
-        pool: dict[int, np.ndarray] = {}
-        take = ad.Workspace.take
-
-        def recorded_take(self, shape, dtype=None):
-            array = take(self, shape, dtype)
-            pool[id(array)] = array  # keeps every array alive, so ids stay unique
-            return array
-
-        monkeypatch.setattr(ad.Workspace, "take", recorded_take)
+    def test_toy_run_pool_size(self, monkeypatch, token, lam):
+        clean = synth_cube(100, 31, 32, 32)
+        noisy = add_noise(clean, NoiseSpec(kind=NoiseKind.GAUSSIAN, sigma=50.0, seed=200))
+        pair = (cube_to_feature(noisy), cube_to_feature(clean))
         cfg = small_config(epochs=2, lam=lam, scheme=parse_scheme_token(token))
-        train_denoiser(cfg, identity_task())
-        assert sum(a.nbytes for a in pool.values()) == self.POOL_BYTES[token]
+        ws = self.run_workspace(monkeypatch, cfg, TrainingData(pairs=(pair,), holdout=pair))
+        assert ws.nbytes == self.TOY_POOL_BYTES[token]
 
     @pytest.mark.parametrize("lam, epochs", [(0.0, 2), (5e-5, 2), (5e-5, 0)])
     def test_workspace_is_gone_before_the_float64_evaluation(self, monkeypatch, lam, epochs):
         """When the holdout's arrays are converted to float64 and the metrics
         and the spectrum run, the run's float32 workspace is dead: no node,
         tape or local variable holds it, and it is freed without the cycle
-        collector, so its pool is not alive beside the float64 work."""
+        collector, so its pool is not alive beside the float64 work. Every
+        buffer it allocated is freed too: no array that outlives it, the
+        holdout's output and feature included, is a view that pins one."""
         from resset import train as train_module
 
         workspaces: list[weakref.ref] = []
+        buffers: list[weakref.ref] = []  # the memory-owning array under each buffer
         evaluated: list[str] = []
-        init = ad.Workspace.__init__
+        init, best_fit = ad.Workspace.__init__, ad.Workspace._best_fit
 
         def recorded_init(self, dtype=np.float64):
             init(self, dtype)
             if self.dtype == TRAIN_DTYPE:
                 workspaces.append(weakref.ref(self))
 
+        def recorded_best_fit(self, size):
+            made = len(self._buffers)
+            start = best_fit(self, size)
+            buffers.extend(weakref.ref(b.base) for b in self._buffers[made:])
+            return start
+
         def checked(name):
             fn = getattr(train_module, name)
 
             def wrapper(*args, **kwargs):
                 assert len(workspaces) == 1 and workspaces[0]() is None, name
+                assert buffers and all(ref() is None for ref in buffers), name
                 evaluated.append(name)
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(train_module, name, wrapper)
 
         monkeypatch.setattr(ad.Workspace, "__init__", recorded_init)
+        monkeypatch.setattr(ad.Workspace, "_best_fit", recorded_best_fit)
         for name in ("FeatureMap", "metrics_report", "feature_spectrum"):
             checked(name)
         gc.disable()
