@@ -19,13 +19,12 @@ core's L2 cache across all taps (``BLOCK_COLUMNS``). The im2col unfold in
 ``tensor.unfold_patches`` is kept only as an independent check of this
 kernel, in acceptance criterion 1 and the oracle tests.
 
-Memory comes from a ``Workspace``, a pool of byte buffers that lends each
-array as a view of a best-fit byte range (the caching allocator of Paszke et
-al. 2019, "PyTorch", which splits cached blocks and merges free neighbours,
-scoped to one run). Every node carries the workspace of the op input it was
-made from; a node made without one gets a private float64 workspace. Each op
-takes its output, the arrays its backward keeps, its scratch and every
-gradient buffer from that workspace and writes through ``out=``.
+Memory comes from a ``Workspace``, which records the arrays a step takes
+and gives back and lends the next steps views of one arena planned from that
+record. Every node carries the workspace of the op input it was made from; a
+node made without one gets a private float64 workspace. Each op takes its
+output, the arrays its backward keeps, its scratch and every gradient buffer
+from that workspace and writes through ``out=``.
 
 The workspace's dtype is the tape's precision: a node's value and gradient
 are in it, and ``Node(data, ws=...)`` casts to it. Training runs its tapes on
@@ -66,18 +65,18 @@ Lifetime contract:
   block's aggregate map output and input after the block's residual add.
 - ``Node.backward`` gives back the arrays an interior node still owns (its
   value included, unless released) right after the node's own backward has
-  run, and drops the node's hold on its gradient buffer. A buffer goes back
-  once its owner's backward has run and every borrower has run its backward
-  or summed into a buffer of its own; each node counts the holds on its
-  buffer. The root and the leaves keep their values and gradients; an
-  interior node's value is readable after ``backward`` only until its
-  workspace lends its bytes out again. Ops reach their own node from the
-  backward closure through a weak reference, so a tape holds no reference
-  cycle.
+  run, drops the node's backward closure and its hold on its gradient
+  buffer, and leaves its value the read-only NaN placeholder: an interior
+  value reads NaN after ``backward``, and nothing the node holds keeps an
+  array alive. A buffer goes back once its owner's backward has run and
+  every borrower has run its backward or summed into a buffer of its own;
+  each node counts the holds on its buffer. The root and the leaves keep
+  their values and gradients. Ops reach their own node from the backward
+  closure through a weak reference, so a tape holds no reference cycle.
 - ``Workspace.reclaim`` takes back everything still lent out. Only
   ``train.train_denoiser`` shares one workspace across forward passes: it
   drops each step's tape and loss, reclaims, and runs the next forward on
-  the same arrays, so a steady-state epoch allocates nothing new.
+  the planned arena, so a steady-state epoch allocates nothing new.
 """
 
 from __future__ import annotations
@@ -112,6 +111,12 @@ from .workspace import Workspace
 BLOCK_COLUMNS = 4096
 
 
+def _placeholder(value: np.ndarray) -> np.ndarray:
+    """A read-only NaN array of ``value``'s shape and dtype that holds no
+    memory of its shape's size."""
+    return np.broadcast_to(np.array(np.nan, value.dtype), value.shape)
+
+
 class Node:
     """A value in the computation graph with its gradient accumulator.
 
@@ -123,9 +128,10 @@ class Node:
     node holds (``_holds`` counts the node and every borrower of it) or a
     read-only view of the buffer of ``_lender``, which is never itself a
     borrower. After the node's backward has run, ``backward`` gives its
-    arrays back and drops its hold unless the node is the root;
-    ``release_value`` gives back its value's array earlier (see the module
-    docstring). A graph is walked backward once.
+    arrays back, drops its hold and its closure, and sets ``data`` to a
+    NaN placeholder unless the node is the root; ``release_value`` gives
+    back its value's array earlier (see the module docstring). A graph is
+    walked backward once.
     """
 
     __slots__ = (
@@ -148,19 +154,19 @@ class Node:
 
     def release_value(self):
         """Give the owned array that holds this node's value, the one whose
-        bytes the value shares (every lent array is a view of a workspace
-        buffer, so ``.base`` names the buffer, not the array), back to the
-        workspace before the node's backward has run, for a value that no
-        backward reads and whose forward readers have all run (see the
-        module docstring). ``data`` becomes a read-only NaN placeholder of
-        the same shape and dtype, so shapes stay readable and a backward
-        that reads the value anyway poisons its gradients."""
+        bytes the value shares (every lent array is a view of the memory map
+        under it, an arena or pages of its own, so ``.base`` names the map,
+        not the array), back to the workspace before the node's backward has
+        run, for a value that no backward reads and whose forward readers
+        have all run (see the module docstring). ``data`` becomes a read-only
+        NaN placeholder of the same shape and dtype, so shapes stay readable
+        and a backward that reads the value anyway poisons its gradients."""
         held = next((a for a in self._owned if np.may_share_memory(a, self.data)), None)
         if held is None:
             raise ValueError("the node owns no array that holds its value")
         self._owned = tuple(a for a in self._owned if a is not held)
         self.ws.give(held)
-        self.data = np.broadcast_to(np.array(np.nan, self.data.dtype), self.data.shape)
+        self.data = _placeholder(self.data)
 
     def _own(self, buffer):
         self.grad, self._holds = buffer, 1
@@ -248,7 +254,8 @@ class Node:
                 node._backward(node.grad)
                 if node is not self:  # every reader of its value and gradient has run
                     node.ws.give(*node._owned)
-                    node._owned = ()
+                    node._owned, node._backward = (), None
+                    node.data = _placeholder(node.data)
                     node._release()
 
 

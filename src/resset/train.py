@@ -186,12 +186,12 @@ def _fit(
     the holdout's output and feature arrays from one more forward pass.
 
     Every pass draws its arrays from one ``TRAIN_DTYPE`` workspace, reclaimed
-    after each step, so one tape is alive at a time and the steps after the
-    first reuse the first step's arrays. The workspace lives in this call
-    only. Every lent array is a view of one of its buffers, so the holdout
-    arrays are returned as copies, made once the workspace is gone so that
-    they do not add to the pool's peak: nothing that outlives the call pins
-    a buffer of the pool.
+    after each step, so one tape is alive at a time. The first step's
+    arrays are fresh, and its reclaim plans the arena that every later
+    step, and the holdout's forward pass, takes the same views of. The
+    workspace lives in this call only. The holdout arrays are views of the
+    arena, so they are returned as copies, made once the workspace and the
+    tape are gone: nothing that outlives the call pins the arena.
     """
     ws = ad.Workspace(TRAIN_DTYPE)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
@@ -223,7 +223,7 @@ def _fit(
         reg_terms.append(epoch_reg)
     tape = net.forward_tape(holdout, ws)
     output, feature = tape.output.data, tape.feature.data
-    del tape, ws  # frees every buffer but the ones these two views pin
+    del tape, ws  # frees every array but the arena these two views pin
     return data_terms, reg_terms, output.copy(), feature.copy()
 
 

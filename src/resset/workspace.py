@@ -1,5 +1,5 @@
-"""A pool of byte buffers, lent out as typed arrays, that outlives the graphs
-it serves.
+"""Arrays lent to the ops of a tape, placed in one arena planned from the
+step before.
 
 ``autodiff`` takes every array of a tape from a ``Workspace``; the lifetime
 contract is in the ``autodiff`` module docstring. A workspace has one dtype,
@@ -14,56 +14,92 @@ block, and the penalty's gradient stays factored until the taped op's
 backward writes the product, block by block, into the feature's gradient, a
 buffer taken from here.
 
-The pool lends byte ranges, not whole arrays, so a range that held one shape
-and dtype can hold any other that fits (the block splitting and merging of
-the caching allocator in Paszke et al. 2019, "PyTorch"; Pisarchyk and Lee
-2020, "Efficient Memory Management for Deep Neural Net Inference", measure
-what placing tensors at offsets saves over reusing them whole). On the toy
-training run's float32 tape (31x32x32 cube, width 8, two blocks, two steps)
-the pool holds 21.6 MiB with the penalty (``res3_1d``) and 12.2 MiB without
-it (``conv3d``), where a pool of whole arrays keyed by shape and dtype held
-27.5 and 12.9 MiB; ``tests/test_train.py`` pins these figures.
-``train.train_denoiser`` keeps its workspace only while it trains and runs
-the holdout's forward pass, and keeps copies of the holdout's arrays, since
-a lent array keeps its whole buffer alive; the float64 evaluation runs
-after the pool is gone.
+A training step takes and gives back the same arrays in the same order
+every time, so the workspace records one step and plans the next ones
+offline, as Pisarchyk and Lee 2020 ("Efficient Memory Management for Deep
+Neural Net Inference") plan tensor offsets from recorded lifetimes: greedy
+by size, largest array first, each at the lowest offset clear of every
+placed array whose lifetime overlaps its own. On the toy training run's
+float32 tape (31x32x32 cube, width 8, two blocks) the arena holds 18.29 MiB
+with the penalty (``res3_1d``) and 9.95 MiB without it (``conv3d``), against
+18.05 and 9.95 MiB lent at most at once; ``tests/test_train.py`` pins these
+figures. ``train.train_denoiser`` keeps its workspace only while it trains
+and runs the holdout's forward pass, and returns copies of the holdout's
+arrays, since a view keeps the whole arena alive; the float64 evaluation
+runs after the arena is gone.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import mmap
 from math import prod
 
 import numpy as np
 
-ALIGN = 64  # bytes: every range starts on a cache line
+ALIGN = 64  # bytes: every planned array starts on a cache line
+
+
+def _map(nbytes: int) -> mmap.mmap:
+    """Anonymous pages of their own, unmapped when the last array on them dies."""
+    return mmap.mmap(-1, nbytes)
+
+
+def _size(take: tuple) -> int:
+    """Bytes a take's array spans in the arena: rounded up to ``ALIGN``."""
+    shape, dtype = take
+    return max(-(-prod(shape) * dtype.itemsize // ALIGN) * ALIGN, ALIGN)
+
+
+def plan_offsets(events: list) -> dict[int, int]:
+    """Arena offset of each take among a step's ``events``, keyed by the take's
+    index. A take is ``(shape, dtype)`` and lives from its index until the
+    give that names it (``int``), or to the end of the step. Greedy by size:
+    largest take first (the earlier among equals), each at the lowest offset
+    clear of every placed take whose lifetime overlaps its own."""
+    spans = {}  # take index -> [first event, event it is given back at, bytes]
+    for t, event in enumerate(events):
+        if isinstance(event, int):
+            spans[event][1] = t
+        else:
+            spans[t] = [t, len(events), _size(event)]
+    offsets: dict[int, int] = {}
+    for i in sorted(spans, key=lambda i: -spans[i][2]):
+        start, stop, size = spans[i]
+        live = sorted(
+            (offsets[j], offsets[j] + spans[j][2])
+            for j in offsets
+            if spans[j][0] < stop and start < spans[j][1]
+        )
+        offset = 0
+        for lo, hi in live:
+            if lo - offset >= size:
+                break
+            offset = max(offset, hi)
+        offsets[i] = offset
+    return offsets
 
 
 class Workspace:
-    """Byte buffers lent out in best-fit ranges to the ops of one run.
+    """Arrays lent to the ops of one run, replayed from a planned step.
 
     ``take(shape)`` lends an array of that shape in the workspace's
     ``dtype``, or of ``dtype`` when one is given; its contents are whatever
-    was last written to its bytes. It is a view of a range of one of the
-    workspace's buffers, ``ALIGN``-aligned and rounded up to ``ALIGN`` bytes:
-    the smallest free range that fits (the lowest one among equals), split
-    when it is larger. A new buffer, of exactly the range's size, is
-    allocated only when no free range fits. ``give(*arrays)`` takes arrays it
-    lent back, and a range given back merges with the free ranges beside it
-    in its buffer. ``reclaim()`` gives back every array still lent out.
-    Giving back an array that is not lent out raises ``KeyError``: two owners
-    of one range would silently overwrite each other.
+    was last written to its bytes. ``give(*arrays)`` takes arrays it lent
+    back; giving back an array that is not lent out raises ``KeyError``: two
+    owners of one array would silently overwrite each other. ``reclaim()``
+    gives back every array still lent out and ends the step.
 
-    Between two reclaims the workspace records where each take was placed.
-    The next such cycle places its i-th take where the last cycle placed its
-    i-th one whenever it asks for the same shape and dtype and a free range
-    starts there, and falls back to best fit otherwise. A cycle that repeats the last one's
-    takes and gives therefore gets the same ranges and allocates nothing;
-    best fit alone does not promise that, since a buffer allocated late in
-    one cycle can draw an earlier take in the next and leave a later one
-    without room. Each (range, shape, dtype) keeps one view object, so such a
-    cycle makes no new arrays either. Nothing goes back to the allocator
-    while the workspace lives; ``nbytes`` is what its buffers hold.
+    The workspace records each step's events: ``(shape, dtype)`` for a take
+    and the take's index for a give. ``reclaim`` plans the step it ends
+    (``plan_offsets``) unless that step replayed the plan: one arena of
+    ``nbytes`` bytes, touched once so that later steps take no page faults,
+    and one ``ALIGN``-aligned view of it per take. A step that repeats the
+    planned events, event for event, gets the same views back and allocates
+    nothing. From the first event that differs, every take gets a fresh
+    array on pages of its own, which go back to the OS when it dies. Up to
+    that event the step is the plan, so every view it holds is clear of the
+    views it is lent. A workspace that is never reclaimed (every tape but
+    training's) only ever lends fresh arrays.
 
     ``autodiff.Node.release_value`` gives back a value that no backward
     reads once its last forward reader has run, ``autodiff.Node.backward``
@@ -74,98 +110,57 @@ class Workspace:
     one.
     """
 
-    __slots__ = (
-        "dtype", "_buffers", "_bases", "_top", "_free", "_stops", "_lent", "_views",
-        "_placed", "_last", "__weakref__",
-    )
+    __slots__ = ("dtype", "_arena", "_plan", "_views", "_events", "_lent", "_replaying", "__weakref__")
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
-        # Ranges are addressed in one space in which buffer k spans
-        # [_bases[k], _bases[k] + its size); a gap of ALIGN between buffers
-        # keeps ranges of two buffers from merging.
-        self._buffers: list[np.ndarray] = []
-        self._bases: list[int] = []
-        self._top = 0
-        self._free: dict[int, int] = {}  # free range start -> stop
-        self._stops: dict[int, int] = {}  # free range stop -> start
-        # A lent range is the entry (shape, dtype, array, start, stop).
-        self._lent: dict[int, tuple] = {}  # id(array) -> entry
-        self._views: dict[tuple, np.ndarray] = {}  # (start, shape, dtype) -> array
-        self._placed: list[tuple] = []  # this cycle's entries, in the order taken
-        self._last: list[tuple] = []  # the last cycle's
+        self._arena: mmap.mmap | None = None
+        self._plan: list = []  # the planned step's events
+        self._views: list = []  # each planned take's view, None at a give
+        self._events: list = []  # this step's events so far
+        self._lent: dict[int, tuple[int, np.ndarray]] = {}  # id(array) -> (take index, array)
+        self._replaying = True  # this step's events so far are the plan's
 
     @property
     def nbytes(self) -> int:
-        """Bytes held in the workspace's buffers, lent or free."""
-        return sum(buffer.nbytes for buffer in self._buffers)
+        """Bytes of the planned arena."""
+        return 0 if self._arena is None else len(self._arena)
+
+    def _record(self, event) -> bool:
+        """Append ``event`` to the step; whether the step still replays the plan."""
+        t = len(self._events)
+        self._events.append(event)
+        self._replaying = self._replaying and t < len(self._plan) and self._plan[t] == event
+        return self._replaying
 
     def take(self, shape: tuple[int, ...], dtype=None) -> np.ndarray:
         dtype = self.dtype if dtype is None else np.dtype(dtype)
-        i = len(self._placed)
-        if i < len(self._last):  # where the last cycle's i-th take went, if free
-            entry = self._last[i]
-            if entry[0] == shape and entry[1] is dtype and self._free.get(entry[3], 0) >= entry[4]:
-                return self._lend(entry)
-        size = max(-(-prod(shape) * dtype.itemsize // ALIGN) * ALIGN, ALIGN)
-        start = self._best_fit(size)
-        key = (start, shape, dtype)
-        array = self._views.get(key)
-        if array is None:
-            array = self._views[key] = self._view(start, shape, dtype)
-        return self._lend((shape, dtype, array, start, start + size))
-
-    def _lend(self, entry: tuple) -> np.ndarray:
-        """Lend ``entry``'s range, which starts a free range, as its array."""
-        _, _, array, start, stop = entry
-        end = self._free.pop(start)
-        del self._stops[end]
-        if end > stop:
-            self._free[stop] = end
-            self._stops[end] = stop
-        self._placed.append(entry)
-        self._lent[id(array)] = entry
+        i = len(self._events)
+        if self._record((shape, dtype)):
+            array = self._views[i]
+        else:
+            array = np.ndarray(shape, dtype, _map(_size((shape, dtype))))
+        self._lent[id(array)] = (i, array)
         return array
 
     def give(self, *arrays: np.ndarray) -> None:
         for array in arrays:
-            _, _, _, start, stop = self._lent.pop(id(array))
-            before = self._stops.pop(start, None)
-            if before is not None:
-                del self._free[before]
-                start = before
-            after = self._free.pop(stop, None)
-            if after is not None:
-                del self._stops[after]
-                stop = after
-            self._free[start] = stop
-            self._stops[stop] = start
+            self._record(self._lent.pop(id(array))[0])
 
     def reclaim(self) -> None:
-        """Give back every lent array; no caller may hold one afterwards."""
+        """Give back every lent array and end the step, planning it unless it
+        replayed the plan; no caller may hold a lent array afterwards."""
         self._lent.clear()
-        self._free = {base: base + b.nbytes for base, b in zip(self._bases, self._buffers)}
-        self._stops = {stop: start for start, stop in self._free.items()}
-        self._last, self._placed = self._placed, []
-
-    def _best_fit(self, size: int) -> int:
-        """Start of the smallest free range of at least ``size`` bytes, in a
-        new buffer when none fits."""
-        fits = [(stop - start, start) for start, stop in self._free.items() if stop - start >= size]
-        if fits:
-            return min(fits)[1]
-        raw = np.empty(size + ALIGN, np.uint8)
-        skip = -raw.ctypes.data % ALIGN
-        base = self._top
-        self._buffers.append(raw[skip : skip + size])
-        self._bases.append(base)
-        self._top += size + ALIGN
-        self._free[base] = base + size
-        self._stops[base + size] = base
-        return base
-
-    def _view(self, start: int, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        k = bisect_right(self._bases, start) - 1
-        offset = start - self._bases[k]
-        nbytes = prod(shape) * dtype.itemsize
-        return self._buffers[k][offset : offset + nbytes].view(dtype).reshape(shape)
+        events, self._events = self._events, []
+        replayed = self._replaying and len(events) == len(self._plan)
+        self._replaying = True
+        if replayed:
+            return
+        offsets = plan_offsets(events)
+        self._plan, self._views, self._arena = events, [None] * len(events), None
+        size = max((o + _size(events[i]) for i, o in offsets.items()), default=0)
+        if size:
+            self._arena = _map(size)
+            np.frombuffer(self._arena, np.uint8)[:: mmap.PAGESIZE] = 0
+        for i, offset in offsets.items():
+            self._views[i] = np.ndarray(*events[i], self._arena, offset)

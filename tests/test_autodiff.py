@@ -17,6 +17,7 @@ from resset import (
 from resset import autodiff as ad
 from resset.schemes import _TOKENS, LEAKY_SLOPE, branch_extents, expected_weight_shapes
 from resset.train import training_loss
+from resset import workspace
 from resset.workspace import ALIGN
 
 from conftest import FreshArrays
@@ -303,69 +304,137 @@ def address(array):
 
 class TestWorkspace:
     def test_take_reuses_what_was_given_back(self):
-        """A range given back is lent again to any shape that fits it, as the
-        same array for the same shape; ``reclaim`` frees every range, and the
-        next cycle gets the last one's ranges back."""
+        """The first step's arrays are fresh. Planned from that step, a take
+        made after a give lands on the bytes given back, in any shape that
+        fits them; the next step gets those arrays, and a step that repeats
+        it gets the same arrays again."""
         ws = ad.Workspace()
         a = ws.take((2, 3))
         b = ws.take((2, 3))
         assert a is not b and not np.may_share_memory(a, b)
         ws.give(a)
-        c = ws.take((3, 2))  # the same bytes in another shape
-        assert c is not a and address(c) == address(a)
+        c = ws.take((3, 2))
+        assert not np.may_share_memory(c, b)
         ws.give(c)
-        assert ws.take((2, 3)) is a
         ws.reclaim()
-        assert {id(ws.take((2, 3))), id(ws.take((2, 3)))} == {id(a), id(b)}
         assert ws.nbytes == 2 * ALIGN
+        planned = [ws.take((2, 3)), ws.take((2, 3))]
+        ws.give(planned[0])
+        planned.append(ws.take((3, 2)))  # the same bytes in another shape
+        assert address(planned[2]) == address(planned[0]) != address(planned[1])
+        assert all(p.base is ws._arena for p in planned)
+        ws.give(planned[2])
+        ws.reclaim()
+        again = [ws.take((2, 3)), ws.take((2, 3))]
+        ws.give(again[0])
+        again.append(ws.take((3, 2)))
+        assert all(p is q for p, q in zip(again, planned))
 
     def test_giving_back_twice_raises(self):
         ws = ad.Workspace()
-        a = ws.take((4,))
-        ws.give(a)
-        with pytest.raises(KeyError):
+        for _ in range(2):  # a fresh array, then a planned one
+            a = ws.take((4,))
             ws.give(a)
-        with pytest.raises(KeyError):
-            ws.give(np.empty(4))
+            with pytest.raises(KeyError):
+                ws.give(a)
+            with pytest.raises(KeyError):
+                ws.give(np.empty(4))
+            ws.reclaim()
+        assert ws.nbytes == ALIGN
 
     def test_pool_is_keyed_by_dtype(self):
         """Arrays come in the workspace's dtype unless another is asked for.
-        One range serves every dtype, each through an array of its own: the
-        same shape in another dtype is another array on the same bytes."""
+        One arena serves every dtype: a take of another dtype is planned on
+        the bytes of one given back before it."""
         ws = ad.Workspace(np.float32)
-        a = ws.take((2, 3))
-        b = ws.take((2, 3), np.float64)
-        assert a.dtype == np.float32 and b.dtype == np.float64
-        ws.give(a, b)
-        mask = ws.take((2, 3), np.bool_)
-        assert mask.dtype == np.bool_ and address(mask) == address(a)
-        assert ws.take((2, 3), np.float64) is b
-        ws.give(mask)
-        assert ws.take((2, 3)) is a
+        for _ in range(2):
+            a = ws.take((2, 3))
+            b = ws.take((2, 3), np.float64)
+            assert a.dtype == np.float32 and b.dtype == np.float64
+            ws.give(a, b)
+            mask = ws.take((2, 3), np.bool_)
+            d = ws.take((2, 3), np.float64)
+            ws.give(mask)
+            e = ws.take((2, 3))
+            assert mask.dtype == np.bool_ and d.dtype == np.float64 and e.dtype == np.float32
+            ws.reclaim()
+        assert address(mask) == address(a) == address(e) and address(d) == address(b)
+        assert ws.nbytes == 2 * ALIGN
         assert ad.Workspace().take((1,)).dtype == np.float64
 
-    def test_best_fit_splits_and_merges_aligned_ranges(self):
-        """Each range starts on an ``ALIGN``-byte boundary and is rounded up to
-        a multiple of it. A take gets the smallest free range that fits, split
-        when larger; a range given back merges with its free neighbours; a
-        buffer is allocated only when no free range fits, of the range's
-        size."""
-        align = ALIGN
+    def test_replayed_step_makes_no_mapping(self, monkeypatch):
+        """The first step maps pages for each take and its reclaim maps the
+        arena; a step that repeats it, event for event, gets the same arrays
+        and maps nothing, and its reclaim plans nothing."""
+        maps = []
+        map_pages = workspace._map
+        monkeypatch.setattr(workspace, "_map", lambda n: maps.append(n) or map_pages(n))
+
+        def step(ws):
+            x = ws.take((5, 7))
+            y = ws.take((3,), np.float64)
+            ws.give(x)
+            z = ws.take((2, 2), np.bool_)
+            ws.give(y, z)
+            return x, y, z
+
         ws = ad.Workspace(np.float32)
-        big = ws.take((4 * align,))  # 4 * ALIGN float32 entries, 16 lines
-        assert ws.nbytes == 16 * align and address(big) % align == 0
-        ws.give(big)
-        parts = [ws.take((align // 4,)) for _ in range(4)]  # one line each
-        assert [address(p) - address(big) for p in parts] == [0, align, 2 * align, 3 * align]
-        small = ws.take((1,), np.bool_)  # rounded up to one line
-        assert address(small) == address(big) + 4 * align and ws.nbytes == 16 * align
-        ws.give(parts[1], parts[2])  # merged into two free lines; eleven free after small
-        other = ws.take((12 * align,), np.bool_)  # twelve lines: nothing fits
-        assert ws.nbytes == 28 * align and not np.may_share_memory(other, big)
-        two = ws.take((align // 4,), np.float64)  # best fit: the two merged lines
-        assert address(two) == address(big) + align
-        ws.give(parts[0], parts[3], small, two)  # the first buffer is whole again
-        assert address(ws.take((4 * align,))) == address(big) and ws.nbytes == 28 * align
+        step(ws)
+        assert len(maps) == 3
+        ws.reclaim()
+        assert maps[3:] == [ws.nbytes]  # the arena
+        arena = ws._arena
+        views = step(ws)
+        ws.reclaim()
+        assert step(ws) == views and len(maps) == 4 and ws._arena is arena
+        assert all(v.base is arena for v in views)
+
+    def test_divergent_step_takes_fresh_arrays_and_replans(self, monkeypatch):
+        """From the first event that differs from the plan on, every take
+        maps pages of its own; the takes before it get their planned views.
+        The step's reclaim plans it, and the step after that replays it."""
+        maps = []
+        map_pages = workspace._map
+        monkeypatch.setattr(workspace, "_map", lambda n: maps.append(n) or map_pages(n))
+        ws = ad.Workspace()
+        a, b = ws.take((8,)), ws.take((8,))
+        ws.give(a)
+        c = ws.take((16,))
+        ws.give(b, c)
+        ws.reclaim()
+        arena, planned = ws._arena, ws.nbytes
+        del maps[:]
+        a, b = ws.take((8,)), ws.take((8,))
+        ws.give(b)  # the plan gives back a here
+        c = ws.take((16,))
+        assert a.base is arena and b.base is arena and c.base is not arena
+        assert maps == [2 * ALIGN]
+        ws.give(a, c)
+        ws.reclaim()
+        assert ws._arena is not arena and maps[1:] == [ws.nbytes] == [planned]
+        a, b = ws.take((8,)), ws.take((8,))
+        ws.give(b)
+        c = ws.take((16,))
+        ws.give(a, c)
+        assert all(v.base is ws._arena for v in (a, b, c)) and len(maps) == 2
+        ws.reclaim()
+        a = ws.take((8,))  # a step that stops short of the plan is replanned
+        ws.give(a)
+        ws.reclaim()
+        assert ws.nbytes == ALIGN and len(maps) == 3
+
+    def test_plan_offsets_place_largest_first_at_the_lowest_clear_offset(self):
+        """Greedy by size on a known step: each take, largest first, goes to
+        the lowest offset clear of the placed takes whose lifetimes overlap
+        its own, into a gap between two of them when it fits; sizes are
+        rounded up to ``ALIGN`` bytes."""
+        f8, b1 = np.dtype(np.float64), np.dtype(np.bool_)
+        events = [((32,), f8), ((24,), f8), 0, ((16,), f8), ((1,), b1), 3]
+        # lifetimes [0, 2), [1, 6), [3, 5), [4, 6); sizes 256, 192, 128, 64 bytes
+        assert ALIGN == 64
+        assert workspace.plan_offsets(events) == {0: 0, 1: 256, 3: 0, 4: 128}
+        events = [((10,), f8), ((4,), np.dtype(np.float32)), 0, ((16,), f8), 1, ((1,), b1)]
+        assert workspace.plan_offsets(events) == {0: 0, 3: 0, 1: 128, 5: 128}
 
     SHAPES = [(), (3,), (2, 5), (4, 4, 3), (17,), (1, 130), (0, 4)]
     DTYPES = [np.float32, np.float64, np.bool_]
@@ -374,8 +443,10 @@ class TestWorkspace:
     def run_cycle(ws, ops, fills):
         """Run ``ops`` (take, give) on ``ws``, filling each array it takes with
         the next fill value, and check after every call that the live arrays
-        are disjoint, aligned and hold what was written to them."""
-        live = []
+        are disjoint, aligned and hold what was written to them. Returns the
+        step's events, as the workspace records them, and each take's event
+        index and array."""
+        live, events, taken = [], [], []
         for op in ops:
             if op[0] == "take":
                 shape, dtype = TestWorkspace.SHAPES[op[1]], TestWorkspace.DTYPES[op[2]]
@@ -385,46 +456,76 @@ class TestWorkspace:
                 value = next(fills)
                 array[...] = (np.arange(array.size) + value).reshape(shape) % 7 > 2 \
                     if dtype == np.bool_ else (np.arange(array.size) + value).reshape(shape)
-                for other, _ in live:
+                for other, _, _ in live:
                     assert not np.may_share_memory(array, other)
-                live.append((array, array.copy()))
+                live.append((array, array.copy(), len(events)))
+                taken.append((len(events), array))
+                events.append((shape, np.dtype(dtype)))
             elif live:
-                array, _ = live.pop(op[1] % len(live))
+                array, _, index = live.pop(op[1] % len(live))
                 ws.give(array)
+                events.append(index)
                 with pytest.raises(KeyError):
                     ws.give(array)
-            for array, contents in live:
+            for array, contents, _ in live:
                 np.testing.assert_array_equal(array, contents)
+        return events, taken
+
+    @staticmethod
+    def vary(ops, variant):
+        """``ops`` cut short, or with one op replaced by a give of another
+        live array or a take of another shape and dtype."""
+        kind, at = variant[0], variant[1]
+        if kind == "prefix":
+            return ops[:at]
+        ops = list(ops)
+        if at < len(ops):
+            ops[at] = ("give", variant[2]) if kind == "give" else ("take", *variant[2:])
+        return ops
+
+    OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("take"), st.integers(0, 6), st.integers(0, 2)),
+            st.tuples(st.just("give"), st.integers(0, 99)),
+        ),
+        max_size=30,
+    )
+    VARIANTS = st.one_of(
+        st.tuples(st.just("prefix"), st.integers(0, 30)),
+        st.tuples(st.just("give"), st.integers(0, 30), st.integers(0, 99)),
+        st.tuples(st.just("take"), st.integers(0, 30), st.integers(0, 6), st.integers(0, 2)),
+    )
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        cycles=st.lists(
-            st.lists(
-                st.one_of(
-                    st.tuples(st.just("take"), st.integers(0, 6), st.integers(0, 2)),
-                    st.tuples(st.just("give"), st.integers(0, 99)),
-                ),
-                max_size=30,
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_random_take_give_reclaim_sequences(self, cycles):
-        """Random cycles of takes and gives of mixed shapes and dtypes,
+    @given(steps=st.lists(st.tuples(OPS, VARIANTS), min_size=1, max_size=4))
+    def test_random_take_give_reclaim_sequences(self, steps):
+        """Random steps of takes and gives of mixed shapes and dtypes,
         reclaimed in between: live arrays never overlap and keep their
-        contents, a second give of an array raises, and a cycle replayed
-        right after its own reclaim allocates no new buffer and makes no new
-        array."""
+        contents, and a second give of an array raises. A step repeated
+        after its own reclaim gets views of the arena and is not replanned.
+        A step that diverges from it partway (cut short, a give of another
+        array, a take of another shape) gets planned views up to its first
+        differing event and fresh arrays from there on, and is replanned."""
         ws = ad.Workspace(np.float32)
         fills = iter(range(10**9))
-        for ops in cycles:
-            self.run_cycle(ws, ops, fills)
+        for ops, variant in steps:
+            planned, _ = self.run_cycle(ws, ops, fills)
             ws.reclaim()
-            held, views = ws.nbytes, len(ws._views)
-            self.run_cycle(ws, ops, fills)
-            assert ws.nbytes == held and len(ws._views) == views
+            arena = ws._arena
+            events, taken = self.run_cycle(ws, ops, fills)
+            assert events == planned and all(array.base is arena for _, array in taken)
             ws.reclaim()
+            assert ws._arena is arena
+            events, taken = self.run_cycle(ws, self.vary(ops, variant), fills)
+            first = next((t for t, pair in enumerate(zip(events, planned)) if pair[0] != pair[1]),
+                         min(len(events), len(planned)))
+            for t, array in taken:
+                assert (array.base is arena) == (t < first)
+            ws.reclaim()
+            if events == planned:
+                assert ws._arena is arena
+            elif taken:
+                assert ws._arena is not arena and ws._arena is not None
 
     def test_node_takes_its_workspace_dtype(self, rng):
         w64 = rng.standard_normal((3, 2))
@@ -518,6 +619,25 @@ class TestReleasedValues:
             grads.append((w.grad.copy(), x.grad.copy()))
         for got, want in zip(*grads):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_backward_leaves_interior_values_nan(self, rng):
+        """Once an interior node's backward has run, its closure is gone and
+        its value reads as a read-only NaN array of its shape, holding no
+        array; the leaves and the root keep their values."""
+        w64, x64 = rng.standard_normal((3, 2)), rng.standard_normal((2, 2, 3, 3))
+        w = ad.Node(w64)
+        x = ad.Node(x64, ws=w.ws)
+        mix = ad.channel_mix(w, x)
+        mid = ad.leaky_relu(mix, LEAKY_SLOPE)
+        root = ad.mean_abs_error(mid, np.zeros(mid.data.shape))
+        value = root.data.copy()
+        root.backward()
+        for node in (mix, mid):
+            assert node._backward is None and node._owned == ()
+            assert node.data.shape == (3, 2, 3, 3) and node.data.dtype == np.float64
+            assert not node.data.flags.writeable and np.isnan(node.data).all()
+        assert root._backward is not None and np.array_equal(root.data, value)
+        assert np.array_equal(w.data, w64) and np.array_equal(x.data, x64)
 
     def test_rectifier_backward_reads_only_its_mask(self, rng):
         """The rectifier keeps a one-byte ``x >= 0`` mask from the workspace,
@@ -711,8 +831,8 @@ class TestGradientLending:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node._parents)
-        leaves = [n for n in nodes.values() if n._backward is None]
-        interior = [n for n in nodes.values() if n._backward is not None and n is not loss]
+        leaves = [n for n in nodes.values() if not n._parents]
+        interior = [n for n in nodes.values() if n._parents and n is not loss]
         params = [n for n in leaves if n.requires_grad]
         assert len(params) == len(tape.params) and len(leaves) == len(params) + 1
         assert set(ws._lent) == {
@@ -946,9 +1066,9 @@ class TestPrecisionSplit:
     def _step(net, x, clean, ws):
         tape = net.forward_tape(x, ws)
         loss = training_loss(tape.output, tape.feature, clean, 5e-5)[0]
-        output = tape.output.data.copy()  # an interior value: not kept after backward
-        loss.backward(np.float64(1.0))
+        output = tape.output.data.copy()  # interior values read NaN after backward
         feature = tape.feature.data.astype(np.float64).reshape(tape.feature.data.shape[0], -1)
+        loss.backward(np.float64(1.0))
         results = {"output": output, "loss": loss.data}
         results.update({name: node.grad for name, node in tape.params.items()})
         return {k: np.asarray(v, np.float64) for k, v in results.items()}, feature
@@ -968,7 +1088,7 @@ class TestPrecisionSplit:
             if id(node) not in nodes:
                 nodes[id(node)] = node
                 stack.extend(node._parents)
-        (xin,) = [n for n in nodes.values() if n._backward is None and id(n) not in params]
+        (xin,) = [n for n in nodes.values() if not n._parents and id(n) not in params]
         assert not xin.requires_grad and xin.grad is None
         assert all(node.grad is not None for node in tape.params.values())
 

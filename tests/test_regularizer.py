@@ -395,8 +395,8 @@ class TestSingleStepEffect:
         target = feat.data.copy()  # data term is exactly zero at the start
         data_term = ad.mean_abs_error(feat, target)
         loss = ad.add(data_term, ad.scale(ad.diversity_penalty(feat), 5e-5))
-        loss.backward()
         before = np.linalg.svd(feat.data.reshape(4, -1), compute_uv=False).sum()
+        loss.backward()  # feat is interior: its value reads NaN after this
         cfg = TrainConfig(
             scheme=KernelScheme(SchemeVariant.RES3_1D), learning_rate=1e-3, epochs=1
         )

@@ -245,35 +245,52 @@ class TestTrainingWorkspace:
         "token, lam", [("conv3d", 0.0), ("conv3d", 5e-5), ("res3_1d", 5e-5), ("seq1d", 5e-5)]
     )
     def test_no_new_arrays_after_first_step(self, monkeypatch, token, lam):
-        """The workspace's buffer bytes and its arrays, counted as each
-        forward pass starts and once the run is over: only the first step
-        allocates a buffer or makes an array, and every later pass takes the
-        first step's ranges. Every take of the run is made from that one
+        """Every page the workspace maps, tagged with the reclaims done by
+        then: the first step's arrays and, in the first reclaim, the one
+        arena planned from that step. No later step, and not the holdout's
+        forward pass, maps a page, and the arena's size stays put at each
+        forward pass. Every take of the run is made from that one
         ``TRAIN_DTYPE`` workspace, so no op lends from a private workspace
-        whose buffers these counts would not see."""
+        whose mappings these tags would not tell apart."""
         from resset import Network
+        from resset import workspace as workspace_module
 
-        counts: list[tuple[int, int]] = []  # (buffer bytes, arrays made) per forward pass
+        maps: list[tuple[int, bool]] = []  # (reclaims done, inside a reclaim) per mapping
+        reclaims = [0, False]
+        arenas: list[int] = []  # the arena's bytes as each forward pass starts
         lenders: dict[int, ad.Workspace] = {}  # keeps every lender alive, so ids stay unique
-        take, forward = ad.Workspace.take, Network.forward_tape
+        take, reclaim, forward = ad.Workspace.take, ad.Workspace.reclaim, Network.forward_tape
+        map_pages = workspace_module._map
 
         def checked_take(self, shape, dtype=None):
             assert self.dtype == TRAIN_DTYPE
             lenders[id(self)] = self
             return take(self, shape, dtype)
 
+        def counted_map(nbytes):
+            maps.append(tuple(reclaims))
+            return map_pages(nbytes)
+
+        def counted_reclaim(self):
+            reclaims[1] = True
+            reclaim(self)
+            reclaims[:] = [reclaims[0] + 1, False]
+
         def counted_forward(self, x, ws):
-            counts.append((ws.nbytes, len(ws._views)))
+            arenas.append(ws.nbytes)
             return forward(self, x, ws)
 
         monkeypatch.setattr(ad.Workspace, "take", checked_take)
+        monkeypatch.setattr(ad.Workspace, "reclaim", counted_reclaim)
+        monkeypatch.setattr(workspace_module, "_map", counted_map)
         monkeypatch.setattr(Network, "forward_tape", counted_forward)
         cfg = small_config(epochs=4, lam=lam, scheme=parse_scheme_token(token))
         ws = self.run_workspace(monkeypatch, cfg, identity_task())
-        counts.append((ws.nbytes, len(ws._views)))
-        assert list(lenders.values()) == [ws]
-        assert len(counts) == 6 and counts[0] == (0, 0) and counts[1][0] > 0
-        assert counts[2:] == [counts[1]] * 4
+        assert list(lenders.values()) == [ws] and reclaims[0] == 4
+        first_step = maps.count((0, False))
+        assert first_step > 0 and maps == [(0, False)] * first_step + [(0, True)]
+        assert len(arenas) == 5 and arenas[0] == 0 and arenas[1] > 0
+        assert arenas[2:] == [arenas[1]] * 3 and ws.nbytes == arenas[1]
 
     @pytest.mark.parametrize("token", ["conv3d", "seq1d", "seq1d2d", "res3_1d", "par1d2d"])
     def test_penalty_reads_a_workspace_array(self, monkeypatch, token):
@@ -387,31 +404,30 @@ class TestTrainingWorkspace:
         rows = rank_upper_bound(cfg.scheme, cfg.width) if cfg.scheme.is_parallel else cfg.width
         assert calls == [(True, [((rows, 512), np.dtype(TRAIN_DTYPE))])] * 3
 
-    # Buffer bytes of the workspace of a two-epoch run on the 8x12x12
+    # Arena bytes of the workspace of a two-epoch run on the 8x12x12
     # identity task (1152 positions, width 8, two blocks, float32 tape). The
     # most bytes lent at once are 854080 (res3_1d), 685120 (conv3d) and
-    # 692160 (seq1d); the rest is ranges too small for what was taken
-    # later. A pool that reused whole arrays keyed by shape and
-    # dtype held 1638804 and 821000 bytes for res3_1d and conv3d, and
-    # holding a chain's stage outputs until backward took 1218708 bytes for
-    # seq1d in it.
-    POOL_BYTES = {"res3_1d": 1_110_784, "conv3d": 769_792, "seq1d": 887_104}
+    # 692160 (seq1d); greedy by size leaves 52608 bytes of the res3_1d arena
+    # unused at that moment. The best-fit pool it replaced held 1110784,
+    # 769792 and 887104 bytes.
+    POOL_BYTES = {"res3_1d": 906_688, "conv3d": 685_120, "seq1d": 692_160}
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0), ("seq1d", 5e-5)])
     def test_pool_size(self, monkeypatch, token, lam):
-        """The training workspace's buffers are as large as the tape needs
-        once each dead value is given back; a change that holds one again, or
-        places ranges worse, grows them."""
+        """The training workspace's arena is as large as the tape needs once
+        each dead value is given back; a change that holds one again, or
+        plans offsets worse, grows it."""
         cfg = small_config(epochs=2, lam=lam, scheme=parse_scheme_token(token))
         assert self.run_workspace(monkeypatch, cfg, identity_task()).nbytes == self.POOL_BYTES[token]
 
-    # Buffer bytes of the toy training run's workspace: the 31x32x32 cube of
+    # Arena bytes of the toy training run's workspace: the 31x32x32 cube of
     # the benchmark (31744 positions), width 8, two blocks, two steps. These
     # are the MiB figures that README "Peak memory" and ``workspace.py``
-    # quote: 21.58 MiB (res3_1d, lam=5e-5) and 12.22 MiB (conv3d, lam=0),
-    # where a pool of whole arrays keyed by shape and dtype held 27.49 and
-    # 12.86 MiB.
-    TOY_POOL_BYTES = {"res3_1d": 22_627_072, "conv3d": 12_810_240}
+    # quote: 18.29 MiB (res3_1d, lam=5e-5) and 9.95 MiB (conv3d, lam=0),
+    # where the most bytes lent at once are 18,929,472 (18.05 MiB) and
+    # 10,434,880 (9.95 MiB). The best-fit pool it replaced held 21.58 and
+    # 12.22 MiB.
+    TOY_POOL_BYTES = {"res3_1d": 19_182_656, "conv3d": 10_434_880}
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0)])
     def test_toy_run_pool_size(self, monkeypatch, token, lam):
@@ -427,40 +443,41 @@ class TestTrainingWorkspace:
         """When the holdout's arrays are converted to float64 and the metrics
         and the spectrum run, the run's float32 workspace is dead: no node,
         tape or local variable holds it, and it is freed without the cycle
-        collector, so its pool is not alive beside the float64 work. Every
-        buffer it allocated is freed too: no array that outlives it, the
-        holdout's output and feature included, is a view that pins one."""
+        collector, so its arena is not alive beside the float64 work. Every
+        mapping it made is unmapped too, the arena and each fresh array: no
+        array that outlives it, the holdout's output and feature included,
+        is a view that pins one."""
         from resset import train as train_module
+        from resset import workspace as workspace_module
 
         workspaces: list[weakref.ref] = []
-        buffers: list[weakref.ref] = []  # the memory-owning array under each buffer
+        mappings: list[weakref.ref] = []
         evaluated: list[str] = []
-        init, best_fit = ad.Workspace.__init__, ad.Workspace._best_fit
+        init, map_pages = ad.Workspace.__init__, workspace_module._map
 
         def recorded_init(self, dtype=np.float64):
             init(self, dtype)
             if self.dtype == TRAIN_DTYPE:
                 workspaces.append(weakref.ref(self))
 
-        def recorded_best_fit(self, size):
-            made = len(self._buffers)
-            start = best_fit(self, size)
-            buffers.extend(weakref.ref(b.base) for b in self._buffers[made:])
-            return start
+        def recorded_map(nbytes):
+            pages = map_pages(nbytes)
+            mappings.append(weakref.ref(pages))
+            return pages
 
         def checked(name):
             fn = getattr(train_module, name)
 
             def wrapper(*args, **kwargs):
                 assert len(workspaces) == 1 and workspaces[0]() is None, name
-                assert buffers and all(ref() is None for ref in buffers), name
+                assert mappings and all(ref() is None for ref in mappings), name
                 evaluated.append(name)
                 return fn(*args, **kwargs)
 
             monkeypatch.setattr(train_module, name, wrapper)
 
         monkeypatch.setattr(ad.Workspace, "__init__", recorded_init)
-        monkeypatch.setattr(ad.Workspace, "_best_fit", recorded_best_fit)
+        monkeypatch.setattr(workspace_module, "_map", recorded_map)
         for name in ("FeatureMap", "metrics_report", "feature_spectrum"):
             checked(name)
         gc.disable()
