@@ -54,15 +54,16 @@ Lifetime contract:
 - A value that no backward reads goes back as soon as its last forward
   reader has run: ``Node.release_value`` gives the array that holds it back
   to the workspace and leaves a read-only NaN placeholder of its shape. Of
-  the ops, only ``channel_mix`` and ``diversity_penalty`` read a node's value
-  in their backward, each its input's (``branch_conv`` and
-  ``mean_abs_error`` read copies of their own, ``leaky_relu`` a one-byte
-  mask of its input's signs; ``add``, ``scale`` and ``concat_channels`` read
-  none). So ``schemes.set_forward`` releases a parallel set's branch outputs
-  once they are concatenated and a chain's intermediate stage outputs once
-  the next stage has run, and ``network.Network`` releases the rectifier's
-  input after the rectifier (unless it is the feature volume) and each
-  block's aggregate map output and input after the block's residual add.
+  the ops, only ``branch_conv``, ``channel_mix`` and ``diversity_penalty``
+  read a node's value in their backward, each its input's (``branch_conv``
+  pads it again into scratch for its weight gradient; ``mean_abs_error``
+  reads a copy of its own, ``leaky_relu`` a one-byte mask of its input's
+  signs; ``add``, ``scale`` and ``concat_channels`` read none). So
+  ``schemes.set_forward`` releases a parallel set's branch outputs once they
+  are concatenated, and ``network.Network`` releases the rectifier's input
+  after the rectifier (unless it is the feature volume) and each block's
+  aggregate map output after the block's residual add. A convolution's
+  input stays on the tape once, however many branches read it.
 - ``Node.backward`` gives back the arrays an interior node still owns (its
   value included, unless released) right after the node's own backward has
   run, drops the node's backward closure and its hold on its gradient
@@ -335,9 +336,14 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     accumulator, its window and its scratch product stay in cache across
     the taps instead of streaming through memory once per tap (Goto and van
     de Geijn 2008). Every array comes from the workspace. The node owns the
-    padded input, the reordered taps and the output grid until its backward
-    has run; windows and products are block-sized scratch, and at
-    ``C == O`` the two passes' scratch has one shape.
+    reordered taps and the output grid until its backward has run. The
+    padded input is forward scratch: the backward reads ``x``'s value and
+    pads it again, into scratch given back before the input-gradient gather
+    (recomputing a cheap forward value instead of keeping it, as Chen et al.
+    2016 trade memory for compute), so a set's branches keep their common
+    input once instead of a padded copy each. Windows and products are
+    block-sized scratch, and at ``C == O`` the two passes' scratch has one
+    shape.
     """
     ws = x.ws
     c, b, h, wd = x.data.shape
@@ -358,11 +364,12 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     )
     grid = ws.take((out_ch, b * hp * wp))
     _tap_rows(taps, xp, rows, blocks, grid, ws)
+    ws.give(xp)
     out = Node(
         grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd],
         parents=(w, x),
         ws=ws,
-        owned=(xp, taps, grid),
+        owned=(taps, grid),
     )
 
     def _backward(g):
@@ -375,10 +382,14 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
         )
         gw = ws.take((len(shifts), out_ch, c))
         gw.fill(0.0)
+        xp = ws.take((c, bp * hp * wp))  # the padded input again, as in the forward
+        _pad_into(xp.reshape(c, bp, hp, wp), x.data, (pb, ph, pw))
         for lo, hi in blocks:
             g_blk = gp[:, front + lo : front + hi]
             for t, s in enumerate(shifts):
                 gw[t] += g_blk @ xp[:, lo + s : hi + s].T
+        ws.give(xp)
+        del xp  # on a fresh array this unmaps its pages before the gather takes more
         w._accumulate(np.moveaxis(gw, 0, 2).reshape(w.data.shape))
         # gx[:, i] is the gradient of padded input column front + i; the
         # flipped taps read gp from column i to i + 2*front, the last one

@@ -103,9 +103,10 @@ class Network:
         scheme that is the compression map's output, and otherwise the set
         output of every block but the last, whose set output is the feature
         volume that the penalty and the evaluation read. The aggregate map's
-        output and the block's input ``x`` go back after the residual add: the
-        convolutions keep padded copies of ``x``, and the add reads no values
-        in its backward."""
+        output goes back after the residual add, which reads no values in its
+        backward. The block's input ``x`` stays on the tape: each convolution
+        that the set runs on it reads it in its backward, all of them the
+        same array."""
         weights = [nodes[f"b{i}.w{j}"] for j in range(len(branch_extents(self.scheme)))]
         feat = set_forward(self.scheme, weights, x)
         y = ad.channel_mix(nodes[f"b{i}.compress"], feat) if self.scheme.is_parallel else feat
@@ -114,8 +115,7 @@ class Network:
             y.release_value()
         mixed = ad.channel_mix(nodes[f"b{i}.aggregate"], rectified)
         out = ad.add(mixed, x)
-        for dead in (mixed, x):  # the add read them last, and no backward reads them
-            dead.release_value()
+        mixed.release_value()  # the add read it last, and its backward reads no value
         return out, feat
 
     def forward_tape(self, x: np.ndarray, ws: ad.Workspace | None = None) -> ForwardTape:
@@ -124,9 +124,9 @@ class Network:
         (see ``autodiff`` for the lifetime contract). The input and the
         parameter nodes are in the workspace's dtype; the parameter nodes are
         copies unless that is float64. The input takes no gradient. The
-        lift's output and every block output but the last, which the
-        projection's backward reads, go back to the workspace once the next
-        block has run (see ``_block``)."""
+        lift's output and every block output stay on the tape: the next
+        block's convolutions read it in their backward, and the projection's
+        reads the last one (see ``_block``)."""
         if x.ndim != 4 or x.shape[0] != self.channels:
             raise ShapeError(
                 f"expected (C={self.channels}, B, H, W) input, got shape {x.shape}"

@@ -286,10 +286,10 @@ def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.
     """Taped convolution set: parallel schemes concatenate their branches along
     the channel axis in the fixed branch order; sequential schemes chain their
     stages without intermediate nonlinearities. A parallel set gives each
-    branch output back to the workspace once it is concatenated, and a chain
-    each intermediate stage's output once the next stage's forward has run:
-    no backward reads them (a branch's reads only its own padded copy of its
-    input, the concatenation's none)."""
+    branch output back to the workspace once it is concatenated: no backward
+    reads them (a branch's reads only its input, the concatenation's none).
+    A chain keeps each intermediate stage's output, which the next stage's
+    backward reads."""
     extents = branch_extents(scheme)
     if not scheme.chained:
         parts = [ad.branch_conv(w, x, e) for w, e in zip(weights, extents)]
@@ -301,10 +301,7 @@ def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.
         return out
     out = x
     for w, e in zip(weights, extents):
-        stage = ad.branch_conv(w, out, e)
-        if out is not x:
-            out.release_value()
-        out = stage
+        out = ad.branch_conv(w, out, e)
     return out
 
 

@@ -20,9 +20,9 @@ offline, as Pisarchyk and Lee 2020 ("Efficient Memory Management for Deep
 Neural Net Inference") plan tensor offsets from recorded lifetimes: greedy
 by size, largest array first, each at the lowest offset clear of every
 placed array whose lifetime overlaps its own. On the toy training run's
-float32 tape (31x32x32 cube, width 8, two blocks) the arena holds 18.29 MiB
-with the penalty (``res3_1d``) and 9.95 MiB without it (``conv3d``), against
-18.05 and 9.95 MiB lent at most at once; ``tests/test_train.py`` pins these
+float32 tape (31x32x32 cube, width 8, two blocks) the arena holds 14.05 MiB
+with the penalty (``res3_1d``) and 9.63 MiB without it (``conv3d``), against
+13.81 and 9.56 MiB lent at most at once; ``tests/test_train.py`` pins these
 figures. ``train.train_denoiser`` keeps its workspace only while it trains
 and runs the holdout's forward pass, and returns copies of the holdout's
 arrays, since a view keeps the whole arena alive; the float64 evaluation

@@ -585,10 +585,9 @@ def holder(node):
 
 class TestReleasedValues:
     """A value that no backward reads goes back to the workspace once its
-    last forward reader has run: a parallel set's branch outputs, a chain's
-    intermediate stage outputs, the rectifier's input but the feature volume,
-    each block's aggregate map output and every block input but the
-    network's."""
+    last forward reader has run: a parallel set's branch outputs, the
+    rectifier's input but the feature volume, and each block's aggregate map
+    output. A convolution's input stays, since its backward reads it."""
 
     def test_release_gives_back_the_array_that_holds_the_value(self, rng):
         """The released array, found by the bytes it shares with the value,
@@ -605,9 +604,9 @@ class TestReleasedValues:
             root = ad.scale(out, 2.0)
             if release:
                 grid, shape = holder(out), out.data.shape
-                assert grid is out._owned[2] and id(grid) in ws._lent
+                assert grid is out._owned[1] and id(grid) in ws._lent
                 out.release_value()
-                assert id(grid) not in ws._lent and len(out._owned) == 2
+                assert id(grid) not in ws._lent and len(out._owned) == 1
                 assert all(a is not grid for a in out._owned)
                 assert out.data.shape == shape and out.data.dtype == np.float64
                 assert not out.data.flags.writeable and np.isnan(out.data).all()
@@ -619,6 +618,28 @@ class TestReleasedValues:
             grads.append((w.grad.copy(), x.grad.copy()))
         for got, want in zip(*grads):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_convolution_backward_reads_its_input(self, rng):
+        """``branch_conv`` keeps no padded copy of its input: its backward
+        pads the input's value again for the weight gradient. Released
+        before ``backward``, the input poisons the weight gradient with NaN,
+        while the input gradient, which reads no value, keeps its bits."""
+        w64, x64 = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3, 4, 5))
+        g = rng.standard_normal((2, 3, 4, 5))
+        grads = []
+        for release in (False, True):
+            ws = ad.Workspace()
+            w, leaf = ad.Node(w64, ws=ws), ad.Node(x64, ws=ws)
+            x = ad.scale(leaf, 1.0)
+            out = ad.branch_conv(w, x, (3, 1, 1))
+            assert not any(a.shape == (2, 5 * 4 * 5) for a in out._owned)  # no padded input
+            if release:
+                x.release_value()
+            out.backward(g)
+            grads.append((w.grad.copy(), leaf.grad.copy()))
+        (w_kept, x_kept), (w_released, x_released) = grads
+        assert np.isfinite(w_kept).all() and np.isnan(w_released).all()
+        assert np.array_equal(x_kept.view(np.uint64), x_released.view(np.uint64))
 
     def test_backward_leaves_interior_values_nan(self, rng):
         """Once an interior node's backward has run, its closure is gone and
@@ -662,13 +683,14 @@ class TestReleasedValues:
 
     @pytest.mark.parametrize("token", ["res3_1d", "conv3d", "seq1d"])
     def test_forward_tape_releases_dead_values(self, rng, monkeypatch, token):
-        """After ``forward_tape`` every branch output but the feature volume
-        (a parallel set's branches, a chain's stages, the set output of the
-        first block), the compression and aggregate outputs, the lift's output
-        and the first block's output hold no workspace array and read as
-        read-only NaN of their shape; the feature, the concatenations, the
-        rectifier outputs, the last block's output and the input leaf keep
-        their values and arrays."""
+        """After ``forward_tape`` every branch output that is neither the
+        feature volume nor another convolution's input (a parallel set's
+        branches, the set output of the first block), and the compression and
+        aggregate outputs, hold no workspace array and read as read-only NaN
+        of their shape. The feature, the concatenations, the rectifier
+        outputs, every convolution's input (the lift's output, the first
+        block's output, a chain's earlier stages), the last block's output
+        and the input leaf keep their values and arrays."""
         made = {}  # id(node) -> (node, op, array holding its value, its shape)
         for name in ("branch_conv", "channel_mix", "concat_channels", "leaky_relu", "add"):
             op = getattr(ad, name)
@@ -694,20 +716,25 @@ class TestReleasedValues:
         concats = by_op.get("concat_channels", [])
         assert len(concats) == (2 if token == "res3_1d" else 0)
         assert len(branches) == (6 if token in ("res3_1d", "seq1d") else 2)
-        released = [*(b for b in branches if b is not tape.feature), mix["b0.aggregate"],
-                    mix["b1.aggregate"], mix["lift"], block_outputs[0]]
+        conv_inputs = {id(b._parents[1]): b._parents[1] for b in branches}
+        assert len(conv_inputs) == (6 if token == "seq1d" else 2)
+        assert {id(mix["lift"]), id(block_outputs[0])} <= set(conv_inputs)
+        released = [*(b for b in branches if b is not tape.feature and id(b) not in conv_inputs),
+                    mix["b0.aggregate"], mix["b1.aggregate"]]
         if token == "res3_1d":
             released += [mix["b0.compress"], mix["b1.compress"]]
+        assert len(released) == {"res3_1d": 10, "conv3d": 3, "seq1d": 3}[token]
         for node in released:
             _, _, held, shape = made[id(node)]
             assert all(a is not held for a in node._owned)  # its range may be lent again
-            assert node._owned == () or node in branches  # a branch keeps xp and taps
+            assert node._owned == () or node in branches  # a branch keeps its taps
             assert node.data.shape == shape and node.data.dtype == np.float64
             assert not node.data.flags.writeable and np.isnan(node.data).all()
         xin = tape.output._parents[1]
         assert xin._owned == () and np.array_equal(xin.data, x)
         assert len(by_op["leaky_relu"]) == 2
-        kept = {id(n): n for n in (tape.feature, *concats, *by_op["leaky_relu"], block_outputs[1])}
+        kept = {id(n): n for n in (tape.feature, *concats, *by_op["leaky_relu"], *block_outputs,
+                                   *conv_inputs.values())}
         for node in kept.values():
             _, _, held, shape = made[id(node)]
             assert any(a is held for a in node._owned) and id(held) in ws._lent

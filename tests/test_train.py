@@ -406,11 +406,12 @@ class TestTrainingWorkspace:
 
     # Arena bytes of the workspace of a two-epoch run on the 8x12x12
     # identity task (1152 positions, width 8, two blocks, float32 tape). The
-    # most bytes lent at once are 854080 (res3_1d), 685120 (conv3d) and
-    # 692160 (seq1d); greedy by size leaves 52608 bytes of the res3_1d arena
-    # unused at that moment. The best-fit pool it replaced held 1110784,
-    # 769792 and 887104 bytes.
-    POOL_BYTES = {"res3_1d": 906_688, "conv3d": 685_120, "seq1d": 692_160}
+    # most bytes lent at once are 663616 (res3_1d), 633408 (conv3d) and
+    # 661440 (seq1d); greedy by size leaves 52608 bytes of the res3_1d arena
+    # unused at that moment. With a padded copy of each convolution's input
+    # kept on the tape the arena held 906688, 685120 and 692160 bytes, and
+    # the best-fit pool before it 1110784, 769792 and 887104.
+    POOL_BYTES = {"res3_1d": 716_224, "conv3d": 633_408, "seq1d": 661_440}
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0), ("seq1d", 5e-5)])
     def test_pool_size(self, monkeypatch, token, lam):
@@ -423,11 +424,51 @@ class TestTrainingWorkspace:
     # Arena bytes of the toy training run's workspace: the 31x32x32 cube of
     # the benchmark (31744 positions), width 8, two blocks, two steps. These
     # are the MiB figures that README "Peak memory" and ``workspace.py``
-    # quote: 18.29 MiB (res3_1d, lam=5e-5) and 9.95 MiB (conv3d, lam=0),
-    # where the most bytes lent at once are 18,929,472 (18.05 MiB) and
-    # 10,434,880 (9.95 MiB). The best-fit pool it replaced held 21.58 and
-    # 12.22 MiB.
-    TOY_POOL_BYTES = {"res3_1d": 19_182_656, "conv3d": 10_434_880}
+    # quote: 14.05 MiB (res3_1d, lam=5e-5) and 9.63 MiB (conv3d, lam=0),
+    # where the most bytes lent at once are 14,481,216 (13.81 MiB) and
+    # 10,025,024 (9.56 MiB). With a padded copy of each convolution's input
+    # kept on the tape the arena held 18.29 and 9.95 MiB, and the best-fit
+    # pool before it 21.58 and 12.22 MiB.
+    TOY_POOL_BYTES = {"res3_1d": 14_734_400, "conv3d": 10_099_008}
+
+    @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0), ("seq1d", 5e-5)])
+    def test_first_step_stays_inside_its_plan(self, monkeypatch, token, lam):
+        """The first step's arrays are fresh mappings, each unmapped when the
+        last array on it dies. At no moment of that step do the live
+        mappings span more bytes than the arena its reclaim plans: an op
+        that still holds an array it gave back (a local that outlives the
+        give) keeps pages mapped that the plan counts as free, and makes the
+        first step, not the planned ones, the run's peak."""
+        from resset import workspace as workspace_module
+
+        map_pages, reclaim = workspace_module._map, ad.Workspace.reclaim
+        live = [0, 0]  # bytes of the first step's mappings alive now, and at most
+        first_step = [True]
+
+        def unmapped(nbytes):
+            live[0] -= nbytes
+
+        def counted_map(nbytes):
+            pages = map_pages(nbytes)
+            if first_step[0]:
+                live[0] += nbytes
+                live[1] = max(live)
+                weakref.finalize(pages, unmapped, nbytes)
+            return pages
+
+        def first_reclaim(self):
+            first_step[0] = False  # the arena mapped here is the plan, not a take
+            reclaim(self)
+
+        monkeypatch.setattr(workspace_module, "_map", counted_map)
+        monkeypatch.setattr(ad.Workspace, "reclaim", first_reclaim)
+        cfg = small_config(epochs=2, lam=lam, scheme=parse_scheme_token(token))
+        gc.disable()  # an array dies when its last reference does, not at a collection
+        try:
+            ws = self.run_workspace(monkeypatch, cfg, identity_task())
+        finally:
+            gc.enable()
+        assert 0 < live[1] <= ws.nbytes
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0)])
     def test_toy_run_pool_size(self, monkeypatch, token, lam):
