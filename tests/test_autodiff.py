@@ -870,14 +870,19 @@ class TestGradientLending:
         ws.reclaim()
         assert not ws._lent
 
-    OPS = ("add", "concat", "scale", "leaky", "mix")
+    OPS = ("add", "concat", "scale", "leaky", "mix", "conv")
+    # Every branch window of every scheme at k=3.
+    EXTENTS = sorted({e for t in _TOKENS for e in branch_extents(parse_scheme_token(t))})
+    ROOTS = ("last", "mean_abs_error", "diversity_penalty")
 
-    @staticmethod
-    def random_graph(ops, seed, ws):
+    @classmethod
+    def random_graph(cls, ops, seed, ws, root="last"):
         """A DAG over two leaves: each op reads the node made just before it
         and, for add and concat, a second node of its shape picked by the
         op's integer, so every op is an ancestor of the root and nodes are
-        shared across ops."""
+        shared across ops. A conv is a branch convolution at the extent the
+        integer picks. The root is the last node, or the mean absolute error
+        or the diversity penalty of it."""
         gen = np.random.default_rng(seed)
         x = ad.Node(gen.standard_normal((2, 2, 3, 3)), ws=ws)
         leaves = [x, ad.Node(gen.standard_normal((2, 2, 3, 3)), ws=ws)]
@@ -894,12 +899,22 @@ class TestGradientLending:
                 node = ad.scale(a, 0.5 + j % 3)
             elif op == "leaky":
                 node = ad.leaky_relu(a, LEAKY_SLOPE)
-            else:
+            elif op == "mix":
                 w = ad.Node(gen.standard_normal((1 + j % 3, a.data.shape[0])), ws=ws)
                 leaves.append(w)
                 node = ad.channel_mix(w, a)
+            else:
+                extents = cls.EXTENTS[j % len(cls.EXTENTS)]
+                w = ad.Node(gen.standard_normal((1 + j % 3, a.data.shape[0], *extents)), ws=ws)
+                leaves.append(w)
+                node = ad.branch_conv(w, a, extents)
             nodes.append(node)
-        return nodes[-1], leaves, gen.standard_normal(nodes[-1].data.shape)
+        top = nodes[-1]
+        if root == "mean_abs_error":
+            top = ad.mean_abs_error(top, gen.standard_normal(top.data.shape).astype(ws.dtype))
+        elif root == "diversity_penalty":
+            top = ad.diversity_penalty(top)
+        return top, leaves, gen.standard_normal(top.data.shape)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -909,23 +924,33 @@ class TestGradientLending:
             max_size=12,
         ),
         seed=st.integers(0, 2**16),
+        root=st.sampled_from(ROOTS),
+        dtype=st.sampled_from([np.float64, np.float32]),
     )
-    def test_random_graphs_match_fresh_arrays_bitwise(self, ops, seed):
-        """The same graph twice on one recycling workspace and once on arrays
-        that are never reused gives bit-identical leaf gradients."""
-        ws = ad.Workspace()
+    def test_random_graphs_match_fresh_arrays_bitwise(self, ops, seed, root, dtype):
+        """The same graph three times on one recycling workspace, reclaimed
+        after each, and once on arrays that are never reused gives
+        bit-identical leaf gradients, on a float64 and a float32 tape. The
+        steps after the first replay the plan that the first one's reclaim
+        made: they give back what they take in the same order."""
+        ws = ad.Workspace(dtype)
         grads = []
-        for workspace in (ws, ws, FreshArrays()):
-            root, leaves, g = self.random_graph(ops, seed, workspace)
-            root.backward(g)
+        arenas = []
+        for workspace in (ws, ws, ws, FreshArrays(dtype)):
+            top, leaves, g = self.random_graph(ops, seed, workspace, root)
+            top.backward(g)
             grads.append([None if leaf.grad is None else leaf.grad.copy() for leaf in leaves])
-            del root, leaves
+            del top, leaves
             workspace.reclaim()
-        for run in grads[:2]:
-            for got, want in zip(run, grads[2]):
+            arenas.append(ws._arena)
+        assert arenas[1] is arenas[0] and arenas[2] is arenas[0]
+        bits = f"u{np.dtype(dtype).itemsize}"
+        for run in grads[:3]:
+            for got, want in zip(run, grads[3]):
                 assert (got is None) == (want is None)
                 if want is not None:
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                    assert got.dtype == dtype
+                    assert np.array_equal(got.view(bits), want.view(bits))
 
 
 class TestNetworkTape:
