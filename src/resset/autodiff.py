@@ -40,40 +40,36 @@ A leaf made with ``requires_grad=False`` (the network input) takes no
 gradient: contributions to it are dropped, and ``channel_mix`` skips its
 input-gradient product when its input asks for none.
 
-Lifetime contract:
+Lifetime contract (PyTorch's, Paszke et al. 2019): a lent array goes back to
+the workspace when its last reference dies, so what the tape references is
+what it keeps.
 
+- A ``Node`` is a handle: its value and its ``Slot``, the graph vertex that
+  holds the gradient, the parents' slots and the backward closure. Graph
+  edges and closures hold slots and the arrays the backward reads, never a
+  parent's value, so a value that no backward reads dies when the caller
+  drops its handle. Of the ops, only ``branch_conv``, ``channel_mix`` and
+  ``diversity_penalty`` read their input's value in their backward
+  (``branch_conv`` pads it again into scratch for its weight gradient;
+  ``mean_abs_error`` reads a copy of its own, ``leaky_relu`` a one-byte
+  mask of its input's signs; ``add``, ``scale`` and ``concat_channels`` read
+  none).
 - An op gives its scratch back before it returns.
 - Gradients are lent, not copied, where an op passes its upstream gradient
   on unchanged (as PyTorch's autograd passes a buffer on): ``add`` lends its
   gradient to both parents and ``concat_channels`` lends each part its row
   block. An interior parent's first gradient is then a read-only view of the
-  lender's buffer; a lent view is lent on as a view of the same buffer. The
+  lender's buffer, which keeps that buffer alive; a lent view is lent on as
+  a view of the same buffer, and a read-only gradient is a borrowed one. The
   first further contribution to a borrowed gradient sums the two into a
   buffer of the node's own in one pass. Leaves and the root never borrow:
   their gradients are arrays of their own.
-- A value that no backward reads goes back as soon as its last forward
-  reader has run: ``Node.release_value`` gives the array that holds it back
-  to the workspace and leaves a read-only NaN placeholder of its shape. Of
-  the ops, only ``branch_conv``, ``channel_mix`` and ``diversity_penalty``
-  read a node's value in their backward, each its input's (``branch_conv``
-  pads it again into scratch for its weight gradient; ``mean_abs_error``
-  reads a copy of its own, ``leaky_relu`` a one-byte mask of its input's
-  signs; ``add``, ``scale`` and ``concat_channels`` read none). So
-  ``schemes.set_forward`` releases a parallel set's branch outputs once they
-  are concatenated, and ``network.Network`` releases the rectifier's input
-  after the rectifier (unless it is the feature volume) and each block's
-  aggregate map output after the block's residual add. A convolution's
-  input stays on the tape once, however many branches read it.
-- ``Node.backward`` gives back the arrays an interior node still owns (its
-  value included, unless released) right after the node's own backward has
-  run, drops the node's backward closure and its hold on its gradient
-  buffer, and leaves its value the read-only NaN placeholder: an interior
-  value reads NaN after ``backward``, and nothing the node holds keeps an
-  array alive. A buffer goes back once its owner's backward has run and
-  every borrower has run its backward or summed into a buffer of its own;
-  each node counts the holds on its buffer. The root and the leaves keep
-  their values and gradients. Ops reach their own node from the backward
-  closure through a weak reference, so a tape holds no reference cycle.
+- ``Node.backward`` drops an interior slot's closure and gradient right
+  after the slot's backward has run: the arrays the closure read and the
+  gradient buffer, once no borrower views it, go back then. The root and
+  the leaves keep their values and gradients. No closure references its own
+  node, so a tape holds no reference cycle and every array goes back at a
+  point fixed by the code.
 - ``Workspace.reclaim`` takes back everything still lent out. Only
   ``train.train_denoiser`` shares one workspace across forward passes: it
   drops each step's tape and loss, reclaims, and runs the next forward on
@@ -81,8 +77,6 @@ Lifetime contract:
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -112,122 +106,93 @@ from .workspace import Workspace
 BLOCK_COLUMNS = 4096
 
 
-def _placeholder(value: np.ndarray) -> np.ndarray:
-    """A read-only NaN array of ``value``'s shape and dtype that holds no
-    memory of its shape's size."""
-    return np.broadcast_to(np.array(np.nan, value.dtype), value.shape)
+class Slot:
+    """A node's vertex in the graph: its gradient, its parents' slots and its
+    backward closure. ``grad`` is None until a contribution arrives, then
+    either a buffer of the slot's own or, when it is read-only, a view of a
+    lender's buffer. A slot with ``requires_grad`` false takes no
+    contribution."""
 
+    __slots__ = ("grad", "ws", "shape", "requires_grad", "parents", "backward")
 
-class Node:
-    """A value in the computation graph with its gradient accumulator.
+    def __init__(self, ws: Workspace, shape: tuple, requires_grad: bool, parents: tuple):
+        self.ws, self.shape, self.requires_grad, self.parents = ws, shape, requires_grad, parents
+        self.grad = self.backward = None
 
-    ``ws`` is the workspace that the node's gradient and the arrays of the
-    op that made it come from; ``data`` and ``grad`` are in its dtype. A
-    node with ``requires_grad`` false takes no gradient contribution and
-    keeps ``grad`` at None. ``_owned`` lists the workspace arrays the
-    node's value and backward closure hold. ``grad`` is either a buffer the
-    node holds (``_holds`` counts the node and every borrower of it) or a
-    read-only view of the buffer of ``_lender``, which is never itself a
-    borrower. After the node's backward has run, ``backward`` gives its
-    arrays back, drops its hold and its closure, and sets ``data`` to a
-    NaN placeholder unless the node is the root; ``release_value`` gives
-    back its value's array earlier (see the module docstring). A graph is
-    walked backward once.
-    """
-
-    __slots__ = (
-        "data", "grad", "ws", "requires_grad", "_parents", "_backward", "_owned", "_lender",
-        "_holds", "__weakref__",
-    )
-
-    def __init__(
-        self, data, parents=(), ws: Workspace | None = None, owned=(), requires_grad=True
-    ):
-        self.ws = Workspace() if ws is None else ws
-        self.data = np.asarray(data, dtype=self.ws.dtype)
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = tuple(parents)
-        self._backward = None
-        self._owned = owned
-        self._lender = None
-        self._holds = 0
-
-    def release_value(self):
-        """Give the owned array that holds this node's value, the one whose
-        bytes the value shares (every lent array is a view of the memory map
-        under it, an arena or pages of its own, so ``.base`` names the map,
-        not the array), back to the workspace before the node's backward has
-        run, for a value that no backward reads and whose forward readers
-        have all run (see the module docstring). ``data`` becomes a read-only
-        NaN placeholder of the same shape and dtype, so shapes stay readable
-        and a backward that reads the value anyway poisons its gradients."""
-        held = next((a for a in self._owned if np.may_share_memory(a, self.data)), None)
-        if held is None:
-            raise ValueError("the node owns no array that holds its value")
-        self._owned = tuple(a for a in self._owned if a is not held)
-        self.ws.give(held)
-        self.data = _placeholder(self.data)
-
-    def _own(self, buffer):
-        self.grad, self._holds = buffer, 1
-
-    def _release(self):
-        """Drop this node's hold on its gradient; the buffer goes back to the
-        workspace with the last hold."""
-        owner = self._lender or self
-        if owner is not self:
-            self.grad = self._lender = None
-        owner._holds -= 1
-        if owner._holds == 0:
-            owner.ws.give(owner.grad)
-            owner.grad = None
-
-    def _accumulate(self, g):
+    def accumulate(self, g):
         """Add a gradient contribution that the caller keeps. The first one is
         copied; one added to a borrowed gradient is summed with it into a
-        buffer of this node's own in one pass."""
+        buffer of this slot's own in one pass."""
         if not self.requires_grad:
             return
         if self.grad is None:
-            self._own(self.ws.take(self.data.shape))
+            self.grad = self.ws.take(self.shape)
             np.copyto(self.grad, g)  # a copy: callers share g
-        elif self._lender is not None:
-            buffer = self.ws.take(self.data.shape)
+        elif not self.grad.flags.writeable:
+            buffer = self.ws.take(self.shape)
             np.add(self.grad, g, out=buffer)
-            self._release()
-            self._own(buffer)
+            self.grad = buffer
         else:
             self.grad += g
 
-    def _adopt(self, g):
-        """Add a gradient contribution taken from this node's workspace for
-        this node alone; the first one becomes the gradient without a copy,
+    def adopt(self, g):
+        """Add a gradient contribution taken from this slot's workspace for
+        this slot alone; the first one becomes the gradient without a copy,
         and so does one added to a borrowed gradient."""
         if not self.requires_grad:
             self.ws.give(g)
         elif self.grad is None:
-            self._own(g)
-        elif self._lender is not None:
+            self.grad = g
+        elif not self.grad.flags.writeable:
             np.add(self.grad, g, out=g)
-            self._release()
-            self._own(g)
+            self.grad = g
         else:
             self.grad += g
             self.ws.give(g)
 
-    def _borrow(self, g, lender: Node):
-        """Add a gradient contribution ``g`` that is a view of ``lender``'s
-        gradient. An interior node's first one is a read-only view of the
-        buffer behind it, which stays lent until this node drops its hold;
-        leaves and later contributions go through ``_accumulate``."""
-        if self._backward is None or self.grad is not None:
-            self._accumulate(g)
+    def borrow(self, g):
+        """Add a gradient contribution ``g`` that is a view of a lender's
+        gradient. An interior slot's first one becomes a read-only view of
+        it; leaves and later contributions go through ``accumulate``."""
+        if self.backward is None or self.grad is not None:
+            self.accumulate(g)
             return
-        owner = lender._lender or lender
-        owner._holds += 1
-        self.grad, self._lender = g.view(), owner
+        self.grad = g.view()
         self.grad.flags.writeable = False
+
+
+class Node:
+    """A value of the graph and its ``Slot``.
+
+    ``ws`` is the workspace that the node's gradient and the arrays of the
+    op that made it come from; ``data`` and ``grad`` are in its dtype. A
+    node with ``requires_grad`` false takes no gradient and keeps ``grad``
+    at None. The value lives as long as this handle or a backward that
+    reads it (see the module docstring). A graph is walked backward once.
+    """
+
+    __slots__ = ("data", "slot", "__weakref__")
+
+    def __init__(self, data, parents=(), ws: Workspace | None = None, requires_grad=True):
+        ws = Workspace() if ws is None else ws
+        self.data = np.asarray(data, dtype=ws.dtype)
+        self.slot = Slot(ws, self.data.shape, requires_grad, tuple(p.slot for p in parents))
+
+    @property
+    def ws(self) -> Workspace:
+        return self.slot.ws
+
+    @property
+    def grad(self):
+        return self.slot.grad
+
+    @property
+    def _backward(self):
+        return self.slot.backward
+
+    @_backward.setter
+    def _backward(self, closure):
+        self.slot.backward = closure
 
     def backward(self, seed=None):
         """Push gradients from this node to every ancestor. ``seed`` (ones by
@@ -235,29 +200,27 @@ class Node:
         seed = np.ones_like(self.data) if seed is None else np.asarray(seed, dtype=self.data.dtype)
         if seed.shape != self.data.shape:
             raise ShapeError(f"seed shape {seed.shape} != value shape {self.data.shape}")
+        root = self.slot
         topo = []
         visited = set()
-        stack = [(self, False)]
+        stack = [(root, False)]
         while stack:
-            node, expanded = stack.pop()
+            slot, expanded = stack.pop()
             if expanded:
-                topo.append(node)
+                topo.append(slot)
                 continue
-            if id(node) in visited:
+            if id(slot) in visited:
                 continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
+            visited.add(id(slot))
+            stack.append((slot, True))
+            for parent in slot.parents:
                 stack.append((parent, False))
-        self._accumulate(seed)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
-                if node is not self:  # every reader of its value and gradient has run
-                    node.ws.give(*node._owned)
-                    node._owned, node._backward = (), None
-                    node.data = _placeholder(node.data)
-                    node._release()
+        root.accumulate(seed)
+        for slot in reversed(topo):
+            if slot.backward is not None and slot.grad is not None:
+                slot.backward(slot.grad)
+                if slot is not root:  # every reader of its gradient has run
+                    slot.backward = slot.grad = None
 
 
 def _tap_rows(taps, src, rows, blocks, out, ws):
@@ -335,8 +298,8 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     ``BLOCK_COLUMNS`` and run every tap inside a block, so the block's
     accumulator, its window and its scratch product stay in cache across
     the taps instead of streaming through memory once per tap (Goto and van
-    de Geijn 2008). Every array comes from the workspace. The node owns the
-    reordered taps and the output grid until its backward has run. The
+    de Geijn 2008). Every array comes from the workspace. The backward keeps
+    the reordered taps, and the value is a view of the output grid. The
     padded input is forward scratch: the backward reads ``x``'s value and
     pads it again, into scratch given back before the input-gradient gather
     (recomputing a cheap forward value instead of keeping it, as Chen et al.
@@ -365,12 +328,8 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     grid = ws.take((out_ch, b * hp * wp))
     _tap_rows(taps, xp, rows, blocks, grid, ws)
     ws.give(xp)
-    out = Node(
-        grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd],
-        parents=(w, x),
-        ws=ws,
-        owned=(taps, grid),
-    )
+    out = Node(grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd], parents=(w, x), ws=ws)
+    w_slot, x_slot, x_value = w.slot, x.slot, x.data
 
     def _backward(g):
         gp = ws.take((out_ch, bp * hp * wp))
@@ -383,20 +342,20 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
         gw = ws.take((len(shifts), out_ch, c))
         gw.fill(0.0)
         xp = ws.take((c, bp * hp * wp))  # the padded input again, as in the forward
-        _pad_into(xp.reshape(c, bp, hp, wp), x.data, (pb, ph, pw))
+        _pad_into(xp.reshape(c, bp, hp, wp), x_value, (pb, ph, pw))
         for lo, hi in blocks:
             g_blk = gp[:, front + lo : front + hi]
             for t, s in enumerate(shifts):
                 gw[t] += g_blk @ xp[:, lo + s : hi + s].T
         ws.give(xp)
         del xp  # on a fresh array this unmaps its pages before the gather takes more
-        w._accumulate(np.moveaxis(gw, 0, 2).reshape(w.data.shape))
+        w_slot.accumulate(np.moveaxis(gw, 0, 2).reshape(w_slot.shape))
         # gx[:, i] is the gradient of padded input column front + i; the
         # flipped taps read gp from column i to i + 2*front, the last one
         # inside the grid for odd extents.
         gx = ws.take((c, b * hp * wp))
         _tap_rows(flipped, gp, rows, blocks, gx, ws)
-        x._accumulate(gx.reshape(c, b, hp, wp)[:, :, :h, :wd])
+        x_slot.accumulate(gx.reshape(c, b, hp, wp)[:, :, :h, :wd])
         ws.give(gp, flipped, gw, gx)
 
     out._backward = _backward
@@ -419,20 +378,21 @@ def channel_mix(w: Node, x: Node) -> Node:
     ``BLOCK_COLUMNS``-wide blocks of positions (``tensor.matmul_nt``)."""
     ws = x.ws
     c, out_ch = x.data.shape[0], w.data.shape[0]
-    x2 = x.data.reshape(c, -1)
+    w_value, x2 = w.data, x.data.reshape(c, -1)
     y = ws.take((out_ch, *x.data.shape[1:]))
-    _mix_into(w.data, x2, y.reshape(out_ch, -1))
-    out = Node(y, parents=(w, x), ws=ws, owned=(y,))
+    _mix_into(w_value, x2, y.reshape(out_ch, -1))
+    out = Node(y, parents=(w, x), ws=ws)
+    w_slot, x_slot = w.slot, x.slot
 
     def _backward(g):
         g2 = g.reshape(out_ch, -1)
-        gw = ws.take(w.data.shape)
-        w._accumulate(matmul_nt(g2, x2, gw, BLOCK_COLUMNS))
+        gw = ws.take(w_slot.shape)
+        w_slot.accumulate(matmul_nt(g2, x2, gw, BLOCK_COLUMNS))
         ws.give(gw)
-        if x.requires_grad:
-            gx = ws.take(x.data.shape)
-            _mix_into(w.data.T, g2, gx.reshape(c, -1))
-            x._adopt(gx)
+        if x_slot.requires_grad:
+            gx = ws.take(x_slot.shape)
+            _mix_into(w_value.T, g2, gx.reshape(c, -1))
+            x_slot.adopt(gx)
 
     out._backward = _backward
     return out
@@ -443,14 +403,14 @@ def concat_channels(parts: list[Node]) -> Node:
     channels = sum(p.data.shape[0] for p in parts)
     y = ws.take((channels, *parts[0].data.shape[1:]))
     np.concatenate([p.data for p in parts], axis=0, out=y)
-    out = Node(y, parents=tuple(parts), ws=ws, owned=(y,))
-    lender = weakref.ref(out)  # a strong reference would make a cycle through the closure
+    out = Node(y, parents=tuple(parts), ws=ws)
+    slots = out.slot.parents
 
     def _backward(g):
         start = 0
-        for p in parts:
-            n = p.data.shape[0]
-            p._borrow(g[start : start + n], lender())
+        for slot in slots:
+            n = slot.shape[0]
+            slot.borrow(g[start : start + n])
             start += n
 
     out._backward = _backward
@@ -470,14 +430,15 @@ def leaky_relu(x: Node, slope: float) -> Node:
     y = ws.take(x.data.shape)
     np.multiply(x.data, slope, out=y)
     np.maximum(x.data, y, out=y)
-    out = Node(y, parents=(x,), ws=ws, owned=(y, mask))
+    out = Node(y, parents=(x,), ws=ws)
+    x_slot = x.slot
 
     def _backward(g):
         gx = ws.take(g.shape)
         np.copyto(gx, mask)  # 1 where x >= 0, else 0
         np.maximum(gx, slope, out=gx)  # 1 where x >= 0, else slope
         np.multiply(gx, g, out=gx)  # g or slope*g, bit for bit
-        x._adopt(gx)
+        x_slot.adopt(gx)
 
     out._backward = _backward
     return out
@@ -489,12 +450,12 @@ def add(a: Node, b: Node) -> Node:
     ws = a.ws
     y = ws.take(a.data.shape)
     np.add(a.data, b.data, out=y)
-    out = Node(y, parents=(a, b), ws=ws, owned=(y,))
-    lender = weakref.ref(out)  # a strong reference would make a cycle through the closure
+    out = Node(y, parents=(a, b), ws=ws)
+    a_slot, b_slot = out.slot.parents
 
     def _backward(g):
-        a._borrow(g, lender())
-        b._borrow(g, lender())
+        a_slot.borrow(g)
+        b_slot.borrow(g)
 
     out._backward = _backward
     return out
@@ -504,12 +465,13 @@ def scale(x: Node, factor: float) -> Node:
     ws = x.ws
     y = ws.take(x.data.shape)
     np.multiply(x.data, factor, out=y)
-    out = Node(y, parents=(x,), ws=ws, owned=(y,))
+    out = Node(y, parents=(x,), ws=ws)
+    x_slot = x.slot
 
     def _backward(g):
         gx = ws.take(g.shape)
         np.multiply(g, factor, out=gx)
-        x._adopt(gx)
+        x_slot.adopt(gx)
 
     out._backward = _backward
     return out
@@ -527,14 +489,15 @@ def mean_abs_error(pred: Node, target: np.ndarray) -> Node:
     y = ws.take(())
     y[...] = np.mean(magnitude)
     ws.give(magnitude)
-    out = Node(y, parents=(pred,), ws=ws, owned=(diff, y))
+    out = Node(y, parents=(pred,), ws=ws)
+    pred_slot = pred.slot
 
     def _backward(g):
         gx = ws.take(diff.shape)
         np.sign(diff, out=gx)
         np.multiply(g, gx, out=gx)
         np.divide(gx, diff.size, out=gx)
-        pred._adopt(gx)
+        pred_slot.adopt(gx)
 
     out._backward = _backward
     return out
@@ -544,11 +507,11 @@ def diversity_penalty(x: Node) -> Node:
     """Negative nuclear norm of the channels x (B*H*W) unfolding of ``x``.
 
     The gradient stays factored as ``-(left @ right)`` (see
-    ``regularizer.nuclear_penalty``). The node keeps only the factors: on the
-    Gram path a rows x rows matrix and the unfolding of ``x``, which is on
-    the tape already. A non-contiguous ``x`` (a convolution's cropped output)
-    is unfolded into a workspace array that the node owns, not into a fresh
-    copy. Its backward forms ``(-g * left) @ right`` one ``BLOCK_COLUMNS``-wide
+    ``regularizer.nuclear_penalty``). The backward keeps only the factors: on
+    the Gram path a rows x rows matrix and the unfolding of ``x``, which is
+    on the tape already. A non-contiguous ``x`` (a convolution's cropped
+    output) is unfolded into a workspace array, not into a fresh copy. Its
+    backward forms ``(-g * left) @ right`` one ``BLOCK_COLUMNS``-wide
     column block at a time. When the input already holds a gradient buffer
     of its own, each block goes through one rows x block scratch array and
     is summed into that buffer; otherwise it is written straight into a new
@@ -561,17 +524,16 @@ def diversity_penalty(x: Node) -> Node:
     unfolding; on a float32 tape each block is cast into one rows x block
     float64 scratch array, lent by the workspace and given back before the
     op returns, and on a float64 tape each block is a view and no scratch is
-    taken. The factors the node keeps, and the gradient, are in the tape's
-    dtype.
+    taken. The factors the backward keeps, and the gradient, are in the
+    tape's dtype.
     """
     ws = x.ws
     rows = x.data.shape[0]
     if x.data.flags.c_contiguous:
-        flat, owned = x.data.reshape(rows, -1), ()
+        flat = x.data.reshape(rows, -1)
     else:
         flat = ws.take((rows, x.data.size // rows))
         np.copyto(flat.reshape(x.data.shape), x.data)
-        owned = (flat,)
     n = flat.shape[1]
     block = min(BLOCK_COLUMNS, n)
     if flat.dtype == np.float64:  # float64 blocks are views of the unfolding
@@ -584,19 +546,20 @@ def diversity_penalty(x: Node) -> Node:
     left, right = (f.astype(flat.dtype, copy=False) for f in (left, right))
     y = ws.take(())
     y[...] = value
-    out = Node(y, parents=(x,), ws=ws, owned=(y, *owned))
+    out = Node(y, parents=(x,), ws=ws)
     bounds = [*range(0, n, block), n]
+    x_slot = x.slot
 
     def _backward(g):
         scaled = np.multiply(left, -float(g))
-        if x.grad is None or x._lender is not None:
-            gx = ws.take(x.data.shape)
+        if x_slot.grad is None or not x_slot.grad.flags.writeable:
+            gx = ws.take(x_slot.shape)
             gx2 = gx.reshape(rows, -1)
             for lo, hi in zip(bounds, bounds[1:]):
                 np.matmul(scaled, right[:, lo:hi], out=gx2[:, lo:hi])
-            x._adopt(gx)
+            x_slot.adopt(gx)
             return
-        gx2 = x.grad.reshape(rows, -1)  # a buffer of x's own: sum into it
+        gx2 = x_slot.grad.reshape(rows, -1)  # a buffer of x's own: sum into it
         part = ws.take((rows, block))
         for lo, hi in zip(bounds, bounds[1:]):
             gx2[:, lo:hi] += np.matmul(scaled, right[:, lo:hi], out=part[:, : hi - lo])

@@ -490,8 +490,9 @@ def cmd_train(cfg: dict) -> int:
     try:
         report, net, feature = train_denoiser(tcfg, data, return_network=True)
     except NonFiniteLoss as err:
-        write_json(run_dir / "report.json", {"error": "non_finite_loss", "epoch": err.epoch})
-        print(f"train: non-finite loss at epoch {err.epoch}")
+        write_json(run_dir / "report.json",
+                   {"error": "non_finite_loss", "epoch": err.epoch, "message": str(err)})
+        print(f"train: {err}")
         return EXIT_NUMERIC
     except NumericError as err:  # non-finite holdout metrics or feature volume
         write_json(run_dir / "report.json", {"error": "numeric", "message": str(err)})

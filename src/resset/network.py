@@ -95,28 +95,22 @@ class Network:
     def parameter_count(self) -> int:
         return sum(v.size for v in self.params.values())
 
-    def _block(self, nodes: dict[str, ad.Node], i: int, x: ad.Node) -> tuple[ad.Node, ad.Node]:
-        """Returns (block output, pre-compression feature volume). Values that
-        no backward reads go back to the workspace once their last forward
-        reader has run. The rectifier's input goes back after the rectifier's
-        forward, since its backward reads only its mask: for a parallel
-        scheme that is the compression map's output, and otherwise the set
-        output of every block but the last, whose set output is the feature
-        volume that the penalty and the evaluation read. The aggregate map's
-        output goes back after the residual add, which reads no values in its
-        backward. The block's input ``x`` stays on the tape: each convolution
-        that the set runs on it reads it in its backward, all of them the
-        same array."""
+    def _block(
+        self, nodes: dict[str, ad.Node], i: int, x: ad.Node
+    ) -> tuple[ad.Node, ad.Node | None]:
+        """Returns (block output, pre-compression feature volume), the volume
+        only for the last block, the one that the penalty and the evaluation
+        read. A value lives while a handle or a backward reads it (see
+        ``autodiff``), so no local here outlives a value that the tape need
+        not keep."""
         weights = [nodes[f"b{i}.w{j}"] for j in range(len(branch_extents(self.scheme)))]
         feat = set_forward(self.scheme, weights, x)
-        y = ad.channel_mix(nodes[f"b{i}.compress"], feat) if self.scheme.is_parallel else feat
-        rectified = ad.leaky_relu(y, LEAKY_SLOPE)
-        if y is not feat or i < self.num_blocks - 1:
-            y.release_value()
-        mixed = ad.channel_mix(nodes[f"b{i}.aggregate"], rectified)
-        out = ad.add(mixed, x)
-        mixed.release_value()  # the add read it last, and its backward reads no value
-        return out, feat
+        pre = ad.channel_mix(nodes[f"b{i}.compress"], feat) if self.scheme.is_parallel else feat
+        rectified = ad.leaky_relu(pre, LEAKY_SLOPE)
+        del pre  # the rectifier's backward reads only its mask
+        if i < self.num_blocks - 1:
+            feat = None
+        return ad.add(ad.channel_mix(nodes[f"b{i}.aggregate"], rectified), x), feat
 
     def forward_tape(self, x: np.ndarray, ws: ad.Workspace | None = None) -> ForwardTape:
         """Run the taped forward pass on a raw (C, B, H, W) array. Every array
@@ -124,9 +118,9 @@ class Network:
         (see ``autodiff`` for the lifetime contract). The input and the
         parameter nodes are in the workspace's dtype; the parameter nodes are
         copies unless that is float64. The input takes no gradient. The
-        lift's output and every block output stay on the tape: the next
-        block's convolutions read it in their backward, and the projection's
-        reads the last one (see ``_block``)."""
+        tape's handles keep the output, the last block's feature volume and
+        the parameters; every other value stays only while a backward reads
+        it (see ``_block``)."""
         if x.ndim != 4 or x.shape[0] != self.channels:
             raise ShapeError(
                 f"expected (C={self.channels}, B, H, W) input, got shape {x.shape}"

@@ -2,12 +2,16 @@
 
 Minimizing it rewards a large singular-value sum, meant to counteract the
 tendency of trained features to collapse onto a few dominant components. It
-does not push the whole spectrum up. ``-||F||_*`` is unbounded below along a
-scale symmetry of the denoiser: the layers between ``F`` and the output
-projection are positively homogeneous, so scaling them up and the projection
-down leaves the output unchanged. In 300-epoch toy runs at lam=5e-5 against
-lam=0, ``||F||_F`` grows 8x while the smallest singular value falls (2.08 to
-0.99 on seed 3), so the head of the spectrum grows and its tail shrinks.
+does not push the whole spectrum up. ``-||F||_*`` is unbounded below along
+directions of the trunk that the output does not see. In 300-epoch toy runs
+of ``res3_1d`` at lam=5e-5 against lam=0 (seed 3), the lift and the
+projection hardly move (``||lift||_F`` 3.89 to 3.99, ``||project||_F`` 0.122
+to 0.131), so the feature does not grow along a scale symmetry between the
+trunk and the projection: it grows inside the 7-dimensional null space of
+the 1x8 projection, where the last trunk output's share along the
+projection's unit row falls from 0.49 to 0.11, and the output does not
+change. ``||F||_F`` grows 8x while the smallest singular value falls (2.08
+to 0.99), so the head of the spectrum grows and its tail shrinks.
 
 The gradient is the classic nuclear-norm subgradient -U V^T restricted to
 the numerically nonzero part of the spectrum. For the wide,

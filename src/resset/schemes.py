@@ -285,20 +285,11 @@ def valid_column_count(scheme: KernelScheme, c: int) -> int:
 def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.Node:
     """Taped convolution set: parallel schemes concatenate their branches along
     the channel axis in the fixed branch order; sequential schemes chain their
-    stages without intermediate nonlinearities. A parallel set gives each
-    branch output back to the workspace once it is concatenated: no backward
-    reads them (a branch's reads only its input, the concatenation's none).
-    A chain keeps each intermediate stage's output, which the next stage's
-    backward reads."""
+    stages without intermediate nonlinearities."""
     extents = branch_extents(scheme)
     if not scheme.chained:
         parts = [ad.branch_conv(w, x, e) for w, e in zip(weights, extents)]
-        if len(parts) == 1:
-            return parts[0]
-        out = ad.concat_channels(parts)
-        for part in parts:
-            part.release_value()
-        return out
+        return parts[0] if len(parts) == 1 else ad.concat_channels(parts)
     out = x
     for w, e in zip(weights, extents):
         out = ad.branch_conv(w, out, e)

@@ -169,14 +169,32 @@ def _step(
 ) -> tuple[float, float]:
     """One taped forward and backward pass on ``ws``: adds the parameter
     gradients of ``weight`` times the loss into ``grads`` and returns the
-    (data, penalty) terms. The tape dies when this returns."""
+    (data, penalty) terms. Only the loss and the parameters are held through
+    the backward pass; the tape dies when this returns."""
     tape = net.forward_tape(noisy, ws)
+    params = tape.params
     loss, d_term, r_term = training_loss(tape.output, tape.feature, clean, lam)
+    del tape  # the output's value, which no backward reads, dies here
     loss.backward(np.float64(weight))
-    for name, node in tape.params.items():
+    for name, node in params.items():
         if node.grad is not None:
             grads[name] += node.grad
     return d_term, r_term
+
+
+def _check_parameters(params: dict[str, np.ndarray], epoch: int) -> None:
+    """Raise ``NonFiniteLoss`` naming the first float64 parameter that is
+    NaN or past ``TRAIN_DTYPE``'s range, as the optimizer step that made it
+    returns: the next forward pass would cast it to infinity."""
+    limit = float(np.finfo(TRAIN_DTYPE).max)
+    for name, value in params.items():
+        largest = float(np.max(np.abs(value)))
+        if not largest <= limit:
+            raise NonFiniteLoss(
+                epoch,
+                f"parameter {name} is not finite in {np.dtype(TRAIN_DTYPE).name} after the "
+                f"step of epoch {epoch}: largest magnitude {largest:.3e}",
+            )
 
 
 def _fit(
@@ -215,6 +233,7 @@ def _fit(
                 epoch_data += d_term
                 epoch_reg += r_term
             adam_step(net.params, grads, state, cfg)
+            _check_parameters(net.params, epoch)
         epoch_data /= len(order)
         epoch_reg /= len(order)
         if not (np.isfinite(epoch_data) and np.isfinite(epoch_reg)):

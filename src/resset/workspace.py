@@ -14,15 +14,18 @@ block, and the penalty's gradient stays factored until the taped op's
 backward writes the product, block by block, into the feature's gradient, a
 buffer taken from here.
 
-A training step takes and gives back the same arrays in the same order
-every time, so the workspace records one step and plans the next ones
-offline, as Pisarchyk and Lee 2020 ("Efficient Memory Management for Deep
-Neural Net Inference") plan tensor offsets from recorded lifetimes: greedy
-by size, largest array first, each at the lowest offset clear of every
+A lent array goes back to the workspace when it dies, so the tape's
+references decide every lifetime, as they do in PyTorch's caching allocator
+(Paszke et al. 2019). CPython frees by reference count, in an order fixed by
+the code, so a training step takes and gives back the same arrays in the
+same order every time, and the workspace records one step and plans the next
+ones offline, as Pisarchyk and Lee 2020 ("Efficient Memory Management for
+Deep Neural Net Inference") plan tensor offsets from recorded lifetimes:
+greedy by size, largest array first, each at the lowest offset clear of every
 placed array whose lifetime overlaps its own. On the toy training run's
 float32 tape (31x32x32 cube, width 8, two blocks) the arena holds 14.05 MiB
-with the penalty (``res3_1d``) and 9.63 MiB without it (``conv3d``), against
-13.81 and 9.56 MiB lent at most at once; ``tests/test_train.py`` pins these
+with the penalty (``res3_1d``) and 8.54 MiB without it (``conv3d``), against
+13.81 and 8.47 MiB lent at most at once; ``tests/test_train.py`` pins these
 figures. ``train.train_denoiser`` keeps its workspace only while it trains
 and runs the holdout's forward pass, and returns copies of the holdout's
 arrays, since a view keeps the whole arena alive; the float64 evaluation
@@ -32,6 +35,7 @@ runs after the arena is gone.
 from __future__ import annotations
 
 import mmap
+import weakref
 from math import prod
 
 import numpy as np
@@ -84,41 +88,41 @@ class Workspace:
 
     ``take(shape)`` lends an array of that shape in the workspace's
     ``dtype``, or of ``dtype`` when one is given; its contents are whatever
-    was last written to its bytes. ``give(*arrays)`` takes arrays it lent
-    back; giving back an array that is not lent out raises ``KeyError``: two
-    owners of one array would silently overwrite each other. ``reclaim()``
-    gives back every array still lent out and ends the step.
+    was last written to its bytes. The array comes back when it dies, that
+    is when the last reference to it or to a view of it is dropped; a hook
+    on each lent array tells the workspace. ``give(*arrays)`` takes arrays
+    back early, for scratch that an op is done with while a local still
+    names it; giving back an array that is not lent out raises ``KeyError``:
+    two owners of one array would silently overwrite each other.
+    ``reclaim()`` takes back every array still lent out, detaching its hook,
+    and ends the step.
 
     The workspace records each step's events: ``(shape, dtype)`` for a take
-    and the take's index for a give. ``reclaim`` plans the step it ends
-    (``plan_offsets``) unless that step replayed the plan: one arena of
-    ``nbytes`` bytes, touched once so that later steps take no page faults,
-    and one ``ALIGN``-aligned view of it per take. A step that repeats the
-    planned events, event for event, gets the same views back and allocates
-    nothing. From the first event that differs, every take gets a fresh
-    array on pages of its own, which go back to the OS when it dies. Up to
-    that event the step is the plan, so every view it holds is clear of the
-    views it is lent. A workspace that is never reclaimed (every tape but
-    training's) only ever lends fresh arrays.
-
-    ``autodiff.Node.release_value`` gives back a value that no backward
-    reads once its last forward reader has run, ``autodiff.Node.backward``
-    gives back each interior node's other arrays once its backward has run,
-    and a gradient buffer lent to other nodes once the last of them has let
-    it go. Only ``train.train_denoiser`` keeps one workspace across forward
+    and the take's index for a give or a death. ``reclaim`` plans the step
+    it ends (``plan_offsets``) unless that step replayed the plan: one arena
+    of ``nbytes`` bytes, touched once so that later steps take no page
+    faults, and one ``ALIGN``-aligned offset in it per take. A step that
+    repeats the planned events, event for event, gets views of the arena at
+    the same offsets and allocates nothing. From the first event that
+    differs, every take gets a fresh array on pages of its own, which go
+    back to the OS when it dies. Up to that event the step is the plan, so
+    every view it holds is clear of the views it is lent. A workspace that
+    is never reclaimed (every tape but training's) only ever lends fresh
+    arrays. Only ``train.train_denoiser`` keeps one workspace across forward
     passes, reclaiming it between steps; every other tape gets a private
     one.
     """
 
-    __slots__ = ("dtype", "_arena", "_plan", "_views", "_events", "_lent", "_replaying", "__weakref__")
+    __slots__ = ("dtype", "_arena", "_plan", "_offsets", "_events", "_lent", "_replaying",
+                 "__weakref__")
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._arena: mmap.mmap | None = None
         self._plan: list = []  # the planned step's events
-        self._views: list = []  # each planned take's view, None at a give
+        self._offsets: dict[int, int] = {}  # planned take index -> arena offset
         self._events: list = []  # this step's events so far
-        self._lent: dict[int, tuple[int, np.ndarray]] = {}  # id(array) -> (take index, array)
+        self._lent: dict[int, weakref.finalize] = {}  # id(array) -> its hook
         self._replaying = True  # this step's events so far are the plan's
 
     @property
@@ -137,30 +141,33 @@ class Workspace:
         dtype = self.dtype if dtype is None else np.dtype(dtype)
         i = len(self._events)
         if self._record((shape, dtype)):
-            array = self._views[i]
+            array = np.ndarray(shape, dtype, self._arena, self._offsets[i])
         else:
             array = np.ndarray(shape, dtype, _map(_size((shape, dtype))))
-        self._lent[id(array)] = (i, array)
+        self._lent[id(array)] = weakref.finalize(array, self._gone, id(array), i)
         return array
+
+    def _gone(self, key: int, i: int) -> None:
+        del self._lent[key]
+        self._record(i)
 
     def give(self, *arrays: np.ndarray) -> None:
         for array in arrays:
-            self._record(self._lent.pop(id(array))[0])
+            self._lent[id(array)]()  # runs the hook now, and never again
 
     def reclaim(self) -> None:
-        """Give back every lent array and end the step, planning it unless it
+        """Take back every lent array and end the step, planning it unless it
         replayed the plan; no caller may hold a lent array afterwards."""
+        for hook in self._lent.values():
+            hook.detach()
         self._lent.clear()
         events, self._events = self._events, []
         replayed = self._replaying and len(events) == len(self._plan)
         self._replaying = True
         if replayed:
             return
-        offsets = plan_offsets(events)
-        self._plan, self._views, self._arena = events, [None] * len(events), None
-        size = max((o + _size(events[i]) for i, o in offsets.items()), default=0)
+        self._plan, self._offsets, self._arena = events, plan_offsets(events), None
+        size = max((o + _size(events[i]) for i, o in self._offsets.items()), default=0)
         if size:
             self._arena = _map(size)
             np.frombuffer(self._arena, np.uint8)[:: mmap.PAGESIZE] = 0
-        for i, offset in offsets.items():
-            self._views[i] = np.ndarray(*events[i], self._arena, offset)

@@ -1,5 +1,8 @@
 """Reverse-mode engine: per-op gradient checks and network tape contracts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,7 +205,7 @@ class TestOpGradients:
             feature = ad.scale(ad.Node(x, ws=ws), 1.0)  # interior, so it may own a buffer
             penalty = ad.diversity_penalty(feature)
             if owned:
-                feature._own(ws.take(x.shape))
+                feature.slot.grad = ws.take(x.shape)
                 feature.grad[...] = prior
             penalty._backward(np.float64(0.75))
             grads.append(feature.grad if owned else feature.grad + prior)
@@ -328,7 +331,8 @@ class TestWorkspace:
         again = [ws.take((2, 3)), ws.take((2, 3))]
         ws.give(again[0])
         again.append(ws.take((3, 2)))
-        assert all(p is q for p, q in zip(again, planned))
+        assert [(address(p), p.shape) for p in again] == [(address(p), p.shape) for p in planned]
+        assert all(p.base is ws._arena for p in again)
 
     def test_giving_back_twice_raises(self):
         ws = ad.Workspace()
@@ -386,8 +390,10 @@ class TestWorkspace:
         arena = ws._arena
         views = step(ws)
         ws.reclaim()
-        assert step(ws) == views and len(maps) == 4 and ws._arena is arena
-        assert all(v.base is arena for v in views)
+        again = step(ws)
+        assert [address(v) for v in again] == [address(v) for v in views]
+        assert len(maps) == 4 and ws._arena is arena
+        assert all(v.base is arena for v in (*views, *again))
 
     def test_divergent_step_takes_fresh_arrays_and_replans(self, monkeypatch):
         """From the first event that differs from the plan on, every take
@@ -527,6 +533,55 @@ class TestWorkspace:
             elif taken:
                 assert ws._arena is not arena and ws._arena is not None
 
+    def test_tape_makes_no_reference_cycle(self, rng, monkeypatch):
+        """Three res3_1d training steps on one float32 workspace with the
+        cycle collector off. The steps after the first map no pages, so each
+        gives its arrays back at the same points as the first. Once the
+        caller drops the workspace, the last step's loss and its parameters,
+        the workspace, every array it lent and every mapping it made are
+        freed by reference count: no cycle (say workspace -> hook -> bound
+        method -> workspace) holds them until a collection."""
+        maps, lent = [], []
+        map_pages, take = workspace._map, ad.Workspace.take
+
+        def mapped(nbytes):
+            pages = map_pages(nbytes)
+            maps.append(weakref.ref(pages))
+            return pages
+
+        def taken(self, shape, dtype=None):
+            array = take(self, shape, dtype)
+            lent.append(weakref.ref(array))
+            return array
+
+        monkeypatch.setattr(workspace, "_map", mapped)
+        monkeypatch.setattr(ad.Workspace, "take", taken)
+        net = Network(parse_scheme_token("res3_1d"), channels=1, width=4, num_blocks=2, seed=7)
+        x = rng.standard_normal((1, 5, 6, 7)).astype(np.float32)
+        clean = rng.standard_normal(x.shape).astype(np.float32)
+        gc.disable()
+        try:
+            ws = ad.Workspace(np.float32)
+            for step in range(3):
+                if step:
+                    ws.reclaim()
+                mapped_before = len(maps)
+                tape = net.forward_tape(x, ws)
+                params = tape.params
+                loss = training_loss(tape.output, tape.feature, clean, 5e-5)[0]
+                del tape
+                loss.backward(np.float64(1.0))
+                assert all(node.grad is not None for node in params.values())
+                if step:
+                    assert len(maps) == mapped_before
+            assert len(maps) > 1 and len(lent) > len(maps)
+            workspace_ref = weakref.ref(ws)
+            del ws, loss, params
+            assert workspace_ref() is None
+            assert all(ref() is None for ref in lent) and all(ref() is None for ref in maps)
+        finally:
+            gc.enable()
+
     def test_node_takes_its_workspace_dtype(self, rng):
         w64 = rng.standard_normal((3, 2))
         ws = ad.Workspace(np.float32)
@@ -577,178 +632,185 @@ class TestWorkspace:
                 net.params[name] -= 1e-2 * fresh[name]  # the next step sees new weights
 
 
-def holder(node):
-    """The array among ``node``'s owned ones that holds its value."""
-    (held,) = [a for a in node._owned if np.may_share_memory(a, node.data)]
-    return held
+def lent_array(node):
+    """The workspace array that holds ``node``'s value: the value itself, or
+    the array it is a view of (a lent array's own base is its memory map)."""
+    return node.data.base if isinstance(node.data.base, np.ndarray) else node.data
 
 
-class TestReleasedValues:
-    """A value that no backward reads goes back to the workspace once its
-    last forward reader has run: a parallel set's branch outputs, the
-    rectifier's input but the feature volume, and each block's aggregate map
-    output. A convolution's input stays, since its backward reads it."""
+def closure_arrays(node):
+    """The arrays that ``node``'s backward closure holds."""
+    cells = (c.cell_contents for c in node._backward.__closure__)
+    return [a for a in cells if isinstance(a, np.ndarray)]
 
-    def test_release_gives_back_the_array_that_holds_the_value(self, rng):
-        """The released array, found by the bytes it shares with the value,
-        leaves the node's owned arrays and goes back to the workspace; the
-        value reads as a read-only NaN array of its shape; the backward gives
-        back the rest once, with the same gradients."""
+
+class TestValueLifetimes:
+    """A lent array goes back to the workspace when it dies. Graph edges and
+    backward closures hold gradient slots and the arrays a backward reads,
+    never a parent's value, so a value that no backward reads goes back when
+    its handle is dropped, and one that a backward reads once that backward
+    has run."""
+
+    def test_value_that_no_backward_reads_goes_back_with_its_handle(self, rng):
+        """A convolution's output grid goes back to the workspace as soon as
+        its handle is dropped when its only reader is a scale; the
+        gradients keep their bits."""
         w64, x64 = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3, 4, 5))
         g = rng.standard_normal((2, 3, 4, 5))
         grads = []
-        for release in (False, True):
+        for drop in (False, True):
             ws = ad.Workspace()
             w, x = ad.Node(w64, ws=ws), ad.Node(x64, ws=ws)
             out = ad.branch_conv(w, x, (3, 1, 1))
             root = ad.scale(out, 2.0)
-            if release:
-                grid, shape = holder(out), out.data.shape
-                assert grid is out._owned[1] and id(grid) in ws._lent
-                out.release_value()
-                assert id(grid) not in ws._lent and len(out._owned) == 1
-                assert all(a is not grid for a in out._owned)
-                assert out.data.shape == shape and out.data.dtype == np.float64
-                assert not out.data.flags.writeable and np.isnan(out.data).all()
-                with pytest.raises(ValueError):
-                    out.release_value()  # the placeholder shares no owned bytes
-                with pytest.raises(ValueError):
-                    x.release_value()  # a leaf owns no array
+            grid = weakref.ref(lent_array(out))
+            assert id(grid()) in ws._lent and out.data.base is grid()
+            if drop:
+                del out
+                assert grid() is None  # dead, so back in the workspace
             root.backward(g)
             grads.append((w.grad.copy(), x.grad.copy()))
         for got, want in zip(*grads):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_convolution_backward_reads_its_input(self, rng):
+    def test_convolution_backward_keeps_its_input(self, rng):
         """``branch_conv`` keeps no padded copy of its input: its backward
-        pads the input's value again for the weight gradient. Released
-        before ``backward``, the input poisons the weight gradient with NaN,
-        while the input gradient, which reads no value, keeps its bits."""
+        reads the input's value and pads it again for the weight gradient.
+        So the input's array stays lent after its handle is dropped, until
+        the convolution's backward has run, and the gradients keep their
+        bits."""
         w64, x64 = rng.standard_normal((2, 2, 3)), rng.standard_normal((2, 3, 4, 5))
         g = rng.standard_normal((2, 3, 4, 5))
         grads = []
-        for release in (False, True):
+        for drop in (False, True):
             ws = ad.Workspace()
             w, leaf = ad.Node(w64, ws=ws), ad.Node(x64, ws=ws)
             x = ad.scale(leaf, 1.0)
             out = ad.branch_conv(w, x, (3, 1, 1))
-            assert not any(a.shape == (2, 5 * 4 * 5) for a in out._owned)  # no padded input
-            if release:
-                x.release_value()
-            out.backward(g)
+            assert not any(a.shape == (2, 5 * 4 * 5) for a in closure_arrays(out))  # no padded input
+            root = ad.scale(out, 1.0)
+            held = weakref.ref(x.data)
+            if drop:
+                del x
+                assert id(held()) in ws._lent
+            root.backward(g)
+            assert (held() is None) == drop
             grads.append((w.grad.copy(), leaf.grad.copy()))
-        (w_kept, x_kept), (w_released, x_released) = grads
-        assert np.isfinite(w_kept).all() and np.isnan(w_released).all()
-        assert np.array_equal(x_kept.view(np.uint64), x_released.view(np.uint64))
+        for got, want in zip(*grads):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_backward_leaves_interior_values_nan(self, rng):
-        """Once an interior node's backward has run, its closure is gone and
-        its value reads as a read-only NaN array of its shape, holding no
-        array; the leaves and the root keep their values."""
+    def test_backward_drops_interior_closures_and_gradients(self, rng):
+        """Once an interior node's backward has run, its closure and its
+        gradient are gone, and so is every array that only they held: a
+        value read by a backward is back in the workspace once that backward
+        has run. The leaves and the root keep their values and gradients."""
         w64, x64 = rng.standard_normal((3, 2)), rng.standard_normal((2, 2, 3, 3))
-        w = ad.Node(w64)
-        x = ad.Node(x64, ws=w.ws)
-        mix = ad.channel_mix(w, x)
+        ws = ad.Workspace()
+        w, x = ad.Node(w64, ws=ws), ad.Node(x64, ws=ws)
+        h = ad.scale(x, 1.0)
+        mix = ad.channel_mix(w, h)
         mid = ad.leaky_relu(mix, LEAKY_SLOPE)
         root = ad.mean_abs_error(mid, np.zeros(mid.data.shape))
         value = root.data.copy()
+        read, unread = weakref.ref(h.data), weakref.ref(mix.data)
+        slots = [n.slot for n in (h, mix, mid)]
+        del h, mix, mid
+        assert id(read()) in ws._lent and unread() is None  # the mix's backward reads h
         root.backward()
-        for node in (mix, mid):
-            assert node._backward is None and node._owned == ()
-            assert node.data.shape == (3, 2, 3, 3) and node.data.dtype == np.float64
-            assert not node.data.flags.writeable and np.isnan(node.data).all()
+        assert read() is None
+        for slot in slots:
+            assert slot.backward is None and slot.grad is None
+        (diff,) = closure_arrays(root)  # the root keeps its closure
+        assert set(ws._lent) == {id(a) for a in (root.data, root.grad, diff, w.grad, x.grad)}
         assert root._backward is not None and np.array_equal(root.data, value)
         assert np.array_equal(w.data, w64) and np.array_equal(x.data, x64)
 
     def test_rectifier_backward_reads_only_its_mask(self, rng):
         """The rectifier keeps a one-byte ``x >= 0`` mask from the workspace,
-        so its input may go back after its forward: the gradients are the
-        same bits as when the input is kept."""
+        so its input goes back when its handle is dropped after the
+        rectifier's forward: the gradients are the same bits as when the
+        input is kept."""
         x64 = rng.standard_normal((2, 3, 4, 5))
         x64[0, 0, 0, :2] = (0.0, -0.0)
         g = rng.standard_normal(x64.shape)
         grads = []
-        for release in (False, True):
+        for drop in (False, True):
             x = ad.Node(x64, ws=ad.Workspace(np.float32))
             pre = ad.scale(x, 1.0)
             out = ad.leaky_relu(pre, LEAKY_SLOPE)
-            mask = out._owned[1]
+            (mask,) = closure_arrays(out)
             assert mask.dtype == np.bool_ and id(mask) in x.ws._lent
             np.testing.assert_array_equal(mask, pre.data >= 0)
-            if release:
-                pre.release_value()
+            if drop:
+                held = weakref.ref(pre.data)
+                del pre
+                assert held() is None
             ad.scale(out, 1.0).backward(g)
             grads.append(x.grad.copy())
         assert np.array_equal(grads[0].view(np.uint32), grads[1].view(np.uint32))
 
     @pytest.mark.parametrize("token", ["res3_1d", "conv3d", "seq1d"])
-    def test_forward_tape_releases_dead_values(self, rng, monkeypatch, token):
-        """After ``forward_tape`` every branch output that is neither the
-        feature volume nor another convolution's input (a parallel set's
-        branches, the set output of the first block), and the compression and
-        aggregate outputs, hold no workspace array and read as read-only NaN
-        of their shape. The feature, the concatenations, the rectifier
-        outputs, every convolution's input (the lift's output, the first
-        block's output, a chain's earlier stages), the last block's output
-        and the input leaf keep their values and arrays."""
-        made = {}  # id(node) -> (node, op, array holding its value, its shape)
+    def test_forward_tape_keeps_only_what_a_backward_reads(self, rng, monkeypatch, token):
+        """After ``forward_tape`` the values that neither a backward nor the
+        tape reads are back in the workspace: every branch output that is
+        neither the feature volume nor another convolution's input (a
+        parallel set's branches, the set output of the first block), the
+        compression and aggregate outputs, and the projection's output,
+        which the global residual add reads only forward. The feature, the
+        concatenations, the rectifier outputs, every convolution's input (the
+        lift's output, the first block's output, a chain's earlier stages),
+        the last block's output and the tape's output stay lent."""
+        made = []  # (op, slot, weak reference to the array holding the value)
         for name in ("branch_conv", "channel_mix", "concat_channels", "leaky_relu", "add"):
             op = getattr(ad, name)
 
             def recorded(*args, _op=op, _name=name):
                 node = _op(*args)
-                made[id(node)] = (node, _name, holder(node), node.data.shape)
+                made.append((_name, node.slot, weakref.ref(lent_array(node))))
                 return node
 
             monkeypatch.setattr(ad, name, recorded)
         net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=2, seed=7)
-        x = rng.standard_normal((1, 5, 6, 7))
         ws = ad.Workspace()
-        tape = net.forward_tape(x, ws)
+        tape = net.forward_tape(rng.standard_normal((1, 5, 6, 7)), ws)
+        held = {id(slot): ref for _, slot, ref in made}
         by_op = {}
-        for node, name, _, _ in made.values():
-            by_op.setdefault(name, []).append(node)
-        mixes = {id(n._parents[0]): n for n in by_op["channel_mix"]}
-        mix = {name: mixes.get(id(node)) for name, node in tape.params.items()}
-        block_outputs = [n for n in by_op["add"] if n._parents[0] in
+        for name, slot, _ in made:
+            by_op.setdefault(name, []).append(slot)
+        mixes = {id(s.parents[0]): s for s in by_op["channel_mix"]}
+        mix = {name: mixes.get(id(node.slot)) for name, node in tape.params.items()}
+        block_outputs = [s for s in by_op["add"] if s.parents[0] in
                          (mix["b0.aggregate"], mix["b1.aggregate"])]
         branches = by_op["branch_conv"]
         concats = by_op.get("concat_channels", [])
         assert len(concats) == (2 if token == "res3_1d" else 0)
         assert len(branches) == (6 if token in ("res3_1d", "seq1d") else 2)
-        conv_inputs = {id(b._parents[1]): b._parents[1] for b in branches}
+        conv_inputs = {id(b.parents[1]): b.parents[1] for b in branches}
         assert len(conv_inputs) == (6 if token == "seq1d" else 2)
         assert {id(mix["lift"]), id(block_outputs[0])} <= set(conv_inputs)
-        released = [*(b for b in branches if b is not tape.feature and id(b) not in conv_inputs),
-                    mix["b0.aggregate"], mix["b1.aggregate"]]
+        feature, output = tape.feature.slot, tape.output.slot
+        released = [*(b for b in branches if b is not feature and id(b) not in conv_inputs),
+                    mix["b0.aggregate"], mix["b1.aggregate"], mix["project"]]
         if token == "res3_1d":
             released += [mix["b0.compress"], mix["b1.compress"]]
-        assert len(released) == {"res3_1d": 10, "conv3d": 3, "seq1d": 3}[token]
-        for node in released:
-            _, _, held, shape = made[id(node)]
-            assert all(a is not held for a in node._owned)  # its range may be lent again
-            assert node._owned == () or node in branches  # a branch keeps its taps
-            assert node.data.shape == shape and node.data.dtype == np.float64
-            assert not node.data.flags.writeable and np.isnan(node.data).all()
-        xin = tape.output._parents[1]
-        assert xin._owned == () and np.array_equal(xin.data, x)
+        assert len(released) == {"res3_1d": 11, "conv3d": 4, "seq1d": 4}[token]
+        for slot in released:
+            assert held[id(slot)]() is None
         assert len(by_op["leaky_relu"]) == 2
-        kept = {id(n): n for n in (tape.feature, *concats, *by_op["leaky_relu"], *block_outputs,
-                                   *conv_inputs.values())}
-        for node in kept.values():
-            _, _, held, shape = made[id(node)]
-            assert any(a is held for a in node._owned) and id(held) in ws._lent
-            assert node.data.shape == shape and np.isfinite(node.data).all()
+        kept = {id(s): s for s in (feature, output, *concats, *by_op["leaky_relu"],
+                                   *block_outputs, *conv_inputs.values())}
+        assert len(kept) + len(released) == len(made)
+        for slot in kept.values():
+            array = held[id(slot)]()
+            assert id(array) in ws._lent and np.isfinite(array).all()
 
 
 def spy_backward(node, log):
-    """Record, as ``node``'s backward starts, its gradient and the buffer it
-    views: ``(grad copy, grad, lender, lender's buffer or None)``."""
+    """Record, as ``node``'s backward starts, its gradient: ``(copy, array)``."""
     backward = node._backward
 
     def spied(g):
-        lender = node._lender
-        log.append((g.copy(), g, lender, None if lender is None else lender.grad))
+        log.append((g.copy(), g))
         backward(g)
 
     node._backward = spied
@@ -756,20 +818,25 @@ def spy_backward(node, log):
 
 class TestGradientLending:
     """add and concat_channels lend their gradient to interior parents as a
-    read-only view; the first further contribution makes a private sum."""
+    read-only view; the first further contribution makes a private sum. A
+    lent buffer goes back to the workspace when its last view dies."""
 
     def test_borrowed_gradient_is_a_read_only_view_of_the_lender(self, rng):
         x = ad.Node(rng.standard_normal((2, 2, 3, 3)))
         p, q = ad.scale(x, 2.0), ad.scale(x, 3.0)
         s = ad.add(p, q)
         root = ad.scale(s, 1.0)
-        log = []
+        log, lender_log = [], []
         spy_backward(p, log)
+        spy_backward(s, lender_log)
         root.backward(rng.standard_normal(x.data.shape))
-        g, view, lender, buffer = log[0]
-        assert lender is s and np.shares_memory(view, buffer)
+        (g, view), (_, buffer) = log[0], lender_log[0]
+        assert view.base is buffer and buffer.flags.writeable
         assert not view.flags.writeable
-        assert p.grad is None and s.grad is None and s._holds == 0
+        assert p.grad is None and s.grad is None
+        back = weakref.ref(buffer)
+        del log, lender_log, view, buffer
+        assert back() is None  # only the logs held it
         np.testing.assert_array_equal(x.grad, 2.0 * g + 3.0 * g)
 
     def test_materializing_leaves_the_lender_untouched(self, rng):
@@ -780,16 +847,16 @@ class TestGradientLending:
         p, q = ad.scale(x, 2.0), ad.scale(x, 3.0)
         t = ad.add(ad.add(p, q), p)
         root = ad.scale(t, 1.0)
-        p_log, q_log = [], []
+        p_log, q_log, t_log = [], [], []
         spy_backward(p, p_log)
         spy_backward(q, q_log)
+        spy_backward(t, t_log)
         seed = rng.standard_normal(x.data.shape)
         root.backward(seed)
-        (p_sum, p_view, p_lender, _), (q_g, q_view, q_lender, q_buffer) = p_log[0], q_log[0]
-        assert p_lender is None and p_view.flags.writeable
-        assert not np.shares_memory(p_view, q_buffer)
+        (p_sum, p_own), (q_g, q_view), (_, t_buffer) = p_log[0], q_log[0], t_log[0]
+        assert p_own.flags.writeable and not np.shares_memory(p_own, t_buffer)
         np.testing.assert_array_equal(p_sum, seed + seed)
-        assert q_lender is t and np.shares_memory(q_view, q_buffer)
+        assert not q_view.flags.writeable and q_view.base is t_buffer
         np.testing.assert_array_equal(q_g, seed)
         np.testing.assert_array_equal(x.grad, 2.0 * p_sum + 3.0 * seed)
 
@@ -802,13 +869,16 @@ class TestGradientLending:
         logs = [[] for _ in parts]
         for node, log in zip(parts, logs):
             spy_backward(node, log)
+        outer_log = []
+        spy_backward(outer, outer_log)
         seed = rng.standard_normal(x.data.shape)
         root.backward(seed)
+        buffer = outer_log[0][1]
         for log in logs:
-            g, view, lender, buffer = log[0]
-            assert lender is outer and np.shares_memory(view, buffer)
+            g, view = log[0]
+            assert not view.flags.writeable and view.base is buffer
             np.testing.assert_array_equal(g, seed)
-        assert outer.grad is None and outer._holds == 0 and inner.grad is None
+        assert outer.grad is None and inner.grad is None
         np.testing.assert_array_equal(x.grad, 7.0 * seed)
 
     def test_concat_lends_row_blocks(self, rng):
@@ -816,14 +886,15 @@ class TestGradientLending:
         a, b = ad.scale(x, 2.0), ad.scale(x, 3.0)
         cat = ad.concat_channels([a, b])
         root = ad.scale(cat, 1.0)
-        logs = [[], []]
+        logs, cat_log = [[], []], []
         spy_backward(a, logs[0])
         spy_backward(b, logs[1])
+        spy_backward(cat, cat_log)
         seed = rng.standard_normal(cat.data.shape)
         root.backward(seed)
         for i, log in enumerate(logs):
-            g, view, lender, buffer = log[0]
-            assert lender is cat and np.shares_memory(view, buffer)
+            g, view = log[0]
+            assert not view.flags.writeable and view.base is cat_log[0][1]
             np.testing.assert_array_equal(g, seed[i : i + 1])
         np.testing.assert_array_equal(x.grad, 2.0 * seed[:1] + 3.0 * seed[1:])
 
@@ -838,35 +909,36 @@ class TestGradientLending:
         root.backward(np.concatenate([g, g]))
         view = log[0][1]
         for leaf in (a, b, c):
-            assert leaf._lender is None and leaf.grad.flags.writeable
+            assert leaf.grad.flags.writeable
             assert not np.shares_memory(leaf.grad, view)
             np.testing.assert_array_equal(leaf.grad, g)
-        assert root._lender is None and root.grad is not None
+        assert root.grad is not None and root.grad.flags.writeable
 
     def test_nothing_is_lent_after_backward_but_root_and_leaf_arrays(self, rng):
         """Each interior buffer goes back to the workspace once its last
-        borrower has run; what stays lent is the root's and the parameters'.
-        The input leaf takes no gradient, so it holds no array."""
+        borrower has run; once the caller holds only the loss and the
+        parameters, as a training step does, what stays lent after backward
+        is the root's value and gradient and the parameters' gradients. The
+        input leaf takes no gradient, so it holds no array."""
         net = Network(parse_scheme_token("res3_1d"), channels=1, width=4, num_blocks=2, seed=7)
         ws = ad.Workspace()
         tape = net.forward_tape(rng.standard_normal((1, 5, 6, 7)), ws)
+        params = tape.params
         loss = training_loss(tape.output, tape.feature, rng.standard_normal((1, 5, 6, 7)), 5e-5)[0]
+        del tape
         loss.backward()
-        nodes, stack = {}, [loss]
+        slots, stack = {}, [loss.slot]
         while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
-        leaves = [n for n in nodes.values() if not n._parents]
-        interior = [n for n in nodes.values() if n._parents and n is not loss]
-        params = [n for n in leaves if n.requires_grad]
-        assert len(params) == len(tape.params) and len(leaves) == len(params) + 1
-        assert set(ws._lent) == {
-            id(a) for a in (loss.grad, *loss._owned, *(n.grad for n in params))
-        }
-        for node in interior:
-            assert node.grad is None and node._lender is None and node._holds == 0
+            slot = stack.pop()
+            if id(slot) not in slots:
+                slots[id(slot)] = slot
+                stack.extend(slot.parents)
+        leaves = [s for s in slots.values() if not s.parents]
+        interior = [s for s in slots.values() if s.parents and s is not loss.slot]
+        assert len(leaves) == len(params) + 1
+        assert set(ws._lent) == {id(a) for a in (loss.data, loss.grad, *(n.grad for n in params.values()))}
+        for slot in interior:
+            assert slot.grad is None and slot.backward is None
         ws.reclaim()
         assert not ws._lent
 
@@ -1118,7 +1190,7 @@ class TestPrecisionSplit:
     def _step(net, x, clean, ws):
         tape = net.forward_tape(x, ws)
         loss = training_loss(tape.output, tape.feature, clean, 5e-5)[0]
-        output = tape.output.data.copy()  # interior values read NaN after backward
+        output = tape.output.data.copy()
         feature = tape.feature.data.astype(np.float64).reshape(tape.feature.data.shape[0], -1)
         loss.backward(np.float64(1.0))
         results = {"output": output, "loss": loss.data}
@@ -1133,14 +1205,14 @@ class TestPrecisionSplit:
         tape = net.forward_tape(rng.standard_normal((1, 5, 6, 7)))
         loss = training_loss(tape.output, tape.feature, rng.standard_normal((1, 5, 6, 7)), 5e-5)[0]
         loss.backward()
-        params = set(map(id, tape.params.values()))
-        nodes, stack = {}, [loss]
+        params = {id(node.slot) for node in tape.params.values()}
+        slots, stack = {}, [loss.slot]
         while stack:
-            node = stack.pop()
-            if id(node) not in nodes:
-                nodes[id(node)] = node
-                stack.extend(node._parents)
-        (xin,) = [n for n in nodes.values() if not n._parents and id(n) not in params]
+            slot = stack.pop()
+            if id(slot) not in slots:
+                slots[id(slot)] = slot
+                stack.extend(slot.parents)
+        (xin,) = [s for s in slots.values() if not s.parents and id(s) not in params]
         assert not xin.requires_grad and xin.grad is None
         assert all(node.grad is not None for node in tape.params.values())
 

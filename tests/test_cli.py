@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -261,11 +262,20 @@ class TestTrainCommand:
                        "bands=3", "sigma=1e308")
         assert code == 3
 
-    def test_non_finite_penalized_loss_writes_report(self, tmp_path):
-        code = run_cli(tmp_path, "train", *self.SMALL, "epochs=3", "learning_rate=1e300")
+    def test_non_finite_penalized_loss_writes_report(self, tmp_path, capsys):
+        """A learning rate of 1e300 takes the float64 weights past float32's
+        range in the first step. The run stops as that step returns and
+        names the parameter, in its report and its stdout line, before a
+        forward pass casts it to infinity: no RuntimeWarning is raised."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(tmp_path, "train", *self.SMALL, "epochs=3", "learning_rate=1e300")
         assert code == 3
         report = json.loads((only_run_dir(tmp_path, "train") / "report.json").read_text())
-        assert report == {"error": "non_finite_loss", "epoch": 1}
+        message = ("parameter lift is not finite in float32 after the step of epoch 0: "
+                   "largest magnitude 1.000e+300")
+        assert report == {"error": "non_finite_loss", "epoch": 0, "message": message}
+        assert capsys.readouterr().out == f"train: {message}\n"
 
 
 class TestCompareCommand:

@@ -209,27 +209,30 @@ class TestPenaltyPaths:
         assert error <= 1e-10 * np.max(np.abs(oracle))
 
     def test_gram_path_tape_holds_no_unfolded_array(self, rng):
-        """On the Gram path the node owns no rows x cols array, and its
-        backward holds none but the feature it reads."""
+        """On the Gram path the workspace lends the penalty nothing but its
+        scalar value, and its backward holds no rows x cols array but the
+        feature it reads."""
         x = rng.standard_normal((6, 3, 4, 5))
         loss = ad.diversity_penalty(ad.Node(x))
-        assert all(a.size < x.size for a in loss._owned)
+        assert set(loss.ws._lent) == {id(loss.data)} and loss.data.size == 1
         held = [c.cell_contents for c in loss._backward.__closure__]
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert any(a.shape == (6, 6) for a in arrays)  # the factor G^(-1/2)
         assert all(a.size < x.size or np.shares_memory(a, x) for a in arrays)
 
     def test_non_contiguous_feature_unfolds_into_an_owned_workspace_array(self, rng):
-        """A cropped view is copied into a workspace array the node owns, and
-        gives the same value and gradient, bit for bit, as its contiguous copy;
-        a contiguous feature is read in place."""
+        """A cropped view is copied into a workspace array that the backward
+        keeps, and gives the same value and gradient, bit for bit, as its
+        contiguous copy; a contiguous feature is read in place."""
         base = rng.standard_normal((6, 3, 5, 7))
         view = base[:, :, :4, :5]
         results = []
         for x in (view, np.ascontiguousarray(view)):
             node = ad.Node(x)
             loss = ad.diversity_penalty(node)
-            unfolded = [a for a in loss._owned if a.shape == (6, view.size // 6)]
+            held = [c.cell_contents for c in loss._backward.__closure__]
+            unfolded = [a for a in held if getattr(a, "shape", None) == (6, view.size // 6)
+                        and id(a) in node.ws._lent]
             assert len(unfolded) == (0 if x.flags.c_contiguous else 1)
             loss.backward(np.float64(0.5))
             results.append((loss.data.copy(), node.grad.copy()))

@@ -299,8 +299,9 @@ class TestTrainingWorkspace:
         values: the one block that the Gram matrix's column blocks are cast
         into, lent by the run's workspace for that call, passed to the
         decomposition, and given back before the op returns. The arrays the
-        penalty node keeps are lent too: its value, and the float32 copy of a
-        convolution's cropped output that it unfolds."""
+        penalty keeps are lent too: its value, and the unfolding that its
+        backward reads, which is the feature's own array or, for a
+        convolution's cropped output, a float32 copy of it."""
         monkeypatch.setattr(ad, "BLOCK_COLUMNS", 512)  # the 8x12x12 feature spans three blocks
         float64_takes: list[list[tuple]] = [[]]  # (workspace, array), outside the penalty, then per call
         scratches: list[np.ndarray] = []  # keeps every scratch alive, so ids stay unique
@@ -324,8 +325,14 @@ class TestTrainingWorkspace:
             assert lender is x.ws and scratch is scratches[-1]
             assert scratch.shape == (x.data.shape[0], 512)
             assert id(scratch) not in x.ws._lent  # the scratch is back
-            assert len(out._owned) == (1 if x.data.flags.c_contiguous else 2)
-            assert all(id(a) in x.ws._lent for a in out._owned)
+            assert id(out.data) in x.ws._lent
+            cells = (c.cell_contents for c in out._backward.__closure__)
+            rows = x.data.shape[0]
+            (unfolded,) = [a for a in cells if getattr(a, "shape", None) == (rows, x.data.size // rows)]
+            if x.data.flags.c_contiguous:
+                assert np.shares_memory(unfolded, x.data)
+            else:
+                assert id(unfolded) in x.ws._lent
             return out
 
         monkeypatch.setattr(ad.Workspace, "take", recorded_take)
@@ -386,10 +393,10 @@ class TestTrainingWorkspace:
 
         def watched_penalty(x):
             out = taped(x)
-            backward = out._backward
+            backward, slot = out._backward, x.slot
 
             def watched(g):
-                calls.append((x.grad is not None and x._lender is None, []))
+                calls.append((slot.grad is not None and slot.grad.flags.writeable, []))
                 recording.append(calls[-1][1])
                 backward(g)
                 recording.pop()
@@ -406,12 +413,14 @@ class TestTrainingWorkspace:
 
     # Arena bytes of the workspace of a two-epoch run on the 8x12x12
     # identity task (1152 positions, width 8, two blocks, float32 tape). The
-    # most bytes lent at once are 663616 (res3_1d), 633408 (conv3d) and
-    # 661440 (seq1d); greedy by size leaves 52608 bytes of the res3_1d arena
-    # unused at that moment. With a padded copy of each convolution's input
-    # kept on the tape the arena held 906688, 685120 and 692160 bytes, and
+    # most bytes lent at once are 659008 (res3_1d), 583232 (conv3d) and
+    # 618432 (seq1d); greedy by size leaves 57216 bytes of the res3_1d arena
+    # unused at that moment. While values went back by hand-placed releases,
+    # and a node kept its value until its own backward had run, the arena
+    # held 716224, 633408 and 661440 bytes; with a padded copy of each
+    # convolution's input kept on the tape 906688, 685120 and 692160, and
     # the best-fit pool before it 1110784, 769792 and 887104.
-    POOL_BYTES = {"res3_1d": 716_224, "conv3d": 633_408, "seq1d": 661_440}
+    POOL_BYTES = {"res3_1d": 716_224, "conv3d": 620_096, "seq1d": 618_432}
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0), ("seq1d", 5e-5)])
     def test_pool_size(self, monkeypatch, token, lam):
@@ -424,12 +433,16 @@ class TestTrainingWorkspace:
     # Arena bytes of the toy training run's workspace: the 31x32x32 cube of
     # the benchmark (31744 positions), width 8, two blocks, two steps. These
     # are the MiB figures that README "Peak memory" and ``workspace.py``
-    # quote: 14.05 MiB (res3_1d, lam=5e-5) and 9.63 MiB (conv3d, lam=0),
-    # where the most bytes lent at once are 14,481,216 (13.81 MiB) and
-    # 10,025,024 (9.56 MiB). With a padded copy of each convolution's input
-    # kept on the tape the arena held 18.29 and 9.95 MiB, and the best-fit
-    # pool before it 21.58 and 12.22 MiB.
-    TOY_POOL_BYTES = {"res3_1d": 14_734_400, "conv3d": 10_099_008}
+    # quote: 14.05 MiB (res3_1d, lam=5e-5) and 8.54 MiB (conv3d, lam=0),
+    # where the most bytes lent at once are 14,481,088 (13.81 MiB) and
+    # 8,878,272 (8.47 MiB). While a node kept its value until its own
+    # backward had run, the arena held 14,734,400 and 10,099,008 bytes (9.63
+    # MiB): without the penalty, no backward reads the last block's feature
+    # volume, a 1.09 MiB convolution grid that now dies before the backward
+    # pass. With a padded copy of each convolution's input kept on the tape
+    # the arena held 18.29 and 9.95 MiB, and the best-fit pool before it
+    # 21.58 and 12.22 MiB.
+    TOY_POOL_BYTES = {"res3_1d": 14_734_272, "conv3d": 8_952_256}
 
     @pytest.mark.parametrize("token, lam", [("res3_1d", 5e-5), ("conv3d", 0.0), ("seq1d", 5e-5)])
     def test_first_step_stays_inside_its_plan(self, monkeypatch, token, lam):
