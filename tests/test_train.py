@@ -14,6 +14,7 @@ import pytest
 import resset
 from resset import (
     KernelScheme,
+    NonFiniteLoss,
     SchemeVariant,
     ShapeError,
     TrainConfig,
@@ -167,6 +168,32 @@ class TestTrainDenoiser:
         a = train_denoiser(small_config(epochs=3, seed=0), identity_task())
         b = train_denoiser(small_config(epochs=3, seed=1), identity_task())
         assert a.data_terms != b.data_terms
+
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (1e39, "1.000e+39")])
+    def test_parameter_out_of_range_is_named_at_its_step(self, monkeypatch, bad, shown):
+        """An optimizer step that leaves a float64 weight NaN or past
+        float32's range stops the run as that step returns, before a forward
+        pass casts it: ``NonFiniteLoss`` names the epoch, the parameter and
+        its largest magnitude."""
+        from resset import train as train_module
+
+        step = train_module.adam_step
+        steps = []
+
+        def spoiled(params, grads, state, cfg):
+            out = step(params, grads, state, cfg)
+            steps.append(state.t)
+            if state.t == 2:
+                params["b1.aggregate"][0, 1] = bad
+            return out
+
+        monkeypatch.setattr(train_module, "adam_step", spoiled)
+        with pytest.raises(NonFiniteLoss) as info:
+            train_denoiser(small_config(epochs=4), identity_task())
+        assert info.value.epoch == 1 and steps == [1, 2]
+        assert str(info.value) == (
+            f"parameter b1.aggregate is not finite in float32 after the step of epoch 1: "
+            f"largest magnitude {shown}")
 
     def test_invalid_config_rejected(self):
         with pytest.raises(Exception):
