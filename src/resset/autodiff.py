@@ -54,7 +54,8 @@ what it keeps.
   ``mean_abs_error`` reads a copy of its own, ``leaky_relu`` a one-byte
   mask of its input's signs; ``add``, ``scale`` and ``concat_channels`` read
   none).
-- An op gives its scratch back before it returns.
+- An op's scratch goes back before the op returns: with its locals, or
+  earlier through ``Workspace.give`` where a later take could use its bytes.
 - Gradients are lent, not copied, where an op passes its upstream gradient
   on unchanged (as PyTorch's autograd passes a buffer on): ``add`` lends its
   gradient to both parents and ``concat_channels`` lends each part its row
@@ -140,15 +141,14 @@ class Slot:
         this slot alone; the first one becomes the gradient without a copy,
         and so does one added to a borrowed gradient."""
         if not self.requires_grad:
-            self.ws.give(g)
-        elif self.grad is None:
+            return
+        if self.grad is None:
             self.grad = g
         elif not self.grad.flags.writeable:
             np.add(self.grad, g, out=g)
             self.grad = g
         else:
             self.grad += g
-            self.ws.give(g)
 
     def borrow(self, g):
         """Add a gradient contribution ``g`` that is a view of a lender's
@@ -246,9 +246,6 @@ def _tap_rows(taps, src, rows, blocks, out, ws):
         np.matmul(taps[0], window[:, : hi - lo], out=acc)  # rows[0] == 0
         for r in range(1, len(rows)):
             acc += np.matmul(taps[r], window[:, rows[r] : rows[r] + hi - lo], out=tmp)
-    ws.give(prod)
-    if stack is not None:
-        ws.give(stack)
 
 
 def _pad_into(grid, interior, pads):
@@ -327,7 +324,6 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
     )
     grid = ws.take((out_ch, b * hp * wp))
     _tap_rows(taps, xp, rows, blocks, grid, ws)
-    ws.give(xp)
     out = Node(grid.reshape(out_ch, b, hp, wp)[:, :, :h, :wd], parents=(w, x), ws=ws)
     w_slot, x_slot, x_value = w.slot, x.slot, x.data
 
@@ -347,8 +343,7 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
             g_blk = gp[:, front + lo : front + hi]
             for t, s in enumerate(shifts):
                 gw[t] += g_blk @ xp[:, lo + s : hi + s].T
-        ws.give(xp)
-        del xp  # on a fresh array this unmaps its pages before the gather takes more
+        del xp  # back to the workspace before the gather takes more
         w_slot.accumulate(np.moveaxis(gw, 0, 2).reshape(w_slot.shape))
         # gx[:, i] is the gradient of padded input column front + i; the
         # flipped taps read gp from column i to i + 2*front, the last one
@@ -356,7 +351,6 @@ def branch_conv(w: Node, x: Node, extents: tuple[int, int, int]) -> Node:
         gx = ws.take((c, b * hp * wp))
         _tap_rows(flipped, gp, rows, blocks, gx, ws)
         x_slot.accumulate(gx.reshape(c, b, hp, wp)[:, :, :h, :wd])
-        ws.give(gp, flipped, gw, gx)
 
     out._backward = _backward
     return out
@@ -488,7 +482,6 @@ def mean_abs_error(pred: Node, target: np.ndarray) -> Node:
     np.abs(diff, out=magnitude)
     y = ws.take(())
     y[...] = np.mean(magnitude)
-    ws.give(magnitude)
     out = Node(y, parents=(pred,), ws=ws)
     pred_slot = pred.slot
 
@@ -563,7 +556,6 @@ def diversity_penalty(x: Node) -> Node:
         part = ws.take((rows, block))
         for lo, hi in zip(bounds, bounds[1:]):
             gx2[:, lo:hi] += np.matmul(scaled, right[:, lo:hi], out=part[:, : hi - lo])
-        ws.give(part)
 
     out._backward = _backward
     return out

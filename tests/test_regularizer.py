@@ -399,7 +399,7 @@ class TestSingleStepEffect:
         data_term = ad.mean_abs_error(feat, target)
         loss = ad.add(data_term, ad.scale(ad.diversity_penalty(feat), 5e-5))
         before = np.linalg.svd(feat.data.reshape(4, -1), compute_uv=False).sum()
-        loss.backward()  # feat is interior: its value reads NaN after this
+        loss.backward()
         cfg = TrainConfig(
             scheme=KernelScheme(SchemeVariant.RES3_1D), learning_rate=1e-3, epochs=1
         )
