@@ -44,7 +44,6 @@ from .schemes import (
     SchemeVariant,
     build_kernel_matrix,
     compression_param_count,
-    conv_forward,
     kernel_matrices,
     param_count,
     parse_scheme_token,
@@ -56,12 +55,8 @@ from .schemes import (
 )
 from .tensor import (
     FeatureMap,
-    UnfoldedMatrix,
-    fold_channels,
-    matmul,
     numeric_rank,
     read_tensor,
-    unfold_patches,
     write_tensor,
 )
 from .train import (

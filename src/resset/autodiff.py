@@ -15,9 +15,9 @@ matrix is built or held on the tape; the window is block-sized scratch, and
 for ``kw == 1`` a view of the input. The input gradient is the same gather
 on the padded output gradient with the taps flipped and transposed. The tap
 loops run inside column blocks sized so that one block's operands stay in a
-core's L2 cache across all taps (``BLOCK_COLUMNS``). The im2col unfold in
-``tensor.unfold_patches`` is kept only as an independent check of this
-kernel, in acceptance criterion 1 and the oracle tests.
+core's L2 cache across all taps (``BLOCK_COLUMNS``). An im2col unfold
+checks this kernel independently, in acceptance criterion 1 and the oracle
+tests; it lives beside the direct tap loop in ``tests/conv_oracles.py``.
 
 Memory comes from a ``Workspace``, which records the arrays a step takes
 and gives back and lends the next steps views of one arena planned from that
@@ -55,7 +55,7 @@ what it keeps.
   mask of its input's signs; ``add``, ``scale`` and ``concat_channels`` read
   none).
 - An op's scratch goes back before the op returns: with its locals, or
-  earlier through ``Workspace.give`` where a later take could use its bytes.
+  earlier through a ``del`` where a later take could use its bytes.
 - Gradients are lent, not copied, where an op passes its upstream gradient
   on unchanged (as PyTorch's autograd passes a buffer on): ``add`` lends its
   gradient to both parents and ``concat_channels`` lends each part its row
@@ -382,7 +382,7 @@ def channel_mix(w: Node, x: Node) -> Node:
         g2 = g.reshape(out_ch, -1)
         gw = ws.take(w_slot.shape)
         w_slot.accumulate(matmul_nt(g2, x2, gw, BLOCK_COLUMNS))
-        ws.give(gw)
+        del gw  # back to the workspace before the input gradient is taken
         if x_slot.requires_grad:
             gx = ws.take(x_slot.shape)
             _mix_into(w_value.T, g2, gx.reshape(c, -1))
@@ -534,7 +534,7 @@ def diversity_penalty(x: Node) -> Node:
     else:
         scratch = ws.take((rows, block), np.float64)
         value, (left, right), _ = nuclear_penalty(flat, scratch)
-        ws.give(scratch)
+        del scratch
     # The Gram path's right factor is the unfolding itself, kept as it is.
     left, right = (f.astype(flat.dtype, copy=False) for f in (left, right))
     y = ws.take(())

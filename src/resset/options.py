@@ -19,8 +19,8 @@ class Option:
     type: type
     default: object
     help: str = ""
-    low: int | None = None
-    high: int | None = None
+    low: float | None = None
+    high: float | None = None
     open_low: bool = False
     open_high: bool = False
 

@@ -6,8 +6,8 @@ smaller of its row count (``schemes.rank_upper_bound``) and its structurally
 nonzero column count. Audits draw random weights and check that generic
 draws actually reach that cap. They draw a batch of seeds at once and build
 the whole batch's kernel matrices in one ``schemes.kernel_matrices`` call,
-the construction behind ``build_kernel_matrix`` too; each draw is then
-ranked on its own.
+the construction behind ``build_kernel_matrix`` too; each draw's matrix,
+a plain array, is then ranked on its own by ``tensor.numeric_rank``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .schemes import (
     rank_upper_bound,
     valid_column_count,
 )
-from .tensor import FeatureMap, UnfoldedMatrix, numeric_rank, singular_values
+from .tensor import FeatureMap, numeric_rank, singular_values
 
 AUDIT_RANK_TOL = 1e-6
 # Most draws an audit builds at once. A batch removes the per-draw Python
@@ -101,7 +101,7 @@ def audit_kernel_rank(
             rngs = [np.random.default_rng(np.random.SeedSequence((rng_seed, s))) for s in batch]
             weights = random_weights(scheme, m, c, rngs)
         for kernel in kernel_matrices(scheme, weights, valid_only=True):
-            ranks.append(numeric_rank(UnfoldedMatrix(kernel), rel_tol=rel_tol))
+            ranks.append(numeric_rank(kernel, rel_tol=rel_tol))
     measured = max(ranks)
     return RankAudit(
         scheme=scheme,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericError
-from .tensor import UnfoldedMatrix, matmul_nt
+from .tensor import matmul_nt
 
 SINGULAR_CUTOFF = 1e-12
 
@@ -101,12 +101,12 @@ def nuclear_penalty(
     return -float(np.sum(s)), (u[:, keep], vh[keep]), s
 
 
-def da_reg_value(f_mat: UnfoldedMatrix) -> float:
+def da_reg_value(f_mat: np.ndarray) -> float:
     """Negative sum of singular values; zero exactly for the zero matrix."""
-    return nuclear_penalty(f_mat.data)[0]
+    return nuclear_penalty(f_mat)[0]
 
 
-def da_reg_grad(f_mat: UnfoldedMatrix) -> UnfoldedMatrix:
+def da_reg_grad(f_mat: np.ndarray) -> np.ndarray:
     """Subgradient -U V^T over the numerically nonzero singular values."""
-    left, right = nuclear_penalty(f_mat.data)[1]
-    return UnfoldedMatrix(-(left @ right))
+    left, right = nuclear_penalty(f_mat)[1]
+    return -(left @ right)

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, NumericError, ShapeError
-from .tensor import FeatureMap, UnfoldedMatrix
 
 LEAKY_SLOPE = 0.2
 
@@ -238,9 +237,11 @@ def kernel_matrices(
     zero k x k x k window: a parallel branch's weights, in branch order, or a
     whole chain. A chain's stages act on disjoint axes, so their composition
     is their per-axis product and the chain is one same-padded convolution
-    with it, borders included. Columns follow ``tensor.unfold_patches``. With
-    ``valid_only`` only the ``valid_columns`` are built, in the same order;
-    the others are zero for any weights.
+    with it, borders included. Columns are ordered channel-major, then by
+    band, row and column offset in the window, the row order of an im2col
+    patch matrix of the same-padded input. With ``valid_only`` only the
+    ``valid_columns`` are built, in the same order; the others are zero for
+    any weights.
     """
     k = scheme.k
     kernels = [w.reshape(w.shape[:3] + e) for w, e in zip(weights, branch_extents(scheme))]
@@ -263,10 +264,10 @@ def kernel_matrices(
     return joint.reshape(draws, rows, -1)
 
 
-def build_kernel_matrix(ks: KernelSet) -> UnfoldedMatrix:
+def build_kernel_matrix(ks: KernelSet) -> np.ndarray:
     """The joint kernel matrix of one kernel set, rows x k^3*C: see
     ``kernel_matrices``."""
-    return UnfoldedMatrix(kernel_matrices(ks.scheme, tuple(w[None] for w in ks.weights))[0])
+    return kernel_matrices(ks.scheme, tuple(w[None] for w in ks.weights))[0]
 
 
 def valid_columns(scheme: KernelScheme, c: int) -> np.ndarray:
@@ -294,13 +295,3 @@ def set_forward(scheme: KernelScheme, weights: list[ad.Node], x: ad.Node) -> ad.
     for w, e in zip(weights, extents):
         out = ad.branch_conv(w, out, e)
     return out
-
-
-def conv_forward(ks: KernelSet, fmap: FeatureMap) -> FeatureMap:
-    """Apply the kernel set's convolution set to a feature map."""
-    if fmap.channels != ks.in_channels:
-        raise ShapeError(
-            f"input has {fmap.channels} channels, kernel set expects {ks.in_channels}"
-        )
-    out = set_forward(ks.scheme, [ad.Node(w) for w in ks.weights], ad.Node(fmap.data))
-    return FeatureMap(out.data)

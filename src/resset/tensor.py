@@ -1,9 +1,11 @@
-"""Dense 4-D feature volumes, their 2-D matrix views, and the linear algebra on them.
+"""Dense 4-D feature volumes, the linear algebra on plain 2-D arrays, and the
+tensor file format.
 
-Everything is 64-bit and immutable once constructed. The volume layout is
-(channels, bands, height, width), row-major with width innermost.
-``matmul_nt`` is the one exception: the column-blocked product of raw arrays
-that the training tape and the penalty's Gram matrix share.
+A ``FeatureMap`` is a finite 64-bit volume, immutable once constructed, laid
+out (channels, bands, height, width), row-major with width innermost. Kernel
+and feature matrices are plain 2-D arrays: ``matmul_nt`` is the
+column-blocked product that the training tape and the penalty's Gram matrix
+share, and ``singular_values`` and ``numeric_rank`` decompose one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from math import prod
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigError,
@@ -51,30 +52,6 @@ class FeatureMap:
         return self.data.shape[0]
 
 
-@dataclass(frozen=True)
-class UnfoldedMatrix:
-    """2-D matrix view of kernels, features, or gathered patches."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"matrix must be 2-D, got ndim={arr.ndim}")
-        if arr is self.data:
-            arr = arr.view()
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
 def check_extents(extents: tuple[int, int, int], grid: tuple[int, int, int]) -> None:
     """Reject a (band, height, width) window that is not positive and odd on
     every axis, or that exceeds ``2*dim+1`` on a (B, H, W) grid: past that the
@@ -86,39 +63,6 @@ def check_extents(extents: tuple[int, int, int], grid: tuple[int, int, int]) -> 
             raise DegenerateKernel(
                 f"{axis} extent {extent} exceeds 2*{dim}+1 for input extent {dim}"
             )
-
-
-def unfold_patches(fmap: FeatureMap, extents: tuple[int, int, int]) -> UnfoldedMatrix:
-    """im2col over a same-padded window: the (C*kB*kH*kW, B*H*W) patch matrix.
-
-    Rows are ordered channel-major, then band, row, and column offsets; columns
-    follow row-major traversal of the output positions. With same zero padding
-    and stride 1 the output grid equals the input grid, and a branch
-    convolution is ``w.reshape(out, -1) @ unfold_patches(fmap, extents)``.
-    """
-    kb, kh, kw = extents
-    c, b, h, w = fmap.data.shape
-    check_extents(extents, (b, h, w))
-    pads = ((0, 0), ((kb - 1) // 2,) * 2, ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2)
-    windows = sliding_window_view(np.pad(fmap.data, pads), (kb, kh, kw), axis=(1, 2, 3))
-    patches = windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * kb * kh * kw, b * h * w)
-    return UnfoldedMatrix(patches)
-
-
-def fold_channels(mat: UnfoldedMatrix, bands: int, height: int, width: int) -> FeatureMap:
-    """Reshape a channels x (bands*height*width) matrix back into a volume."""
-    if mat.cols != bands * height * width:
-        raise ShapeError(
-            f"cannot fold {mat.rows}x{mat.cols} matrix into grid {bands}x{height}x{width}"
-        )
-    return FeatureMap(mat.data.reshape(mat.rows, bands, height, width))
-
-
-def matmul(a: UnfoldedMatrix, b: UnfoldedMatrix) -> UnfoldedMatrix:
-    """Exact 64-bit matrix product."""
-    if a.cols != b.rows:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return UnfoldedMatrix(a.data @ b.data)
 
 
 def matmul_nt(
@@ -168,13 +112,14 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(mat.T if mat.shape[0] < mat.shape[1] else mat, compute_uv=False)
 
 
-def numeric_rank(m: UnfoldedMatrix, rel_tol: float = 1e-9) -> int:
-    """Number of singular values above ``rel_tol`` times the largest one."""
+def numeric_rank(mat: np.ndarray, rel_tol: float = 1e-9) -> int:
+    """Number of singular values of a 2-D array above ``rel_tol`` times the
+    largest one."""
     if not 0.0 < rel_tol < 1.0:
         raise ConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    if not np.all(np.isfinite(m.data)):
+    if not np.all(np.isfinite(mat)):
         raise NumericError("cannot rank a matrix with non-finite entries")
-    s = singular_values(m.data)
+    s = singular_values(mat)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))

@@ -45,7 +45,7 @@ class TrainConfig:
     scheme: KernelScheme
     width: int = setting(8, "channel width M carried between blocks", low=1)
     num_blocks: int = setting(2, "number of residual blocks", low=1)
-    lam: float = setting(5e-5, "diversity penalty weight", low=0)
+    lam: float = setting(5e-5, "diversity penalty weight", low=0, high=float(np.finfo(TRAIN_DTYPE).max))
     learning_rate: float = setting(2e-4, "Adam learning rate", low=0, open_low=True)
     beta1: float = setting(0.9, "Adam first-moment decay", low=0, high=1, open_low=True, open_high=True)
     beta2: float = setting(0.999, "Adam second-moment decay", low=0, high=1, open_low=True, open_high=True)

@@ -57,7 +57,7 @@ def _size(take: tuple) -> int:
 def plan_offsets(events: list) -> dict[int, int]:
     """Arena offset of each take among a step's ``events``, keyed by the take's
     index. A take is ``(shape, dtype)`` and lives from its index until the
-    give that names it (``int``), or to the end of the step. Greedy by size:
+    death that names it (``int``), or to the end of the step. Greedy by size:
     largest take first (the earlier among equals), each at the lowest offset
     clear of every placed take whose lifetime overlaps its own."""
     spans = {}  # take index -> [first event, event it is given back at, bytes]
@@ -90,15 +90,12 @@ class Workspace:
     ``dtype``, or of ``dtype`` when one is given; its contents are whatever
     was last written to its bytes. The array comes back when it dies, that
     is when the last reference to it or to a view of it is dropped; a hook
-    on each lent array tells the workspace. ``give(*arrays)`` takes arrays
-    back early, for scratch that an op is done with while a local still
-    names it; giving back an array that is not lent out raises ``KeyError``:
-    two owners of one array would silently overwrite each other.
-    ``reclaim()`` takes back every array still lent out, detaching its hook,
-    and ends the step.
+    on each lent array tells the workspace. An op gives scratch back early
+    by deleting its last reference (``del``). ``reclaim()`` takes back every
+    array still lent out, detaching its hook, and ends the step.
 
     The workspace records each step's events: ``(shape, dtype)`` for a take
-    and the take's index for a give or a death. ``reclaim`` plans the step
+    and the take's index for its death. ``reclaim`` plans the step
     it ends (``plan_offsets``) unless that step replayed the plan: one arena
     of ``nbytes`` bytes, touched once so that later steps take no page
     faults, and one ``ALIGN``-aligned offset in it per take. A step that
@@ -150,10 +147,6 @@ class Workspace:
     def _gone(self, key: int, i: int) -> None:
         del self._lent[key]
         self._record(i)
-
-    def give(self, *arrays: np.ndarray) -> None:
-        for array in arrays:
-            self._lent[id(array)]()  # runs the hook now, and never again
 
     def reclaim(self) -> None:
         """Take back every lent array and end the step, planning it unless it

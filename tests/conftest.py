@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from resset import autodiff as ad
+from resset.schemes import KernelSet, set_forward
 from resset.workspace import Workspace
 
 
@@ -12,8 +14,11 @@ class FreshArrays(Workspace):
     def take(self, shape, dtype=None):
         return np.full(shape, np.nan, self.dtype if dtype is None else dtype)
 
-    def give(self, *arrays):
-        pass
+
+def taped_set(ks: KernelSet, x: np.ndarray) -> np.ndarray:
+    """The kernel set's convolution set on ``x``: ``schemes.set_forward`` on
+    float64 nodes, as a network block runs it."""
+    return set_forward(ks.scheme, [ad.Node(w) for w in ks.weights], ad.Node(x)).data
 
 
 @pytest.fixture

@@ -4,11 +4,31 @@ kernel matrices.
 The convolutions slice the padded 4-D volume once per kernel tap, so they
 need none of the kernel's flattened column offsets, wrap-around cropping or
 transposed backward loop; the weight gradient is written out the same way.
-The kernel matrix is placed tap by tap, not through centred windows."""
+The kernel matrix is placed tap by tap, not through centred windows. The
+im2col unfold gathers every window into one patch matrix, so a joint kernel
+matrix times it is the convolution set as one matrix product."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from resset.schemes import KernelScheme, KernelSet, branch_extents
+
+
+def unfold_patches(x: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:
+    """im2col over a same-padded window: the (C*kB*kH*kW, B*H*W) patch matrix
+    of a (C, B, H, W) volume.
+
+    Rows are ordered channel-major, then band, row, and column offsets; columns
+    follow row-major traversal of the output positions. With same zero padding
+    and stride 1 the output grid equals the input grid, so a branch
+    convolution is ``w.reshape(out, -1) @ unfold_patches(x, extents)``, and a
+    scheme's set is ``build_kernel_matrix(ks) @ unfold_patches(x, (k, k, k))``.
+    """
+    kb, kh, kw = extents
+    c, b, h, w = x.shape
+    pads = ((0, 0), ((kb - 1) // 2,) * 2, ((kh - 1) // 2,) * 2, ((kw - 1) // 2,) * 2)
+    windows = sliding_window_view(np.pad(x, pads), (kb, kh, kw), axis=(1, 2, 3))
+    return windows.transpose(0, 4, 5, 6, 1, 2, 3).reshape(c * kb * kh * kw, b * h * w)
 
 
 def tap_loop_conv(x: np.ndarray, w: np.ndarray, extents: tuple[int, int, int]) -> np.ndarray:

@@ -13,27 +13,25 @@ import numpy as np
 import pytest
 
 from resset import (
-    FeatureMap,
     KernelScheme,
     SchemeVariant,
     TrainConfig,
     TrainingData,
     audit_kernel_rank,
     build_kernel_matrix,
-    conv_forward,
-    fold_channels,
-    matmul,
     param_count,
     parse_scheme_token,
     random_kernel_set,
     synth_cube,
     tail_mass,
     train_denoiser,
-    unfold_patches,
     zero_kernel_set,
 )
 from resset.cli import network_grad_max_error, penalty_grad_max_error
 from resset.hsdata import NoiseKind, NoiseSpec, add_noise, cube_to_feature, mpsnr
+
+from conftest import taped_set
+from conv_oracles import unfold_patches
 
 JOINT_TOKENS = ("conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d")
 
@@ -44,7 +42,8 @@ def announce(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_conv_matmul_equivalence():
-    """Direct convolution equals the unfold/matmul path for 50 random draws."""
+    """The taped convolution set equals the joint kernel matrix times the
+    im2col unfold for 50 random draws."""
     start = time.perf_counter()
     rng = np.random.default_rng(10_001)
     worst = 0.0
@@ -54,10 +53,9 @@ def test_criterion_1_conv_matmul_equivalence():
         c = int(rng.integers(1, 4))
         b, h, w = (int(rng.integers(3, 7)) for _ in range(3))
         ks = random_kernel_set(scheme, m, c, rng)
-        x = FeatureMap(rng.standard_normal((c, b, h, w)))
-        direct = conv_forward(ks, x).data
-        joint = matmul(build_kernel_matrix(ks), unfold_patches(x, (3, 3, 3)))
-        reference = fold_channels(joint, b, h, w).data
+        x = rng.standard_normal((c, b, h, w))
+        direct = taped_set(ks, x)
+        reference = (build_kernel_matrix(ks) @ unfold_patches(x, (3, 3, 3))).reshape(-1, b, h, w)
         rel = np.linalg.norm(direct - reference) / max(np.linalg.norm(reference), 1e-300)
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from resset import (
     ConfigError,
-    FeatureMap,
     KernelSet,
     Network,
     ShapeError,
-    conv_forward,
     parse_scheme_token,
 )
 from resset import autodiff as ad
@@ -23,7 +21,7 @@ from resset.train import training_loss
 from resset import workspace
 from resset.workspace import ALIGN
 
-from conftest import FreshArrays
+from conftest import FreshArrays, taped_set
 from conv_oracles import tap_loop_set
 
 
@@ -308,61 +306,54 @@ def address(array):
 class TestWorkspace:
     def test_take_reuses_what_was_given_back(self):
         """The first step's arrays are fresh. Planned from that step, a take
-        made after a give lands on the bytes given back, in any shape that
-        fits them; the next step gets those arrays, and a step that repeats
-        it gets the same arrays again."""
+        made after an array died lands on the bytes it held, in any shape
+        that fits them; the next step gets those arrays, and a step that
+        repeats it gets the same arrays again."""
         ws = ad.Workspace()
-        a = ws.take((2, 3))
-        b = ws.take((2, 3))
-        assert a is not b and not np.may_share_memory(a, b)
-        ws.give(a)
-        c = ws.take((3, 2))
-        assert not np.may_share_memory(c, b)
-        ws.give(c)
-        ws.reclaim()
-        assert ws.nbytes == 2 * ALIGN
-        planned = [ws.take((2, 3)), ws.take((2, 3))]
-        ws.give(planned[0])
-        planned.append(ws.take((3, 2)))  # the same bytes in another shape
-        assert address(planned[2]) == address(planned[0]) != address(planned[1])
-        assert all(p.base is ws._arena for p in planned)
-        ws.give(planned[2])
-        ws.reclaim()
-        again = [ws.take((2, 3)), ws.take((2, 3))]
-        ws.give(again[0])
-        again.append(ws.take((3, 2)))
-        assert [(address(p), p.shape) for p in again] == [(address(p), p.shape) for p in planned]
-        assert all(p.base is ws._arena for p in again)
 
-    def test_giving_back_twice_raises(self):
-        ws = ad.Workspace()
-        for _ in range(2):  # a fresh array, then a planned one
-            a = ws.take((4,))
-            ws.give(a)
-            with pytest.raises(KeyError):
-                ws.give(a)
-            with pytest.raises(KeyError):
-                ws.give(np.empty(4))
-            ws.reclaim()
-        assert ws.nbytes == ALIGN
+        def step():
+            """Take two arrays, let the first die and take a third: the
+            address and shape of each, and whether it is a view of the arena."""
+            first, second = ws.take((2, 3)), ws.take((2, 3))
+            assert not np.may_share_memory(first, second)
+            taken = [(address(first), first.shape, first.base is ws._arena)]
+            del first
+            third = ws.take((3, 2))
+            assert not np.may_share_memory(third, second)
+            return taken + [(address(a), a.shape, a.base is ws._arena) for a in (second, third)]
+
+        fresh = step()
+        ws.reclaim()
+        arena = ws._arena
+        assert ws.nbytes == 2 * ALIGN and not any(on_arena for *_, on_arena in fresh)
+        planned = step()
+        assert planned[2][0] == planned[0][0] != planned[1][0]  # the same bytes in another shape
+        assert all(on_arena for *_, on_arena in planned)
+        ws.reclaim()
+        assert step() == planned and ws._arena is arena
 
     def test_pool_is_keyed_by_dtype(self):
         """Arrays come in the workspace's dtype unless another is asked for.
         One arena serves every dtype: a take of another dtype is planned on
-        the bytes of one given back before it."""
+        the bytes of one that died before it."""
         ws = ad.Workspace(np.float32)
         for _ in range(2):
             a = ws.take((2, 3))
             b = ws.take((2, 3), np.float64)
             assert a.dtype == np.float32 and b.dtype == np.float64
-            ws.give(a, b)
+            at = {"a": address(a), "b": address(b)}
+            del a, b
             mask = ws.take((2, 3), np.bool_)
             d = ws.take((2, 3), np.float64)
-            ws.give(mask)
+            at.update(mask=address(mask), d=address(d))
+            assert mask.dtype == np.bool_ and d.dtype == np.float64
+            del mask
             e = ws.take((2, 3))
-            assert mask.dtype == np.bool_ and d.dtype == np.float64 and e.dtype == np.float32
+            assert e.dtype == np.float32
+            at["e"] = address(e)
+            del d, e
             ws.reclaim()
-        assert address(mask) == address(a) == address(e) and address(d) == address(b)
+        assert at["mask"] == at["a"] == at["e"] and at["d"] == at["b"]
         assert ws.nbytes == 2 * ALIGN
         assert ad.Workspace().take((1,)).dtype == np.float64
 
@@ -375,12 +366,14 @@ class TestWorkspace:
         monkeypatch.setattr(workspace, "_map", lambda n: maps.append(n) or map_pages(n))
 
         def step(ws):
+            """Take three arrays, the first dying before the third is taken:
+            the address of each, and whether it is a view of the arena."""
             x = ws.take((5, 7))
             y = ws.take((3,), np.float64)
-            ws.give(x)
+            taken = [(address(x), x.base is ws._arena)]
+            del x
             z = ws.take((2, 2), np.bool_)
-            ws.give(y, z)
-            return x, y, z
+            return taken + [(address(v), v.base is ws._arena) for v in (y, z)]
 
         ws = ad.Workspace(np.float32)
         step(ws)
@@ -390,10 +383,8 @@ class TestWorkspace:
         arena = ws._arena
         views = step(ws)
         ws.reclaim()
-        again = step(ws)
-        assert [address(v) for v in again] == [address(v) for v in views]
+        assert step(ws) == views and all(on_arena for _, on_arena in views)
         assert len(maps) == 4 and ws._arena is arena
-        assert all(v.base is arena for v in (*views, *again))
 
     def test_divergent_step_takes_fresh_arrays_and_replans(self, monkeypatch):
         """From the first event that differs from the plan on, every take
@@ -404,28 +395,31 @@ class TestWorkspace:
         monkeypatch.setattr(workspace, "_map", lambda n: maps.append(n) or map_pages(n))
         ws = ad.Workspace()
         a, b = ws.take((8,)), ws.take((8,))
-        ws.give(a)
+        del a
         c = ws.take((16,))
-        ws.give(b, c)
+        del b, c
         ws.reclaim()
         arena, planned = ws._arena, ws.nbytes
         del maps[:]
         a, b = ws.take((8,)), ws.take((8,))
-        ws.give(b)  # the plan gives back a here
+        on_arena = [a.base is arena, b.base is arena]
+        del b  # the plan lets a die here
         c = ws.take((16,))
-        assert a.base is arena and b.base is arena and c.base is not arena
+        assert all(on_arena) and c.base is not arena
         assert maps == [2 * ALIGN]
-        ws.give(a, c)
+        del a, c
         ws.reclaim()
         assert ws._arena is not arena and maps[1:] == [ws.nbytes] == [planned]
         a, b = ws.take((8,)), ws.take((8,))
-        ws.give(b)
+        on_arena = [a.base is ws._arena, b.base is ws._arena]
+        del b
         c = ws.take((16,))
-        ws.give(a, c)
-        assert all(v.base is ws._arena for v in (a, b, c)) and len(maps) == 2
+        on_arena.append(c.base is ws._arena)
+        del a, c
+        assert all(on_arena) and len(maps) == 2
         ws.reclaim()
         a = ws.take((8,))  # a step that stops short of the plan is replanned
-        ws.give(a)
+        del a
         ws.reclaim()
         assert ws.nbytes == ALIGN and len(maps) == 3
 
@@ -447,11 +441,14 @@ class TestWorkspace:
 
     @staticmethod
     def run_cycle(ws, ops, fills):
-        """Run ``ops`` (take, give) on ``ws``, filling each array it takes with
-        the next fill value, and check after every call that the live arrays
-        are disjoint, aligned and hold what was written to them. Returns the
-        step's events, as the workspace records them, and each take's event
-        index and array."""
+        """Run ``ops`` on ``ws``: a take fills its array with the next fill
+        value, and a give drops the last reference to a live array. After
+        every op the live arrays are disjoint, aligned and hold what was
+        written to them, and the workspace has recorded one event per op,
+        a take or that array's death. Returns the step's events; per take,
+        its event index and whether its array is a view of the arena; and
+        the live entries, whose arrays the caller holds until it has
+        reclaimed the step, so that none dies unrecorded by the test."""
         live, events, taken = [], [], []
         for op in ops:
             if op[0] == "take":
@@ -462,20 +459,16 @@ class TestWorkspace:
                 value = next(fills)
                 array[...] = (np.arange(array.size) + value).reshape(shape) % 7 > 2 \
                     if dtype == np.bool_ else (np.arange(array.size) + value).reshape(shape)
-                for other, _, _ in live:
-                    assert not np.may_share_memory(array, other)
+                assert not any(np.may_share_memory(array, entry[0]) for entry in live)
                 live.append((array, array.copy(), len(events)))
-                taken.append((len(events), array))
+                taken.append((len(events), array.base is ws._arena))
                 events.append((shape, np.dtype(dtype)))
+                del array
             elif live:
-                array, _, index = live.pop(op[1] % len(live))
-                ws.give(array)
-                events.append(index)
-                with pytest.raises(KeyError):
-                    ws.give(array)
-            for array, contents, _ in live:
-                np.testing.assert_array_equal(array, contents)
-        return events, taken
+                events.append(live.pop(op[1] % len(live))[2])  # the array dies here
+            assert all(np.array_equal(entry[0], entry[1]) for entry in live)
+            assert ws._events == events
+        return events, taken, live
 
     @staticmethod
     def vary(ops, variant):
@@ -507,27 +500,30 @@ class TestWorkspace:
     def test_random_take_give_reclaim_sequences(self, steps):
         """Random steps of takes and gives of mixed shapes and dtypes,
         reclaimed in between: live arrays never overlap and keep their
-        contents, and a second give of an array raises. A step repeated
+        contents, and each give is recorded where it happens. A step repeated
         after its own reclaim gets views of the arena and is not replanned.
         A step that diverges from it partway (cut short, a give of another
         array, a take of another shape) gets planned views up to its first
         differing event and fresh arrays from there on, and is replanned."""
         ws = ad.Workspace(np.float32)
         fills = iter(range(10**9))
+
+        def step(ops):
+            events, taken, live = self.run_cycle(ws, ops, fills)
+            ws.reclaim()  # takes back the arrays still live
+            return events, taken
+
         for ops, variant in steps:
-            planned, _ = self.run_cycle(ws, ops, fills)
-            ws.reclaim()
+            planned, _ = step(ops)
             arena = ws._arena
-            events, taken = self.run_cycle(ws, ops, fills)
-            assert events == planned and all(array.base is arena for _, array in taken)
-            ws.reclaim()
+            events, taken = step(ops)
+            assert events == planned and all(on_arena for _, on_arena in taken)
             assert ws._arena is arena
-            events, taken = self.run_cycle(ws, self.vary(ops, variant), fills)
+            events, taken = step(self.vary(ops, variant))
             first = next((t for t, pair in enumerate(zip(events, planned)) if pair[0] != pair[1]),
                          min(len(events), len(planned)))
-            for t, array in taken:
-                assert (array.base is arena) == (t < first)
-            ws.reclaim()
+            for t, on_arena in taken:
+                assert on_arena == (t < first)
             if events == planned:
                 assert ws._arena is arena
             elif taken:
@@ -1061,15 +1057,16 @@ class TestNetworkTape:
         assert np.max(np.abs(taped - expected)) <= 1e-12
 
     @pytest.mark.parametrize("token", ["conv3d", "res3_1d", "res3_1d_l2", "seq1d2d", "par1d2d"])
-    def test_feature_equals_conv_forward_of_last_block(self, rng, token):
-        """The tape's feature is the one set forward that conv_forward runs."""
+    def test_feature_is_the_set_forward_of_the_last_block(self, rng, token):
+        """The tape's feature is the last block's convolution set, the one
+        taped set forward, on that block's input."""
         net = Network(parse_scheme_token(token), channels=1, width=4, num_blocks=1, seed=3)
         x = rng.standard_normal((1, 5, 6, 6))
         feature = net.forward_tape(x).feature.data
         block_input = np.tensordot(net.params["lift"], x, axes=(1, 0))
         n_branches = len(branch_extents(net.scheme))
         ks = KernelSet(net.scheme, 4, 4, tuple(net.params[f"b0.w{j}"] for j in range(n_branches)))
-        np.testing.assert_array_equal(conv_forward(ks, FeatureMap(block_input)).data, feature)
+        np.testing.assert_array_equal(taped_set(ks, block_input), feature)
 
     def test_forward_deterministic(self, rng):
         net = self._net()

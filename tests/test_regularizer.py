@@ -11,7 +11,6 @@ from resset import (
     Network,
     NumericError,
     SchemeVariant,
-    UnfoldedMatrix,
     da_reg_grad,
     da_reg_value,
 )
@@ -59,42 +58,39 @@ def fd_gradient(mat, step=1e-5):
         for j in range(mat.shape[1]):
             bump = np.zeros_like(mat)
             bump[i, j] = step
-            out[i, j] = (
-                da_reg_value(UnfoldedMatrix(mat + bump))
-                - da_reg_value(UnfoldedMatrix(mat - bump))
-            ) / (2 * step)
+            out[i, j] = (da_reg_value(mat + bump) - da_reg_value(mat - bump)) / (2 * step)
     return out
 
 
 class TestValue:
     def test_zero_matrix(self):
-        assert da_reg_value(UnfoldedMatrix(np.zeros((3, 4)))) == 0.0
+        assert da_reg_value(np.zeros((3, 4))) == 0.0
 
     def test_known_diagonal(self):
-        assert da_reg_value(UnfoldedMatrix(np.diag([3.0, 2.0, 1.0]))) == pytest.approx(-6.0)
+        assert da_reg_value(np.diag([3.0, 2.0, 1.0])) == pytest.approx(-6.0)
 
     def test_matches_eigenvalue_oracle(self, rng):
         mat = rng.standard_normal((5, 9))
         eigs = np.linalg.eigvalsh(mat @ mat.T)
         expected = -float(np.sum(np.sqrt(np.clip(eigs, 0.0, None))))
-        assert da_reg_value(UnfoldedMatrix(mat)) == pytest.approx(expected, rel=1e-10)
+        assert da_reg_value(mat) == pytest.approx(expected, rel=1e-10)
 
     def test_value_nonpositive_and_zero_iff_zero(self, rng):
-        assert da_reg_value(UnfoldedMatrix(rng.standard_normal((4, 7)))) < 0.0
+        assert da_reg_value(rng.standard_normal((4, 7))) < 0.0
 
 
 class TestGradient:
     def test_identity(self):
-        grad = da_reg_grad(UnfoldedMatrix(np.eye(3)))
-        np.testing.assert_allclose(grad.data, -np.eye(3), atol=1e-12)
+        grad = da_reg_grad(np.eye(3))
+        np.testing.assert_allclose(grad, -np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        grad = da_reg_grad(UnfoldedMatrix(np.diag([3.0, 2.0, 1.0])))
-        np.testing.assert_allclose(grad.data, -np.eye(3), atol=1e-12)
+        grad = da_reg_grad(np.diag([3.0, 2.0, 1.0]))
+        np.testing.assert_allclose(grad, -np.eye(3), atol=1e-12)
 
     def test_matches_finite_differences(self, rng):
         mat = gap_separated(rng, 6, 10)
-        analytic = da_reg_grad(UnfoldedMatrix(mat)).data
+        analytic = da_reg_grad(mat)
         fd = fd_gradient(mat)
         scale = np.max(np.abs(analytic))
         assert np.max(np.abs(fd - analytic)) / scale < 1e-5
@@ -106,19 +102,19 @@ class TestGradient:
             rows = int(rng.integers(2, 8))
             cols = int(rng.integers(2, 12))
             mat = gap_separated(rng, rows, cols)
-            analytic = da_reg_grad(UnfoldedMatrix(mat)).data
+            analytic = da_reg_grad(mat)
             fd = fd_gradient(mat)
             scale = max(np.max(np.abs(analytic)), 1e-12)
             assert np.max(np.abs(fd - analytic)) / scale < 1e-4
 
     def test_operator_norm_at_most_one(self, rng):
-        grad = da_reg_grad(UnfoldedMatrix(rng.standard_normal((5, 8))))
-        top = np.linalg.svd(grad.data, compute_uv=False)[0]
+        grad = da_reg_grad(rng.standard_normal((5, 8)))
+        top = np.linalg.svd(grad, compute_uv=False)[0]
         assert top <= 1.0 + 1e-8
 
     def test_zero_matrix_gives_zero_subgradient(self):
-        grad = da_reg_grad(UnfoldedMatrix(np.zeros((3, 5))))
-        np.testing.assert_array_equal(grad.data, np.zeros((3, 5)))
+        grad = da_reg_grad(np.zeros((3, 5)))
+        np.testing.assert_array_equal(grad, np.zeros((3, 5)))
 
 
 # (case, takes the Gram path, builder, gradient tolerance against the oracle)
@@ -245,9 +241,9 @@ class TestPenaltyPaths:
         node = ad.Node(x)
         loss = ad.diversity_penalty(node)
         loss.backward()
-        grad = da_reg_grad(UnfoldedMatrix(x.reshape(6, -1))).data
+        grad = da_reg_grad(x.reshape(6, -1))
         np.testing.assert_array_equal(node.grad.reshape(6, -1), grad)
-        assert float(loss.data) == da_reg_value(UnfoldedMatrix(x.reshape(6, -1)))
+        assert float(loss.data) == da_reg_value(x.reshape(6, -1))
 
 
 class TestCombined:
@@ -255,8 +251,8 @@ class TestCombined:
         """One decomposition gives the value, the gradient and the spectrum."""
         mat = gap_separated(rng, 4, 6)
         value, grad, s = penalty_with_gradient(mat)
-        assert value == da_reg_value(UnfoldedMatrix(mat))
-        np.testing.assert_array_equal(grad, da_reg_grad(UnfoldedMatrix(mat)).data)
+        assert value == da_reg_value(mat)
+        np.testing.assert_array_equal(grad, da_reg_grad(mat))
         np.testing.assert_allclose(s, np.linalg.svd(mat, compute_uv=False), rtol=1e-12)
         assert value == pytest.approx(-np.sum(s), rel=1e-12)
 
@@ -333,20 +329,20 @@ class TestInvariances:
     @given(seed=st.integers(0, 2**16), c=st.floats(0.01, 50.0))
     def test_positive_homogeneity(self, seed, c):
         mat = np.random.default_rng(seed).standard_normal((4, 6))
-        v1 = da_reg_value(UnfoldedMatrix(c * mat))
-        v0 = da_reg_value(UnfoldedMatrix(mat))
+        v1 = da_reg_value(c * mat)
+        v0 = da_reg_value(mat)
         assert v1 == pytest.approx(c * v0, rel=1e-9)
 
     def test_orthogonal_invariance(self, rng):
         mat = rng.standard_normal((5, 7))
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-        v_rot = da_reg_value(UnfoldedMatrix(q @ mat))
-        assert v_rot == pytest.approx(da_reg_value(UnfoldedMatrix(mat)), rel=1e-10)
+        v_rot = da_reg_value(q @ mat)
+        assert v_rot == pytest.approx(da_reg_value(mat), rel=1e-10)
 
     def test_cauchy_schwarz_lower_bound(self, rng):
         for _ in range(20):
             mat = rng.standard_normal((4, 9))
-            value = da_reg_value(UnfoldedMatrix(mat))
+            value = da_reg_value(mat)
             bound = -np.sqrt(4 * np.sum(mat * mat))
             assert value >= bound - 1e-9
 
@@ -371,7 +367,7 @@ class TestAttachLastLayer:
         _, _, reg = training_loss(tape.output, tape.feature, np.zeros((1, 4, 5, 5)), lam)
         feature = tape.feature.data
         assert feature.shape == (12, 4, 5, 5)  # 3 branches x width 4, before compression
-        assert reg == 5e-5 * da_reg_value(UnfoldedMatrix(feature.reshape(12, -1)))
+        assert reg == 5e-5 * da_reg_value(feature.reshape(12, -1))
 
     def test_zero_weight_is_inactive(self, rng, monkeypatch):
         def never_built(_):

@@ -5,23 +5,17 @@ import pytest
 
 from resset import (
     ConfigError,
-    FeatureMap,
     KernelScheme,
     KernelSet,
     Network,
     SchemeVariant,
-    ShapeError,
     build_kernel_matrix,
     compression_param_count,
-    conv_forward,
-    fold_channels,
     kernel_matrices,
-    matmul,
     param_count,
     parse_scheme_token,
     random_kernel_set,
     random_weights,
-    unfold_patches,
     valid_column_count,
     valid_columns,
     zero_kernel_set,
@@ -36,8 +30,14 @@ from resset.schemes import (
     expected_weight_shapes,
 )
 
-from conftest import FreshArrays
-from conv_oracles import tap_loop_conv, tap_loop_set, tap_loop_weight_grad, tap_placement_matrix
+from conftest import FreshArrays, taped_set
+from conv_oracles import (
+    tap_loop_conv,
+    tap_loop_set,
+    tap_loop_weight_grad,
+    tap_placement_matrix,
+    unfold_patches,
+)
 
 ALL_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "seq1d", "seq1d2d", "par1d2d"]
 UNCHAINED_TOKENS = ["conv3d", "res3_2d", "res3_1d", "res3_1d_l2", "res3_1dx3", "par1d2d"]
@@ -114,7 +114,7 @@ class TestSchemeTable:
     def test_rank_bound_is_the_joint_matrix_row_count(self, rng, token, m):
         scheme = parse_scheme_token(token)
         ks = random_kernel_set(scheme, m, 2, rng)
-        assert rank_upper_bound(scheme, m) == build_kernel_matrix(ks).rows
+        assert rank_upper_bound(scheme, m) == build_kernel_matrix(ks).shape[0]
 
     @pytest.mark.parametrize("variant", [v for v, (_, chained) in _LAYOUTS.items() if chained])
     def test_chained_stages_act_on_disjoint_axes(self, variant):
@@ -176,15 +176,15 @@ class TestBuildKernelMatrix:
     def test_conv3d_dense(self, rng):
         ks = random_kernel_set(parse_scheme_token("conv3d"), 3, 2, rng)
         mat = build_kernel_matrix(ks)
-        assert mat.data.shape == (3, 54)
-        assert np.count_nonzero(mat.data) == mat.data.size
+        assert mat.shape == (3, 54)
+        assert np.count_nonzero(mat) == mat.size
 
     def test_res3_1d_row_support_and_column_union(self, rng):
         ks = random_kernel_set(parse_scheme_token("res3_1d"), 4, 1, rng)
         mat = build_kernel_matrix(ks)
-        assert mat.data.shape == (12, 27)
-        assert np.all(np.count_nonzero(mat.data, axis=1) == 3)
-        occupied = np.count_nonzero(np.any(mat.data != 0.0, axis=0))
+        assert mat.shape == (12, 27)
+        assert np.all(np.count_nonzero(mat, axis=1) == 3)
+        occupied = np.count_nonzero(np.any(mat != 0.0, axis=0))
         assert occupied == 7  # three axes of 3 offsets sharing one center
         assert valid_column_count(ks.scheme, 1) == 7
 
@@ -192,18 +192,18 @@ class TestBuildKernelMatrix:
         scheme = parse_scheme_token("par1d2d")
         ks = random_kernel_set(scheme, 3, 2, rng)
         mat = build_kernel_matrix(ks)
-        assert mat.data.shape == (6, 54)
+        assert mat.shape == (6, 54)
         two_d_only = KernelSet(scheme, 3, 2, (ks.weights[0], np.zeros_like(ks.weights[1])))
         one_d_only = KernelSet(scheme, 3, 2, (np.zeros_like(ks.weights[0]), ks.weights[1]))
-        top = build_kernel_matrix(two_d_only).data[:3]
-        bottom = build_kernel_matrix(one_d_only).data[3:]
-        np.testing.assert_array_equal(mat.data, np.vstack([top, bottom]))
+        top = build_kernel_matrix(two_d_only)[:3]
+        bottom = build_kernel_matrix(one_d_only)[3:]
+        np.testing.assert_array_equal(mat, np.vstack([top, bottom]))
 
     @pytest.mark.parametrize("token", UNCHAINED_TOKENS)
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_unchained_matrices_match_tap_placement(self, rng, token, k):
         ks = random_kernel_set(parse_scheme_token(token, k=k), 3, 2, rng)
-        np.testing.assert_array_equal(build_kernel_matrix(ks).data, tap_placement_matrix(ks))
+        np.testing.assert_array_equal(build_kernel_matrix(ks), tap_placement_matrix(ks))
 
     @pytest.mark.parametrize("token", sorted(_TOKENS))
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -216,7 +216,7 @@ class TestBuildKernelMatrix:
         assert mask.shape == (k**3 * c,) and mask.dtype == bool
         assert int(mask.sum()) == valid_column_count(scheme, c)
         for _ in range(3):
-            mat = build_kernel_matrix(random_kernel_set(scheme, 3, c, rng)).data
+            mat = build_kernel_matrix(random_kernel_set(scheme, 3, c, rng))
             assert not np.any(mat[:, ~mask])
             assert np.all(np.any(mat[:, mask] != 0.0, axis=0))
 
@@ -234,7 +234,7 @@ class TestBuildKernelMatrix:
         assert full.shape == (5, rank_upper_bound(scheme, 3), k**3 * 2)
         assert valid.shape == (5, rank_upper_bound(scheme, 3), int(mask.sum()))
         for ks, row, valid_row in zip(sets, full, valid):
-            per_set = build_kernel_matrix(ks).data
+            per_set = build_kernel_matrix(ks)
             assert row.tobytes() == per_set.tobytes()
             assert valid_row.tobytes() == per_set[:, mask].tobytes()
 
@@ -257,40 +257,33 @@ class TestBuildKernelMatrix:
                 assert valid_column_count(scheme, c) == per_channel * c
 
 
-class TestConvForward:
+class TestSetForward:
+    """The taped convolution set on float64 nodes, as a network block runs it."""
+
     def test_zero_weights_zero_output(self, rng):
-        x = FeatureMap(rng.standard_normal((2, 3, 4, 4)))
+        x = rng.standard_normal((2, 3, 4, 4))
         for token in ALL_TOKENS:
             ks = zero_kernel_set(parse_scheme_token(token), 3, 2)
-            assert not np.any(conv_forward(ks, x).data)
-
-    def test_channel_mismatch(self, rng):
-        ks = random_kernel_set(parse_scheme_token("conv3d"), 3, 2, rng)
-        with pytest.raises(ShapeError):
-            conv_forward(ks, FeatureMap(rng.standard_normal((3, 3, 4, 4))))
+            assert not np.any(taped_set(ks, x))
 
     def test_conv3d_matches_loop_oracle(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
         ks = random_kernel_set(parse_scheme_token("conv3d"), 3, 2, rng)
-        out = conv_forward(ks, FeatureMap(x))
-        np.testing.assert_allclose(out.data, conv3d_loop_oracle(x, ks.weights[0]), atol=1e-12)
+        np.testing.assert_allclose(taped_set(ks, x), conv3d_loop_oracle(x, ks.weights[0]), atol=1e-12)
 
     def test_conv3d_matches_matmul_path(self, rng):
-        x = FeatureMap(rng.standard_normal((2, 4, 5, 5)))
+        x = rng.standard_normal((2, 4, 5, 5))
         ks = random_kernel_set(parse_scheme_token("conv3d"), 3, 2, rng)
-        direct = conv_forward(ks, x)
-        joint = matmul(build_kernel_matrix(ks), unfold_patches(x, (3, 3, 3)))
-        folded = fold_channels(joint, 4, 5, 5)
-        np.testing.assert_allclose(direct.data, folded.data, rtol=1e-12, atol=1e-12)
+        joint = build_kernel_matrix(ks) @ unfold_patches(x, (3, 3, 3))
+        np.testing.assert_allclose(taped_set(ks, x), joint.reshape(3, 4, 5, 5), rtol=1e-12, atol=1e-12)
 
     def test_all_joint_schemes_match_matmul_path(self, rng):
-        x = FeatureMap(rng.standard_normal((2, 4, 4, 5)))
+        x = rng.standard_normal((2, 4, 4, 5))
         for token in UNCHAINED_TOKENS:
             scheme = parse_scheme_token(token)
             ks = random_kernel_set(scheme, 3, 2, rng)
-            direct = conv_forward(ks, x).data
-            joint = matmul(build_kernel_matrix(ks), unfold_patches(x, (3, 3, 3)))
-            folded = fold_channels(joint, 4, 4, 5).data
+            direct = taped_set(ks, x)
+            folded = (build_kernel_matrix(ks) @ unfold_patches(x, (3, 3, 3))).reshape(-1, 4, 4, 5)
             rel = np.linalg.norm(direct - folded) / np.linalg.norm(folded)
             assert rel < 1e-10, token
 
@@ -299,11 +292,10 @@ class TestConvForward:
     def test_chains_match_matmul_path(self, rng, token, k):
         """A chain's composed kernel matrix times the unfolded patches is the
         chained convolution, at the borders too."""
-        x = FeatureMap(rng.standard_normal((2, 4, 4, 5)))
+        x = rng.standard_normal((2, 4, 4, 5))
         ks = random_kernel_set(parse_scheme_token(token, k=k), 3, 2, rng)
-        direct = conv_forward(ks, x).data
-        joint = matmul(build_kernel_matrix(ks), unfold_patches(x, (k, k, k)))
-        folded = fold_channels(joint, 4, 4, 5).data
+        direct = taped_set(ks, x)
+        folded = (build_kernel_matrix(ks) @ unfold_patches(x, (k, k, k))).reshape(-1, 4, 4, 5)
         assert np.linalg.norm(direct - folded) <= 1e-10 * np.linalg.norm(folded)
 
     def test_delta_kernels_reproduce_input(self):
@@ -311,27 +303,27 @@ class TestConvForward:
         delta = np.zeros((1, 1, 3))
         delta[0, 0, 1] = 1.0
         ks = KernelSet(scheme, 1, 1, (delta.copy(), delta.copy(), delta.copy()))
-        x = FeatureMap(np.random.default_rng(7).standard_normal((1, 3, 4, 5)))
-        out = conv_forward(ks, x)
-        assert out.data.shape == (3, 3, 4, 5)
+        x = np.random.default_rng(7).standard_normal((1, 3, 4, 5))
+        out = taped_set(ks, x)
+        assert out.shape == (3, 3, 4, 5)
         for branch in range(3):
-            np.testing.assert_allclose(out.data[branch], x.data[0], atol=1e-14)
+            np.testing.assert_allclose(out[branch], x[0], atol=1e-14)
 
     def test_sequential_output_channels(self, rng):
-        x = FeatureMap(rng.standard_normal((2, 3, 4, 4)))
+        x = rng.standard_normal((2, 3, 4, 4))
         for token in ("seq1d", "seq1d2d"):
             ks = random_kernel_set(parse_scheme_token(token), 5, 2, rng)
-            assert conv_forward(ks, x).data.shape == (5, 3, 4, 4)
+            assert taped_set(ks, x).shape == (5, 3, 4, 4)
 
     def test_axis_permutation_symmetry(self, rng):
         """Swapping two axes and the matching branches permutes the output."""
         scheme = parse_scheme_token("res3_1d")
         ks = random_kernel_set(scheme, 3, 2, rng)
         x = rng.standard_normal((2, 4, 5, 6))
-        out = conv_forward(ks, FeatureMap(x)).data
+        out = taped_set(ks, x)
         # exchange height and width: branches (band, height, width) -> (band, width, height)
         swapped = KernelSet(scheme, 3, 2, (ks.weights[0], ks.weights[2], ks.weights[1]))
-        out_swapped = conv_forward(swapped, FeatureMap(x.transpose(0, 1, 3, 2))).data
+        out_swapped = taped_set(swapped, x.transpose(0, 1, 3, 2))
         m = 3
         blocks = [out[0:m], out[m : 2 * m], out[2 * m : 3 * m]]
         expected = np.concatenate([blocks[0], blocks[2], blocks[1]], axis=0).transpose(0, 1, 3, 2)
@@ -339,15 +331,15 @@ class TestConvForward:
 
 
 class TestTapLoopOracle:
-    """The kn2row branch convolution, alone and inside conv_forward, against
+    """The kn2row branch convolution, alone and inside the taped set, against
     the direct tap loop."""
 
     @pytest.mark.parametrize("token", ALL_TOKENS)
-    def test_conv_forward_matches_tap_loop(self, rng, token):
+    def test_set_forward_matches_tap_loop(self, rng, token):
         scheme = parse_scheme_token(token)
         ks = random_kernel_set(scheme, 3, 2, rng)
         x = rng.standard_normal((2, 4, 5, 6))
-        out = conv_forward(ks, FeatureMap(x)).data
+        out = taped_set(ks, x)
         assert np.max(np.abs(out - tap_loop_set(scheme, ks.weights, x))) <= 1e-12
 
     # Grids with one band or one row, and extents at the 2*dim+1 bound, are

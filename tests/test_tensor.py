@@ -1,4 +1,5 @@
-"""Tensor substrate: unfolding, matmul, singular values, rank, and file round-trips."""
+"""Tensor substrate: window extents, singular values, rank, and file round-trips;
+and the im2col unfold that the convolution is checked against."""
 
 import numpy as np
 import pytest
@@ -11,17 +12,14 @@ from resset import (
     FeatureMap,
     InvalidKernel,
     NumericError,
-    ShapeError,
-    UnfoldedMatrix,
-    fold_channels,
-    matmul,
     numeric_rank,
     read_tensor,
-    unfold_patches,
     write_tensor,
 )
 from resset import tensor
 from resset.regularizer import nuclear_penalty
+
+from conv_oracles import unfold_patches
 
 
 def gather_oracle(x: np.ndarray, extents):
@@ -67,38 +65,25 @@ class TestFeatureMap:
 
 class TestUnfoldPatches:
     def test_identity_unfold(self, rng):
-        x = FeatureMap(rng.standard_normal((3, 2, 4, 5)))
-        mat = unfold_patches(x, (1, 1, 1))
-        np.testing.assert_array_equal(mat.data, x.data.reshape(3, -1))
+        x = rng.standard_normal((3, 2, 4, 5))
+        np.testing.assert_array_equal(unfold_patches(x, (1, 1, 1)), x.reshape(3, -1))
 
     def test_single_impulse_support(self):
         data = np.zeros((1, 3, 3, 3))
         data[0, 1, 1, 1] = 1.0
-        mat = unfold_patches(FeatureMap(data), (3, 3, 3))
-        assert mat.rows == 27 and mat.cols == 27
+        mat = unfold_patches(data, (3, 3, 3))
+        assert mat.shape == (27, 27)
         # the center voxel lands once in every window that covers it
-        assert np.count_nonzero(mat.data) == 27
-        assert np.all(np.count_nonzero(mat.data, axis=0) == 1)
+        assert np.count_nonzero(mat) == 27
+        assert np.all(np.count_nonzero(mat, axis=0) == 1)
 
     def test_matches_gather_oracle(self, rng):
         x = rng.standard_normal((2, 3, 4, 4))
-        mat = unfold_patches(FeatureMap(x), (3, 3, 3))
-        np.testing.assert_array_equal(mat.data, gather_oracle(x, (3, 3, 3)))
+        np.testing.assert_array_equal(unfold_patches(x, (3, 3, 3)), gather_oracle(x, (3, 3, 3)))
 
     def test_mixed_extents_match_oracle(self, rng):
         x = rng.standard_normal((2, 5, 3, 4))
-        mat = unfold_patches(FeatureMap(x), (3, 1, 3))
-        np.testing.assert_array_equal(mat.data, gather_oracle(x, (3, 1, 3)))
-
-    def test_even_extent_rejected(self, rng):
-        x = FeatureMap(rng.standard_normal((1, 4, 4, 4)))
-        with pytest.raises(InvalidKernel):
-            unfold_patches(x, (2, 1, 1))
-
-    def test_oversized_extent_rejected(self, rng):
-        x = FeatureMap(rng.standard_normal((1, 2, 4, 4)))
-        with pytest.raises(DegenerateKernel):
-            unfold_patches(x, (7, 1, 1))
+        np.testing.assert_array_equal(unfold_patches(x, (3, 1, 3)), gather_oracle(x, (3, 1, 3)))
 
     @settings(max_examples=25, deadline=None)
     @given(alpha=st.floats(-3, 3), beta=st.floats(-3, 3), seed=st.integers(0, 2**16))
@@ -106,39 +91,19 @@ class TestUnfoldPatches:
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((2, 3, 3, 3))
         y = gen.standard_normal((2, 3, 3, 3))
-        lhs = unfold_patches(FeatureMap(alpha * x + beta * y), (3, 3, 1)).data
-        rhs = alpha * unfold_patches(FeatureMap(x), (3, 3, 1)).data
-        rhs = rhs + beta * unfold_patches(FeatureMap(y), (3, 3, 1)).data
+        lhs = unfold_patches(alpha * x + beta * y, (3, 3, 1))
+        rhs = alpha * unfold_patches(x, (3, 3, 1)) + beta * unfold_patches(y, (3, 3, 1))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        b = rng.standard_normal((3, 5))
-        out = matmul(UnfoldedMatrix(np.eye(3)), UnfoldedMatrix(b))
-        np.testing.assert_array_equal(out.data, b)
+class TestCheckExtents:
+    def test_even_extent_rejected(self):
+        with pytest.raises(InvalidKernel):
+            tensor.check_extents((2, 1, 1), (4, 4, 4))
 
-    def test_ones_row_times_ones_column(self):
-        row = UnfoldedMatrix(np.ones((1, 7)))
-        col = UnfoldedMatrix(np.ones((7, 1)))
-        assert matmul(row, col).data[0, 0] == 7.0
-
-    def test_matches_triple_loop_oracle(self, rng):
-        a = rng.standard_normal((4, 6))
-        b = rng.standard_normal((6, 7))
-        expected = np.zeros((4, 7))
-        for i in range(4):
-            for j in range(7):
-                acc = 0.0
-                for k in range(6):
-                    acc += a[i, k] * b[k, j]
-                expected[i, j] = acc
-        out = matmul(UnfoldedMatrix(a), UnfoldedMatrix(b))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-
-    def test_shape_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            matmul(UnfoldedMatrix(np.ones((2, 3))), UnfoldedMatrix(np.ones((4, 2))))
+    def test_oversized_extent_rejected(self):
+        with pytest.raises(DegenerateKernel):
+            tensor.check_extents((7, 1, 1), (2, 4, 4))
 
 
 def singular_values(mat: np.ndarray) -> np.ndarray:
@@ -180,7 +145,7 @@ class TestSvd:
         with pytest.raises(NumericError):
             nuclear_penalty(np.array([[1.0, np.nan, 0.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(NumericError):
-            numeric_rank(UnfoldedMatrix(bad))
+            numeric_rank(bad)
 
 
 class TestSvdInvariance:
@@ -214,34 +179,26 @@ class TestTallSideSvd:
         rows, cols = shape
         mat = rng.standard_normal((rows, 3)) @ rng.standard_normal((3, cols))
         s = np.linalg.svd(mat, compute_uv=False)
-        assert numeric_rank(UnfoldedMatrix(mat)) == int(np.sum(s > 1e-9 * s[0])) == 3
+        assert numeric_rank(mat) == int(np.sum(s > 1e-9 * s[0])) == 3
 
 
 class TestNumericRank:
     def test_zero_matrix(self):
-        assert numeric_rank(UnfoldedMatrix(np.zeros((4, 4)))) == 0
+        assert numeric_rank(np.zeros((4, 4))) == 0
 
     def test_identity(self):
-        assert numeric_rank(UnfoldedMatrix(np.eye(4))) == 4
+        assert numeric_rank(np.eye(4)) == 4
 
     def test_outer_product_is_rank_one(self, rng):
         u = rng.standard_normal(6)
         v = rng.standard_normal(6)
-        assert numeric_rank(UnfoldedMatrix(np.outer(u, v))) == 1
+        assert numeric_rank(np.outer(u, v)) == 1
 
     def test_never_exceeds_min_dimension(self, rng):
         for _ in range(10):
             rows, cols = rng.integers(1, 8, size=2)
             mat = rng.standard_normal((rows, cols))
-            assert numeric_rank(UnfoldedMatrix(mat)) <= min(rows, cols)
-
-
-class TestChannelFolding:
-    def test_roundtrip(self, rng):
-        fmap = FeatureMap(rng.standard_normal((3, 2, 4, 5)))
-        mat = UnfoldedMatrix(fmap.data.reshape(3, -1))
-        back = fold_channels(mat, 2, 4, 5)
-        np.testing.assert_array_equal(back.data, fmap.data)
+            assert numeric_rank(mat) <= min(rows, cols)
 
 
 class TestTensorFile:
