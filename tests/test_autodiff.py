@@ -332,6 +332,33 @@ class TestWorkspace:
         ws.reclaim()
         assert step() == planned and ws._arena is arena
 
+    def test_a_lent_array_dies_once_with_its_last_view(self):
+        """A view keeps a lent array lent: its death is recorded once, when
+        the last reference to it or to a view of it is dropped."""
+        ws = ad.Workspace()
+        a = ws.take((4,))
+        view = a[1:]
+        take = ((4,), np.dtype(np.float64))
+        del a
+        assert ws._events == [take]
+        del view
+        assert ws._events == [take, 0]
+
+    def test_an_array_alive_at_reclaim_records_nothing_when_it_dies(self):
+        """reclaim takes back the arrays still lent: one that dies afterwards
+        leaves the next step's events alone, so that step replays the plan."""
+        ws = ad.Workspace()
+        a = ws.take((4,))
+        ws.reclaim()  # plans one take that lives to the end of the step
+        arena = ws._arena
+        del a
+        assert ws._events == []
+        b = ws.take((4,))
+        assert b.base is arena
+        ws.reclaim()
+        del b
+        assert ws._events == [] and ws._arena is arena
+
     def test_pool_is_keyed_by_dtype(self):
         """Arrays come in the workspace's dtype unless another is asked for.
         One arena serves every dtype: a take of another dtype is planned on

@@ -1,5 +1,6 @@
-"""Tensor substrate: window extents, singular values, rank, and file round-trips;
-and the im2col unfold that the convolution is checked against."""
+"""Tensor substrate: window extents, the blocked product, singular values, rank,
+and file round-trips; and the im2col unfold that the convolution is checked
+against."""
 
 import numpy as np
 import pytest
@@ -106,6 +107,35 @@ class TestCheckExtents:
             tensor.check_extents((7, 1, 1), (2, 4, 4))
 
 
+class TestMatmulNt:
+    """``a @ b.T`` summed over column blocks, as the tape's weight gradients
+    form it from two different matrices."""
+
+    def test_blocks_match_triple_loop_oracle(self, rng):
+        a = rng.standard_normal((4, 10))
+        b = rng.standard_normal((7, 10))
+        expected = np.zeros((4, 7))
+        for i in range(4):
+            for j in range(7):
+                acc = 0.0
+                for k in range(10):
+                    acc += a[i, k] * b[j, k]
+                expected[i, j] = acc
+        out = tensor.matmul_nt(a, b, np.full((4, 7), np.nan), 3)  # blocks 3, 3, 3, 1
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    def test_ones_sum_across_blocks(self):
+        out = tensor.matmul_nt(np.ones((2, 7)), np.ones((3, 7)), np.empty((2, 3)), 2)
+        np.testing.assert_array_equal(out, np.full((2, 3), 7.0))
+
+    def test_one_row_result_is_one_product(self, rng):
+        """A one-row result is formed in one call, whatever the block width."""
+        a = rng.standard_normal((1, 50))
+        b = rng.standard_normal((5, 50))
+        out = tensor.matmul_nt(a, b, np.empty((1, 5)), 7)
+        assert np.array_equal(out.view(np.uint64), (a @ b.T).view(np.uint64))
+
+
 def singular_values(mat: np.ndarray) -> np.ndarray:
     """The singular values that the diversity penalty returns; a wide
     well-conditioned matrix takes its Gram path, any other its SVD."""
@@ -199,6 +229,11 @@ class TestNumericRank:
             rows, cols = rng.integers(1, 8, size=2)
             mat = rng.standard_normal((rows, cols))
             assert numeric_rank(mat) <= min(rows, cols)
+
+    def test_rel_tol_outside_the_open_unit_interval_rejected(self):
+        for rel_tol in (0.0, 1.0, -1e-9, 2.0, float("nan")):
+            with pytest.raises(ConfigError):
+                numeric_rank(np.eye(3), rel_tol=rel_tol)
 
 
 class TestTensorFile:
