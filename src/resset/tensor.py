@@ -5,7 +5,11 @@ A ``FeatureMap`` is a finite 64-bit volume, immutable once constructed, laid
 out (channels, bands, height, width), row-major with width innermost. Kernel
 and feature matrices are plain 2-D arrays: ``matmul_nt`` is the
 column-blocked product that the training tape and the penalty's Gram matrix
-share, and ``singular_values`` and ``numeric_rank`` decompose one.
+share, and ``singular_values`` and ``numeric_rank`` decompose one in a
+single SVD. ``r_factor`` reduces a wide matrix, or a volume read as one with
+its channels as rows, to a square R factor with the same singular values,
+one float64 column block at a time, so a feature's spectrum needs no
+float64 copy of the feature.
 """
 
 from __future__ import annotations
@@ -104,12 +108,89 @@ def matmul_nt(
 
 
 def singular_values(mat: np.ndarray) -> np.ndarray:
-    """Singular values of a 2-D array, non-increasing. A wide matrix is
-    decomposed as its transpose, which has the same values: LAPACK's path
-    for tall matrices (QR first) is faster than its path for wide ones (LQ
-    first): 10.6 against 26.8 ms on a 24 x 31744 matrix, 36 against 56 us
-    on an 8 x 216 one (2-core Xeon VM, OpenBLAS 0.3.31, medians)."""
+    """Singular values of a 2-D array, non-increasing, from one SVD without
+    factors. A wide matrix is decomposed as its transpose, which has the
+    same values: LAPACK's path for tall matrices (QR first) is faster than
+    its path for wide ones (LQ first): 36 against 56 us on an 8 x 216 matrix
+    (2-core Xeon VM, OpenBLAS 0.3.31, medians). LAPACK decomposes a float64
+    copy of ``mat``, so a matrix far wider than it is tall, such as a
+    training run's feature, goes through ``r_factor`` first."""
     return np.linalg.svd(mat.T if mat.shape[0] < mat.shape[1] else mat, compute_uv=False)
+
+
+# Columns per step of ``r_factor``. Each step stacks ``rows + QR_BLOCK_COLUMNS``
+# float64 rows, and ``np.linalg.qr`` copies them twice more, so a step's
+# arrays stay under glibc's 128 KiB mmap threshold at 24 rows and come back
+# to the heap they were taken from. On the toy res3_1d benchmark's training
+# calls (2-core Xeon VM, 15 s runs), the resident set peaked at 56.6-56.7 MB
+# with 512-column blocks, 57.0-57.1 MB with 1024 and 58.8 MB with 4096, where
+# numpy's 0.8 MB copy of each stack stays resident on the heap.
+QR_BLOCK_COLUMNS = 512
+
+
+def _copy_columns(out: np.ndarray, x: np.ndarray, lo: int) -> None:
+    """Cast columns ``lo`` to ``lo + out.shape[1]`` of ``x`` unfolded to
+    (rows, -1) in C order into ``out``. ``x`` may be any strided view, such
+    as a convolution's output cropped from its padded grid: the column range
+    splits into at most two partial slices and one whole one per axis, each
+    a rectangular view of ``x`` written by one ``np.copyto``, so nothing the
+    size of ``x`` is copied."""
+    n = out.shape[1]
+    if x.ndim == 2:
+        np.copyto(out, x[:, lo : lo + n])
+        return
+    inner = prod(x.shape[2:])
+    first, start = divmod(lo, inner)
+    last, stop = divmod(lo + n, inner)
+    if first == last:
+        _copy_columns(out, x[:, first], start)
+        return
+    done = 0
+    if start:
+        done = inner - start
+        _copy_columns(out[:, :done], x[:, first], start)
+        first += 1
+    if last > first:
+        whole = x[:, first:last]
+        np.copyto(out[:, done : done + whole[0].size].reshape(whole.shape), whole)
+        done += whole[0].size
+    if stop:
+        _copy_columns(out[:, done:], x[:, last], 0)
+
+
+def r_factor(x: np.ndarray, cols: int = QR_BLOCK_COLUMNS) -> np.ndarray:
+    """The float64 R factor of ``A.T``'s Householder QR, where ``A`` is
+    ``x`` unfolded to (rows, n) in C order, in any float dtype: an upper
+    triangle of min(rows, n) x rows with ``R.T @ R = A @ A.T``, so R has A's
+    singular values (Chan 1982, "An improved algorithm for computing the
+    singular value decomposition").
+
+    The QR is reduced ``cols`` columns of A at a time (the sequential
+    tall-skinny QR of Demmel et al. 2012, "Communication-optimal parallel
+    and sequential QR and LU factorizations"): each step stacks the running
+    R on top of the next block's transpose, cast exactly into one float64
+    buffer of (rows + cols) x rows, and keeps the R of the stack. A block is
+    the same column range whatever ``x``'s memory layout, so a view and its
+    contiguous copy give the same bits. Non-finite entries raise
+    ``NumericError``, checked one block at a time. A singular value is off
+    by at most a small multiple of machine epsilon times the largest, as in
+    an SVD of A; a Gram matrix ``A @ A.T`` would lose the tail below
+    ``sqrt(eps)`` times the largest."""
+    rows = x.shape[0]
+    n = x.size // rows
+    if x.flags.c_contiguous:
+        x = x.reshape(rows, n)
+    stack = np.empty((rows + cols, rows))
+    r = stack[:0]
+    for lo in range(0, n, cols):
+        k, width = r.shape[0], min(cols, n - lo)
+        stack[:k] = r
+        block = stack[k : k + width]
+        _copy_columns(block.T, x, lo)
+        if not np.isfinite(block).all():
+            raise NumericError("cannot decompose a matrix with non-finite entries")
+        r = np.linalg.qr(stack[: k + width], mode="r")
+    return r
 
 
 def numeric_rank(mat: np.ndarray, rel_tol: float = 1e-9) -> int:

@@ -198,18 +198,25 @@ def _check_parameters(params: dict[str, np.ndarray], epoch: int) -> None:
 
 
 def _fit(
-    cfg: TrainConfig, net: Network, pairs: list[tuple[np.ndarray, np.ndarray]], holdout: np.ndarray
-) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
-    """Train ``net`` in place; returns the per-epoch (data, penalty) terms and
-    the holdout's output and feature arrays from one more forward pass.
+    cfg: TrainConfig,
+    net: Network,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
+    holdout: np.ndarray,
+    keep_feature: bool,
+) -> tuple[list[float], list[float], Spectrum, np.ndarray, np.ndarray | None]:
+    """Train ``net`` in place; returns the per-epoch (data, penalty) terms,
+    and from one more forward pass on the holdout its feature's spectrum,
+    its output array and, with ``keep_feature``, its feature array.
 
     Every pass draws its arrays from one ``TRAIN_DTYPE`` workspace, reclaimed
     after each step, so one tape is alive at a time. The first step's
     arrays are fresh, and its reclaim plans the arena that every later
     step, and the holdout's forward pass, takes the same views of. The
-    workspace lives in this call only. The holdout arrays are views of the
-    arena, so they are returned as copies, made once the workspace and the
-    tape are gone: nothing that outlives the call pins the arena.
+    workspace lives in this call only. The spectrum is taken from the
+    holdout's feature while it is still a view of the arena, one column
+    block at a time (``feature_spectrum``), so no feature-sized array is
+    made for it. The arrays returned are copies, since a view pins the whole
+    arena: the output, and the feature only when it is kept.
     """
     ws = ad.Workspace(TRAIN_DTYPE)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x5F0F)))
@@ -242,8 +249,9 @@ def _fit(
         reg_terms.append(epoch_reg)
     tape = net.forward_tape(holdout, ws)
     output, feature = tape.output.data, tape.feature.data
-    del tape, ws  # frees every array but the arena these two views pin
-    return data_terms, reg_terms, output.copy(), feature.copy()
+    del tape  # every array of the pass but these two views goes back
+    spectrum = feature_spectrum(feature)
+    return data_terms, reg_terms, spectrum, output.copy(), feature.copy() if keep_feature else None
 
 
 def train_denoiser(
@@ -256,20 +264,19 @@ def train_denoiser(
     Every forward pass of the run, the holdout's included, draws its arrays
     from one ``TRAIN_DTYPE`` workspace (see ``_fit``). Each step's parameter
     nodes are ``TRAIN_DTYPE`` copies of the float64 parameters, and their
-    gradients are summed into float64. The float64 evaluation (metrics and
-    spectrum) runs after the workspace and every tape are gone, on copies
-    of the holdout's output and feature arrays, so the run's peak memory is
+    gradients are summed into float64. The spectrum is taken inside ``_fit``
+    from the float32 feature in the workspace's arena, in float64 column
+    blocks. The float64 metrics run after the workspace and every tape are
+    gone, on a copy of the holdout's output, so the run's peak memory is
     that of its training tape.
     """
     start = time.perf_counter()
     pairs, holdout = _tape_inputs(data)
     channels = data.pairs[0][0].channels
     net = Network(cfg.scheme, channels, cfg.width, cfg.num_blocks, seed=cfg.seed)
-    data_terms, reg_terms, output, feature = _fit(cfg, net, pairs, holdout)
+    data_terms, reg_terms, spectrum, output, feature = _fit(cfg, net, pairs, holdout, return_network)
     denoised = feature_to_cube(FeatureMap(output))
-    feature = FeatureMap(feature)
     metrics = metrics_report(denoised, feature_to_cube(data.holdout[1]))
-    spectrum = feature_spectrum(feature)
     report = TrainReport(
         scheme_token=cfg.scheme.token,
         parameter_count=net.parameter_count(),
@@ -281,5 +288,5 @@ def train_denoiser(
         wall_seconds=time.perf_counter() - start,
     )
     if return_network:
-        return report, net, feature.data
+        return report, net, FeatureMap(feature).data
     return report

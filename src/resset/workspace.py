@@ -27,9 +27,11 @@ float32 tape (31x32x32 cube, width 8, two blocks) the arena holds 14.05 MiB
 with the penalty (``res3_1d``) and 8.54 MiB without it (``conv3d``), against
 13.81 and 8.47 MiB lent at most at once; ``tests/test_train.py`` pins these
 figures. ``train.train_denoiser`` keeps its workspace only while it trains
-and runs the holdout's forward pass, and returns copies of the holdout's
-arrays, since a view keeps the whole arena alive; the float64 evaluation
-runs after the arena is gone.
+and runs the holdout's forward pass. The holdout feature's spectrum is taken
+in place, from the float32 view of the arena, in float64 column blocks
+(``rank.feature_spectrum``); only the holdout's output is copied out, and
+the feature only when the caller asks for it, since a view keeps the whole
+arena alive. The float64 metrics run after the arena is gone.
 """
 
 from __future__ import annotations

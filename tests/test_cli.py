@@ -19,6 +19,7 @@ from resset import (
     TrainConfig,
     cli,
     parse_scheme_token,
+    read_tensor,
     synth_cube,
     write_tensor,
 )
@@ -175,11 +176,20 @@ class TestTrainCommand:
         assert (run_dir / "checkpoint" / "manifest.txt").exists()
         assert (run_dir / "timing.txt").exists()
 
-    def test_feature_tensor_feeds_spectrum_command(self, tmp_path):
-        run_cli(tmp_path, "train", *self.SMALL)
-        feature = only_run_dir(tmp_path, "train") / "feature.rst"
-        assert feature.exists()
+    @pytest.mark.parametrize("scheme", ["res3_1d", "conv3d"])
+    def test_feature_tensor_feeds_spectrum_command(self, tmp_path, scheme):
+        """``spectrum`` on the feature.rst that ``train`` wrote writes the
+        spectrum.csv that ``train`` wrote, byte for byte: train reads the
+        float32 feature in its workspace (for conv3d a view cropped from the
+        branch's padded grid), spectrum its contiguous float64 copy, in the
+        same column blocks (1152 columns, three blocks)."""
+        assert run_cli(tmp_path, "train", *self.SMALL, f"scheme={scheme}") == 0
+        run_dir = only_run_dir(tmp_path, "train")
+        feature = run_dir / "feature.rst"
+        assert read_tensor(feature).shape[1:] == (8, 12, 12)
         assert run_cli(tmp_path, "spectrum", f"input={feature}", "head=4") == 0
+        written = (only_run_dir(tmp_path, "spectrum") / "spectrum.csv").read_bytes()
+        assert written == (run_dir / "spectrum.csv").read_bytes()
 
     def test_epochs_zero(self, tmp_path):
         code = run_cli(tmp_path, "train", *self.SMALL, "epochs=0")

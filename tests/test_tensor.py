@@ -212,6 +212,105 @@ class TestTallSideSvd:
         assert numeric_rank(mat) == int(np.sum(s > 1e-9 * s[0])) == 3
 
 
+def r_svd(x: np.ndarray) -> np.ndarray:
+    """Singular values of ``x``'s (rows, -1) unfolding through its R factor."""
+    return tensor.singular_values(tensor.r_factor(x))
+
+
+def assert_matches_float64_svd(x: np.ndarray) -> None:
+    """Each R-SVD value is within 1e-13 times the largest of an SVD of the
+    float64 unfolding."""
+    want = np.linalg.svd(x.astype(np.float64).reshape(x.shape[0], -1), compute_uv=False)
+    got = r_svd(x)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+
+
+BLOCK = tensor.QR_BLOCK_COLUMNS
+
+
+class TestRFactor:
+    """The R factor of a wide matrix's transpose, reduced one column block
+    at a time, has the matrix's singular values."""
+
+    @pytest.mark.parametrize("cols", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1,
+                                      3 * BLOCK + 77, 31744])
+    def test_matches_svd_across_block_counts(self, rng, cols):
+        assert_matches_float64_svd(rng.standard_normal((24, cols)))
+
+    def test_r_is_upper_triangular_and_gives_the_gram_matrix(self, rng):
+        mat = rng.standard_normal((6, 3 * BLOCK + 5))
+        r = tensor.r_factor(mat)
+        assert r.shape == (6, 6) and r.dtype == np.float64
+        np.testing.assert_array_equal(r, np.triu(r))
+        np.testing.assert_allclose(r.T @ r, mat @ mat.T, rtol=1e-12)
+
+    def test_fewer_columns_than_rows(self, rng):
+        """Blocks narrower than the matrix is tall: R keeps min(rows, n)
+        rows, as many as the matrix has singular values."""
+        mat = rng.standard_normal((40, 30))
+        assert tensor.r_factor(mat, cols=7).shape == (30, 40)
+        got = tensor.singular_values(tensor.r_factor(mat, cols=7))
+        np.testing.assert_allclose(got, np.linalg.svd(mat, compute_uv=False), rtol=1e-13)
+
+    def test_condition_1e12(self, rng):
+        """Singular values from 1 down to 1e-12 keep their tail: a Gram
+        matrix would lose every value below about 1e-8 of the largest."""
+        cols = 4 * BLOCK + 3
+        left, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        right, _ = np.linalg.qr(rng.standard_normal((cols, 24)))
+        mat = (left * np.logspace(0, -12, 24)) @ right.T
+        assert_matches_float64_svd(mat)
+
+    def test_res3_1dx3_shaped_rank_56(self, rng):
+        """72 rows of rank 56, the shape of res3_1dx3's feature at width 8."""
+        mat = rng.standard_normal((72, 56)) @ rng.standard_normal((56, 5 * BLOCK + 9))
+        assert_matches_float64_svd(mat)
+        s = r_svd(mat)
+        assert np.sum(s > 1e-9 * s[0]) == 56
+
+    def test_float32_is_cast_exactly(self, rng):
+        """A float32 matrix gives the bits of its exact float64 cast."""
+        mat = rng.standard_normal((24, 2 * BLOCK + 100)).astype(np.float32)
+        r32, r64 = tensor.r_factor(mat), tensor.r_factor(mat.astype(np.float64))
+        assert r32.dtype == np.float64
+        assert np.array_equal(r32.view(np.uint64), r64.view(np.uint64))
+        assert_matches_float64_svd(mat)
+
+    @pytest.mark.parametrize("lo, n", [(0, 6), (1, 4), (5, 20), (31, 40), (48, 96), (0, 48),
+                                       (3, 150), (90, 200), (0, 336), (335, 1)])
+    def test_column_ranges_of_a_cropped_view(self, rng, lo, n):
+        """Any column range of a 4-D view cropped from a padded grid, cast
+        into a transposed float64 block, is the same range of its contiguous
+        unfolding: within a width row, across rows and across planes."""
+        grid = rng.standard_normal((3, 9, 10, 9)).astype(np.float32)
+        view = grid[:, 1:8, 1:9, 1:7]  # 7 x 8 x 6 = 336 columns, 48 per plane
+        want = np.ascontiguousarray(view).reshape(3, -1)[:, lo : lo + n]
+        out = np.full((n, 3), np.nan).T
+        tensor._copy_columns(out, view, lo)
+        np.testing.assert_array_equal(out, want)
+
+    def test_view_and_contiguous_copy_give_the_same_bits(self, rng):
+        """A cropped grid, as a convolution's output is, is read block by
+        block in place, and its blocks are its contiguous copy's."""
+        grid = rng.standard_normal((8, 12, 14, 15))
+        view = grid[:, 1:11, 1:13, 2:14]
+        assert not view.flags.c_contiguous
+        r_view, r_copy = tensor.r_factor(view), tensor.r_factor(np.ascontiguousarray(view))
+        assert np.array_equal(r_view.view(np.uint64), r_copy.view(np.uint64))
+        assert_matches_float64_svd(view)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_a_later_block_rejected(self, rng, bad):
+        mat = rng.standard_normal((4, 3 * BLOCK))
+        mat[2, 2 * BLOCK + 5] = bad
+        with pytest.raises(NumericError):
+            tensor.r_factor(mat)
+
+    def test_zero_matrix_has_zero_r(self):
+        assert not np.any(tensor.r_factor(np.zeros((5, 2 * BLOCK + 1))))
+
+
 class TestNumericRank:
     def test_zero_matrix(self):
         assert numeric_rank(np.zeros((4, 4))) == 0

@@ -562,13 +562,15 @@ class TestTrainingWorkspace:
 
     @pytest.mark.parametrize("lam, epochs", [(0.0, 2), (5e-5, 2), (5e-5, 0)])
     def test_workspace_is_gone_before_the_float64_evaluation(self, monkeypatch, lam, epochs):
-        """When the holdout's arrays are converted to float64 and the metrics
-        and the spectrum run, the run's float32 workspace is dead: no node,
-        tape or local variable holds it, and it is freed without the cycle
-        collector, so its arena is not alive beside the float64 work. Every
-        mapping it made is unmapped too, the arena and each fresh array: no
-        array that outlives it, the holdout's output and feature included,
-        is a view that pins one."""
+        """The spectrum is taken while the run's float32 workspace is alive,
+        from the holdout's float32 feature in place: a view of the arena, or
+        with no step planned, of the fresh mapping the pass was lent. When
+        the holdout's output is converted to float64 and the metrics run,
+        the workspace is dead: no node, tape or local variable holds it, and
+        it is freed without the cycle collector, so its arena is not alive
+        beside the float64 work. Every mapping it made is unmapped too, the
+        arena and each fresh array: no array that outlives it, the holdout's
+        output included, is a view that pins one."""
         from resset import train as train_module
         from resset import workspace as workspace_module
 
@@ -587,7 +589,7 @@ class TestTrainingWorkspace:
             mappings.append(weakref.ref(pages))
             return pages
 
-        def checked(name):
+        def dead(name):
             fn = getattr(train_module, name)
 
             def wrapper(*args, **kwargs):
@@ -598,17 +600,56 @@ class TestTrainingWorkspace:
 
             monkeypatch.setattr(train_module, name, wrapper)
 
+        def on_the_arena(feature):
+            (ws,) = [ref() for ref in workspaces]
+            assert ws is not None and feature.dtype == TRAIN_DTYPE
+            pages = [ws._arena] if epochs else [ref() for ref in mappings]
+            assert any(p is not None and np.shares_memory(feature, np.frombuffer(p, np.uint8))
+                       for p in pages)
+            evaluated.append("feature_spectrum")
+            return spectrum(feature)
+
         monkeypatch.setattr(ad.Workspace, "__init__", recorded_init)
         monkeypatch.setattr(workspace_module, "_map", recorded_map)
-        for name in ("FeatureMap", "metrics_report", "feature_spectrum"):
-            checked(name)
+        for name in ("FeatureMap", "metrics_report"):
+            dead(name)
+        spectrum = train_module.feature_spectrum
+        monkeypatch.setattr(train_module, "feature_spectrum", on_the_arena)
         gc.disable()
         try:
             report = train_denoiser(small_config(epochs=epochs, lam=lam), identity_task())
         finally:
             gc.enable()
         assert report.epochs == epochs
-        assert evaluated == ["FeatureMap", "FeatureMap", "metrics_report", "feature_spectrum"]
+        assert evaluated == ["feature_spectrum", "FeatureMap", "metrics_report"]
+
+    def test_spectrum_copies_nothing_the_size_of_the_feature(self, monkeypatch):
+        """Inside ``feature_spectrum`` on the toy res3_1d holdout, numpy's
+        traced peak stays under 512 KiB (214 KiB measured), where the 24-row
+        float32 feature is 3 MiB: the spectrum reads the feature in place,
+        one float64 column block at a time. ``tracemalloc`` sees numpy's
+        arrays but neither the arena, an anonymous mapping, nor the buffers
+        that LAPACK's wrappers allocate themselves: one SVD of the whole
+        float64 feature peaks at 745 KiB traced, the ``np.isfinite`` mask of
+        its check, beside a 6 MiB copy that LAPACK makes untraced."""
+        from resset import train as train_module
+
+        peaks: list[int] = []
+        spectrum = train_module.feature_spectrum
+
+        def traced(feature):
+            tracemalloc.start()
+            try:
+                out = spectrum(feature)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return out
+
+        monkeypatch.setattr(train_module, "feature_spectrum", traced)
+        report = train_denoiser(small_config(epochs=1, lam=5e-5), toy_task())
+        assert report.spectrum.values.size == 24
+        assert len(peaks) == 1 and peaks[0] < 512 * 1024, f"{peaks[0] / 1024:.0f} KiB traced"
 
 
 # Trains a tiny float32 run of each training workload's scheme and prints one
