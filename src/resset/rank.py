@@ -125,11 +125,12 @@ def feature_spectrum(feature: FeatureMap | np.ndarray) -> Spectrum:
     to its rows x rows R factor one column block at a time (``r_factor``),
     whose singular values are the matrix's, so nothing the size of the
     feature is copied; the values are within a few units of roundoff times
-    the largest of an SVD of the float64 matrix. Any other matrix, such as
-    every rank-audit matrix, is cast to float64 and decomposed in one SVD.
-    An all-zero map yields an empty spectrum rather than an error: its R
-    factor is exactly zero, since a Householder reflection leaves a zero
-    column zero and gives a nonzero one a nonzero diagonal.
+    the largest of an SVD of the float64 matrix. Any other matrix is cast
+    to float64 and decomposed in one SVD (``singular_values``), as
+    ``numeric_rank`` decomposes every rank-audit matrix. An all-zero map
+    yields an empty spectrum rather than an error: its R factor is exactly
+    zero, since a Householder reflection leaves a zero column zero and gives
+    a nonzero one a nonzero diagonal.
     """
     data = feature.data if isinstance(feature, FeatureMap) else feature
     rows = data.shape[0]

@@ -119,12 +119,12 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
 
 
 # Columns per step of ``r_factor``. Each step stacks ``rows + QR_BLOCK_COLUMNS``
-# float64 rows, and ``np.linalg.qr`` copies them twice more, so a step's
-# arrays stay under glibc's 128 KiB mmap threshold at 24 rows and come back
-# to the heap they were taken from. On the toy res3_1d benchmark's training
-# calls (2-core Xeon VM, 15 s runs), the resident set peaked at 56.6-56.7 MB
-# with 512-column blocks, 57.0-57.1 MB with 1024 and 58.8 MB with 4096, where
-# numpy's 0.8 MB copy of each stack stays resident on the heap.
+# float64 rows, and ``np.linalg.qr`` copies the stack twice more, so at the
+# toy feature's 24 rows each of a step's arrays (103 KB) stays under glibc's
+# 128 KiB mmap threshold and is reused from the heap step after step. Wider
+# blocks make larger copies (0.2 MB at 1024 columns, 0.8 MB at 4096), which
+# pass that threshold; once glibc has raised it (mallopt(3)), the heap
+# serves them and keeps their pages resident.
 QR_BLOCK_COLUMNS = 512
 
 
