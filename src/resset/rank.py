@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .schemes import (
     KernelScheme,
     KernelSet,
@@ -26,7 +26,7 @@ from .schemes import (
     rank_upper_bound,
     valid_column_count,
 )
-from .tensor import QR_BLOCK_COLUMNS, FeatureMap, numeric_rank, r_factor, singular_values
+from .tensor import FeatureMap, numeric_rank, r_factor, singular_values
 
 AUDIT_RANK_TOL = 1e-6
 # Most draws an audit builds at once. A batch removes the per-draw Python
@@ -120,29 +120,19 @@ def feature_spectrum(feature: FeatureMap | np.ndarray) -> Spectrum:
 
     ``feature`` is a ``FeatureMap`` or an array of any float dtype with the
     channels on its first axis, unfolded in C order; it may be a strided
-    view, such as a training run's float32 feature in its workspace. A
-    matrix wider than both its height and ``QR_BLOCK_COLUMNS`` is reduced
-    to its rows x rows R factor one column block at a time (``r_factor``),
-    whose singular values are the matrix's, so nothing the size of the
-    feature is copied; the values are within a few units of roundoff times
-    the largest of an SVD of the float64 matrix. Any other matrix is cast
-    to float64 and decomposed in one SVD (``singular_values``), as
-    ``numeric_rank`` decomposes every rank-audit matrix. An all-zero map
-    yields an empty spectrum rather than an error: its R factor is exactly
-    zero, since a Householder reflection leaves a zero column zero and gives
-    a nonzero one a nonzero diagonal.
+    view, such as a training run's float32 feature in its workspace. The
+    matrix is reduced to its R factor one column block at a time
+    (``r_factor``), whose singular values are the matrix's, so nothing the
+    size of the feature is copied; the values are within a few units of
+    roundoff times the largest of an SVD of the float64 matrix. An all-zero
+    map yields an empty spectrum rather than an error: its R factor is
+    exactly zero, since a Householder reflection leaves a zero column zero
+    and gives a nonzero one a nonzero diagonal.
     """
-    data = feature.data if isinstance(feature, FeatureMap) else feature
-    rows = data.shape[0]
-    if data.size // rows <= max(rows, QR_BLOCK_COLUMNS):
-        mat = data.reshape(rows, -1).astype(np.float64, copy=False)
-        if not np.all(np.isfinite(mat)):
-            raise NumericError("cannot decompose a matrix with non-finite entries")
-    else:
-        mat = r_factor(data)
-    if not np.any(mat):
+    r = r_factor(feature.data if isinstance(feature, FeatureMap) else feature)
+    if not np.any(r):
         return Spectrum(values=np.empty(0))
-    s = singular_values(mat)
+    s = singular_values(r)
     return Spectrum(values=s / s[0])
 
 

@@ -6,10 +6,10 @@ out (channels, bands, height, width), row-major with width innermost. Kernel
 and feature matrices are plain 2-D arrays: ``matmul_nt`` is the
 column-blocked product that the training tape and the penalty's Gram matrix
 share, and ``singular_values`` and ``numeric_rank`` decompose one in a
-single SVD. ``r_factor`` reduces a wide matrix, or a volume read as one with
-its channels as rows, to a square R factor with the same singular values,
-one float64 column block at a time, so a feature's spectrum needs no
-float64 copy of the feature.
+single SVD. ``r_factor`` reduces a matrix, or a volume read as one with its
+channels as rows, to an R factor with the same singular values, one float64
+column block at a time, so a feature's spectrum needs no float64 copy of the
+feature.
 """
 
 from __future__ import annotations
@@ -119,12 +119,15 @@ def singular_values(mat: np.ndarray) -> np.ndarray:
 
 
 # Columns per step of ``r_factor``. Each step stacks ``rows + QR_BLOCK_COLUMNS``
-# float64 rows, and ``np.linalg.qr`` copies the stack twice more, so at the
-# toy feature's 24 rows each of a step's arrays (103 KB) stays under glibc's
-# 128 KiB mmap threshold and is reused from the heap step after step. Wider
-# blocks make larger copies (0.2 MB at 1024 columns, 0.8 MB at 4096), which
-# pass that threshold; once glibc has raised it (mallopt(3)), the heap
-# serves them and keeps their pages resident.
+# float64 rows, and ``np.linalg.qr`` copies the stack twice more. At the
+# 24 rows of the benchmark's features each of a step's arrays (103 KB) stays
+# under glibc's 128 KiB mmap threshold and is reused from the heap step after
+# step; wider blocks make larger copies (0.2 MB at 1024 columns, 0.8 MB at
+# 4096), which pass that threshold and, once glibc has raised it
+# (mallopt(3)), are served by the heap, which keeps their pages resident.
+# The figure holds for 24 rows only: at 72 rows (res3_1dx3 at width 8) a
+# step's arrays are 336 KB, past the threshold, and no feature with more
+# than 24 rows was measured.
 QR_BLOCK_COLUMNS = 512
 
 
@@ -158,25 +161,25 @@ def _copy_columns(out: np.ndarray, x: np.ndarray, lo: int) -> None:
         _copy_columns(out[:, done:], x[:, last], 0)
 
 
-def r_factor(x: np.ndarray, cols: int = QR_BLOCK_COLUMNS) -> np.ndarray:
+def r_factor(x: np.ndarray) -> np.ndarray:
     """The float64 R factor of ``A.T``'s Householder QR, where ``A`` is
     ``x`` unfolded to (rows, n) in C order, in any float dtype: an upper
     triangle of min(rows, n) x rows with ``R.T @ R = A @ A.T``, so R has A's
     singular values (Chan 1982, "An improved algorithm for computing the
     singular value decomposition").
 
-    The QR is reduced ``cols`` columns of A at a time (the sequential
-    tall-skinny QR of Demmel et al. 2012, "Communication-optimal parallel
-    and sequential QR and LU factorizations"): each step stacks the running
-    R on top of the next block's transpose, cast exactly into one float64
-    buffer of (rows + cols) x rows, and keeps the R of the stack. A block is
-    the same column range whatever ``x``'s memory layout, so a view and its
-    contiguous copy give the same bits. Non-finite entries raise
+    The QR is reduced ``QR_BLOCK_COLUMNS`` columns of A at a time (the
+    sequential tall-skinny QR of Demmel et al. 2012, "Communication-optimal
+    parallel and sequential QR and LU factorizations"): each step stacks the
+    running R on top of the next block's transpose, cast exactly into one
+    float64 buffer of (rows + QR_BLOCK_COLUMNS) x rows, and keeps the R of
+    the stack. A block is the same column range whatever ``x``'s memory
+    layout, so a view and its contiguous copy give the same bits. Non-finite entries raise
     ``NumericError``, checked one block at a time. A singular value is off
     by at most a small multiple of machine epsilon times the largest, as in
     an SVD of A; a Gram matrix ``A @ A.T`` would lose the tail below
     ``sqrt(eps)`` times the largest."""
-    rows = x.shape[0]
+    rows, cols = x.shape[0], QR_BLOCK_COLUMNS
     n = x.size // rows
     if x.flags.c_contiguous:
         x = x.reshape(rows, n)

@@ -246,12 +246,19 @@ class TestRFactor:
         np.testing.assert_allclose(r.T @ r, mat @ mat.T, rtol=1e-12)
 
     def test_fewer_columns_than_rows(self, rng):
-        """Blocks narrower than the matrix is tall: R keeps min(rows, n)
-        rows, as many as the matrix has singular values."""
+        """A matrix with fewer columns than rows: R keeps min(rows, n) rows,
+        as many as the matrix has singular values."""
         mat = rng.standard_normal((40, 30))
-        assert tensor.r_factor(mat, cols=7).shape == (30, 40)
-        got = tensor.singular_values(tensor.r_factor(mat, cols=7))
+        assert tensor.r_factor(mat).shape == (30, 40)
+        got = tensor.singular_values(tensor.r_factor(mat))
         np.testing.assert_allclose(got, np.linalg.svd(mat, compute_uv=False), rtol=1e-13)
+
+    def test_blocks_narrower_than_the_matrix_is_tall(self, rng):
+        """The first block's R has fewer rows than the matrix; the next
+        block's stack completes it to rows x rows."""
+        mat = rng.standard_normal((BLOCK + 8, 2 * BLOCK + 76))
+        assert tensor.r_factor(mat).shape == (BLOCK + 8, BLOCK + 8)
+        assert_matches_float64_svd(mat)
 
     def test_condition_1e12(self, rng):
         """Singular values from 1 down to 1e-12 keep their tail: a Gram
